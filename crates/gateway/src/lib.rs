@@ -23,10 +23,9 @@
 //! self-declaration) or the self-service `X-Tenant` header; headerless
 //! requests share the default tenant at the default tier.
 //!
-//! **Scheduling** reuses the serve crate's hardened pieces: bounded
-//! [`ccs_serve::AdmissionQueue`]s (one per shard, sharded by scenario
-//! hash), the panic-isolating [`ccs_serve::engine`], and byte-capped line
-//! reads.
+//! **Scheduling** is the daemon's own [`ccs_serve::Service`] (admission,
+//! workers, deadlines, counters, drain) with one queue per scenario-hash
+//! shard; this crate adds only HTTP framing, routes, and tenancy.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

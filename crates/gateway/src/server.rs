@@ -1,16 +1,13 @@
-//! The gateway engine: accept loop, tenant binding, sharded worker pools,
-//! batching, and the stats surface.
+//! The gateway: HTTP/1.1 framing, routes, tenancy, and batch grouping in
+//! front of the shared [`Service`].
 //!
 //! ```text
 //!  TCP accept ─▶ connection thread ─▶ resolve tenant ─▶ rate limit
 //!                      │                                   │
-//!                      │            shard = scenario hash % N
+//!                      │     group items by scenario hash % shards
 //!                      │                                   ▼
-//!                      │        ┌──────── AdmissionQueue[shard] ────────┐
-//!                      │        ▼                                       ▼
-//!                      │   shard workers … (tenant's cache, serve engine)
-//!                      │        │
-//!                      ◀── mpsc reply ──┘
+//!                      │    Service::submit (queues, workers, deadlines)
+//!                      ◀── mpsc answers ──┘
 //!                      ▼
 //!               HTTP response (keep-alive)
 //! ```
@@ -18,28 +15,28 @@
 //! Sharding by scenario hash sends every request for one scenario to the
 //! same worker pool, so a burst of requests against one scenario builds
 //! its `ProblemTables` once and then rides the tenant cache, while other
-//! scenarios proceed on other shards. `/v1/batch` goes further: the whole
-//! group runs back-to-back on one worker, amortizing cache lookups too.
+//! scenarios proceed on other shards. `/v1/batch` goes further: each
+//! shard's group runs back-to-back on one worker, amortizing cache lookups
+//! too.
 //!
-//! Plan responses are rendered by the same [`ccs_serve::protocol`]
-//! functions the JSONL daemon uses, so a `/v1/plan` body is byte-identical
-//! to the daemon's response line — and its `result.text` to `ccs plan`
-//! stdout.
+//! Responses are rendered by the same [`ccs_serve::protocol`] functions
+//! the JSONL daemon uses, so a `/v1/plan` body is byte-identical to the
+//! daemon's response line — and its `result.text` to `ccs plan` stdout.
 
 use crate::http::{read_request, write_response, HttpRequest, ReadOutcome};
 use crate::tenant::{ResolveError, Tenant, TenantRegistry, Tier};
 use ccs_serve::cache::DEFAULT_CACHE_BYTES;
-use ccs_serve::engine;
-use ccs_serve::protocol::{err_response, ok_response, ErrorKind, ServeError};
-use ccs_serve::queue::{AdmissionQueue, AdmitError};
-use ccs_serve::scenario_hash;
-use ccs_serve::ServeObs;
-use ccs_telemetry::{CounterFamily, HistogramFamily};
+use ccs_serve::obs::{latency_entry, render_value};
+use ccs_serve::protocol::{err_response, object, ok_response, response_value};
+use ccs_serve::protocol::{ErrorKind, ServeError};
+use ccs_serve::service::{Answer, Outcome, Service};
+use ccs_serve::{scenario_hash, ServeObs};
+use ccs_telemetry::Histogram;
 use serde::value::{Number, Value};
 use std::collections::BTreeMap;
 use std::io::BufReader;
 use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
@@ -51,8 +48,8 @@ pub const GATEWAY_STATS_SCHEMA: &str = "ccs-gateway-stats/v1";
 pub struct GatewayConfig {
     /// Bind address, e.g. `127.0.0.1:7077` (`:0` = ephemeral port).
     pub addr: String,
-    /// Worker-pool shards (scenario hash space partitions). `0` = auto:
-    /// half the machine's parallelism, clamped to `[1, 4]`.
+    /// Worker-pool shards (scenario hash space partitions). `0` = auto
+    /// (see [`Service::new`]).
     pub shards: usize,
     /// Worker threads per shard.
     pub workers_per_shard: usize,
@@ -101,18 +98,6 @@ impl Default for GatewayConfig {
     }
 }
 
-impl GatewayConfig {
-    fn resolved_shards(&self) -> usize {
-        if self.shards > 0 {
-            return self.shards;
-        }
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(2);
-        (cores / 2).clamp(1, 4)
-    }
-}
-
 /// Final counters of one gateway run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GatewaySummary {
@@ -120,9 +105,11 @@ pub struct GatewaySummary {
     pub requests: u64,
     /// Plan-route items answered `ok`.
     pub completed: u64,
-    /// Plan-route items answered with an error.
+    /// Error answers, framing and routing errors included (rejections
+    /// not counted).
     pub errors: u64,
-    /// Items rejected by queue backpressure or drain.
+    /// Answers of kind `rejected`: queue backpressure, drain, the tenant
+    /// cap, and rate limits.
     pub rejected: u64,
     /// Requests refused by a tenant's rate limit.
     pub rate_limited: u64,
@@ -132,26 +119,18 @@ pub struct GatewaySummary {
     pub batch_items: u64,
 }
 
-/// One unit of worker work: a group of request bodies for one tenant,
-/// executed back-to-back on one worker (the batching amortization).
-struct GwJob {
-    tenant: Arc<Tenant>,
-    items: Vec<(usize, Value)>,
-    reply: mpsc::Sender<(usize, Result<Value, ServeError>)>,
-}
+/// The routes, in `http_latency_us` order (`none` = no such route).
+const ROUTES: [&str; 6] = ["batch", "healthz", "none", "plan", "shutdown", "stats"];
 
-struct GatewayState {
+/// An HTTP status and response body.
+type Answered = (u16, String);
+
+struct Gateway {
+    service: Service<mpsc::Sender<Answer>>,
     registry: TenantRegistry,
-    shards: Vec<AdmissionQueue<GwJob>>,
-    obs: ServeObs,
-    draining: AtomicBool,
-    // Global counters (always-on atomics via the telemetry family slot).
-    totals: CounterFamily,
-    tenant_requests: CounterFamily,
-    tenant_completed: CounterFamily,
-    tenant_errors: CounterFamily,
-    tenant_rate_limited: CounterFamily,
-    route_latency: HistogramFamily,
+    batches: AtomicU64,
+    batch_items: AtomicU64,
+    route_latency: [Histogram; ROUTES.len()],
     max_body_bytes: usize,
     batch_max: usize,
     idle_timeout: Duration,
@@ -167,273 +146,140 @@ fn status_of(kind: ErrorKind) -> u16 {
     }
 }
 
-/// A response value mirroring [`ok_response`] for batch items.
-fn ok_value(result: Value) -> Value {
-    let mut map = BTreeMap::new();
-    map.insert("ok".to_string(), Value::Bool(true));
-    map.insert("result".to_string(), result);
-    Value::Object(map)
+fn load(counter: &AtomicU64) -> u64 {
+    counter.load(Ordering::Relaxed)
 }
 
-/// A response value mirroring [`err_response`] for batch items.
-fn err_value(error: &ServeError) -> Value {
-    let mut detail = BTreeMap::new();
-    detail.insert(
-        "kind".to_string(),
-        Value::String(error.kind.name().to_string()),
-    );
-    detail.insert("message".to_string(), Value::String(error.message.clone()));
-    let mut map = BTreeMap::new();
-    map.insert("error".to_string(), Value::Object(detail));
-    map.insert("ok".to_string(), Value::Bool(false));
-    Value::Object(map)
-}
-
-impl GatewayState {
+impl Gateway {
     fn new(config: &GatewayConfig) -> std::io::Result<Self> {
+        let burst = Some(config.burst).filter(|b| *b > 0.0);
         let default_tier = Tier {
             rate: config.rate,
-            burst: if config.burst > 0.0 {
-                config.burst
-            } else {
-                config.rate.max(1.0)
-            },
+            burst: burst.unwrap_or(config.rate.max(1.0)),
         };
         let mut registry =
             TenantRegistry::new(config.cache_bytes, default_tier, config.max_tenants);
         if let Some(path) = &config.tenants_file {
+            let invalid = |e: String| {
+                let message = format!("tenants file {path}: {e}");
+                std::io::Error::new(std::io::ErrorKind::InvalidData, message)
+            };
             let text = std::fs::read_to_string(path)?;
-            let value: Value = serde_json::from_str(&text).map_err(|e| {
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("tenants file {path}: {e}"),
-                )
-            })?;
-            registry.load_tokens(&value).map_err(|e| {
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("tenants file {path}: {e}"),
-                )
-            })?;
+            let value: Value = serde_json::from_str(&text).map_err(|e| invalid(e.to_string()))?;
+            registry.load_tokens(&value).map_err(invalid)?;
         }
         if let Some(token) = &config.admin_token {
             registry.set_admin_token(token.clone());
         }
-        let shards = (0..config.resolved_shards())
-            .map(|_| AdmissionQueue::new(config.queue_depth))
-            .collect();
-        Ok(GatewayState {
+        let workers = config.workers_per_shard.max(1);
+        let obs = ServeObs::new(None, None);
+        Ok(Gateway {
+            service: Service::new(config.shards, workers, config.queue_depth, obs),
             registry,
-            shards,
-            obs: ServeObs::new(None, None),
-            draining: AtomicBool::new(false),
-            totals: CounterFamily::new(16),
-            tenant_requests: CounterFamily::new(config.max_tenants + 1),
-            tenant_completed: CounterFamily::new(config.max_tenants + 1),
-            tenant_errors: CounterFamily::new(config.max_tenants + 1),
-            tenant_rate_limited: CounterFamily::new(config.max_tenants + 1),
-            route_latency: HistogramFamily::new(16),
+            batches: AtomicU64::new(0),
+            batch_items: AtomicU64::new(0),
+            route_latency: std::array::from_fn(|_| Histogram::new()),
             max_body_bytes: config.max_body_bytes,
             batch_max: config.batch_max,
             idle_timeout: config.idle_timeout,
         })
     }
 
-    fn shard_of(&self, body: &Value) -> usize {
-        let hash = match body.field("scenario") {
-            Value::Null => 0,
-            value => scenario_hash(value),
-        };
-        (hash % self.shards.len() as u64) as usize
+    /// Counts and renders an answer the gateway gives before dispatch.
+    fn refuse(&self, status: u16, id: &Value, err: ServeError) -> Answered {
+        self.service.count_error(err.kind);
+        (status, err_response(id, &err))
     }
 
-    /// Executes one worker job: every item of the group, back-to-back,
-    /// against the owning tenant's cache.
-    fn run_job(&self, job: GwJob) {
-        for (index, body) in job.items {
-            let mut trace = self.obs.start();
-            let cmd = match body.field("cmd") {
-                Value::Null => "plan".to_string(),
-                Value::String(s) => s.clone(),
-                other => {
-                    let err = ServeError::bad_request(format!(
-                        "'cmd' must be a string, got {}",
-                        other.kind()
-                    ));
-                    let _ = job.reply.send((index, Err(err)));
-                    continue;
-                }
-            };
-            let outcome = engine::execute(&job.tenant.cache, &cmd, &body, &mut trace);
-            let status = match &outcome {
-                Ok(_) => "ok",
-                Err(e) => e.kind.name(),
-            };
-            match &outcome {
-                Ok(handled) => {
-                    self.totals.get("completed").incr();
-                    self.tenant_completed.get(job.tenant.name()).incr();
-                    if handled.scenario_hit == Some(true) {
-                        self.totals.get("scenario_hits").incr();
-                    }
-                    if handled.plan_hit == Some(true) {
-                        self.totals.get("plan_hits").incr();
-                    }
-                }
-                Err(_) => {
-                    self.totals.get("errors").incr();
-                    self.tenant_errors.get(job.tenant.name()).incr();
-                }
-            }
-            self.obs.finish(&trace, &cmd, status);
-            let _ = job
-                .reply
-                .send((index, outcome.map(|handled| handled.result)));
-        }
-    }
-
-    /// Dispatches `items` for `tenant` across the shards and collects the
-    /// per-item outcomes in request order.
-    fn dispatch(&self, tenant: &Arc<Tenant>, items: Vec<Value>) -> Vec<Result<Value, ServeError>> {
+    /// Runs `items` for `tenant` — grouped by shard, each group one job —
+    /// and returns every item's `(id, outcome)` in request order.
+    fn dispatch(&self, tenant: &Tenant, items: Vec<Value>) -> Vec<(Value, Outcome)> {
         let total = items.len();
-        let (reply, replies) = mpsc::channel();
+        let shards = self.service.shards() as u64;
         let mut groups: BTreeMap<usize, Vec<(usize, Value)>> = BTreeMap::new();
         for (index, body) in items.into_iter().enumerate() {
-            groups
-                .entry(self.shard_of(&body))
-                .or_default()
-                .push((index, body));
+            let shard = (scenario_hash(body.field("scenario")) % shards) as usize;
+            groups.entry(shard).or_default().push((index, body));
         }
-        let mut results: Vec<Option<Result<Value, ServeError>>> =
-            (0..total).map(|_| None).collect();
-        let mut pending = 0usize;
+        let (reply, answers) = mpsc::channel();
         for (shard, group) in groups {
-            let indexes: Vec<usize> = group.iter().map(|(i, _)| *i).collect();
-            let job = GwJob {
-                tenant: Arc::clone(tenant),
-                items: group,
-                reply: reply.clone(),
-            };
-            match self.shards[shard].try_push(job) {
-                Ok(()) => pending += indexes.len(),
-                Err(reason) => {
-                    let err = match reason {
-                        AdmitError::Full { depth } => ServeError::rejected(format!(
-                            "shard {shard} queue full (depth {depth})"
-                        )),
-                        AdmitError::Draining => ServeError::rejected("draining"),
-                    };
-                    self.totals.get("rejected").add(indexes.len() as u64);
-                    for index in indexes {
-                        results[index] = Some(Err(err.clone()));
-                    }
-                }
-            }
+            let reply = reply.clone();
+            self.service
+                .submit(shard, &tenant.cache, group, Some("plan"), reply);
         }
         drop(reply);
-        for _ in 0..pending {
-            // Workers always answer every admitted item (the engine
-            // converts panics to errors), so this cannot deadlock; the
-            // Err arm covers workers lost to a poisoned process state.
-            match replies.recv() {
-                Ok((index, outcome)) => results[index] = Some(outcome),
-                Err(_) => break,
-            }
+        let lost = || (Value::Null, Err(ServeError::internal("worker reply lost")));
+        let mut results: Vec<_> = (0..total).map(|_| lost()).collect();
+        // Every item is answered exactly once; a worker lost to a poisoned
+        // process drops its sender, which ends the wait.
+        for (index, id, outcome) in answers.iter().take(total) {
+            let counter = if outcome.is_ok() {
+                &tenant.completed
+            } else {
+                &tenant.errors
+            };
+            counter.fetch_add(1, Ordering::Relaxed);
+            results[index] = (id, outcome);
         }
         results
-            .into_iter()
-            .map(|r| r.unwrap_or_else(|| Err(ServeError::internal("worker reply lost"))))
-            .collect()
     }
 
     /// Binds the request to a tenant and spends its rate-limit token.
-    fn admit(&self, req: &HttpRequest) -> Result<Arc<Tenant>, (u16, String)> {
-        let tenant = match self
-            .registry
-            .resolve(req.header("authorization"), req.header("x-tenant"))
-        {
-            Ok(tenant) => tenant,
-            Err(ResolveError::UnknownToken) => {
-                let err = ServeError::bad_request("unknown bearer token");
-                return Err((401, err_response(&Value::Null, &err)));
-            }
-            Err(ResolveError::BadName(name)) => {
-                let err = ServeError::bad_request(format!(
-                    "invalid X-Tenant {name:?}: want 1-64 chars of [A-Za-z0-9_-]"
-                ));
-                return Err((400, err_response(&Value::Null, &err)));
-            }
-            Err(ResolveError::ReservedName(name)) => {
-                let err =
-                    ServeError::bad_request(format!("tenant {name:?} requires its bearer token"));
-                return Err((403, err_response(&Value::Null, &err)));
-            }
-            Err(ResolveError::TooManyTenants) => {
-                let err = ServeError::rejected("tenant capacity reached");
-                return Err((429, err_response(&Value::Null, &err)));
-            }
-        };
-        self.tenant_requests.get(tenant.name()).incr();
+    fn tenant(&self, req: &HttpRequest) -> Result<Arc<Tenant>, Answered> {
+        let auth = req.header("authorization");
+        let tenant = self.registry.resolve(auth, req.header("x-tenant"));
+        let tenant = tenant.map_err(|refusal| {
+            let (status, message) = match refusal {
+                ResolveError::UnknownToken => (401, "unknown bearer token".to_string()),
+                ResolveError::BadName(name) => (
+                    400,
+                    format!("invalid X-Tenant {name:?}: want 1-64 chars of [A-Za-z0-9_-]"),
+                ),
+                ResolveError::ReservedName(name) => {
+                    (403, format!("tenant {name:?} requires its bearer token"))
+                }
+                ResolveError::TooManyTenants => {
+                    let err = ServeError::rejected("tenant capacity reached");
+                    return self.refuse(429, &Value::Null, err);
+                }
+            };
+            self.refuse(status, &Value::Null, ServeError::bad_request(message))
+        })?;
         if !tenant.admit() {
-            self.totals.get("rate_limited").incr();
-            self.tenant_rate_limited.get(tenant.name()).incr();
             let err = ServeError::rejected(format!("tenant {} rate limit exceeded", tenant.name()));
-            return Err((429, err_response(&Value::Null, &err)));
+            return Err(self.refuse(429, &Value::Null, err));
         }
         Ok(tenant)
     }
 
-    fn parse_body(&self, req: &HttpRequest) -> Result<Value, (u16, String)> {
-        let text = std::str::from_utf8(&req.body).map_err(|_| {
-            let err = ServeError::bad_request("body is not valid UTF-8");
-            (400, err_response(&Value::Null, &err))
-        })?;
-        serde_json::from_str(text).map_err(|e| {
-            let err = ServeError::bad_request(format!("malformed body: {e}"));
-            (400, err_response(&Value::Null, &err))
-        })
+    fn parse_body(&self, req: &HttpRequest) -> Result<Value, Answered> {
+        let parsed = match std::str::from_utf8(&req.body) {
+            Ok(text) => serde_json::from_str(text).map_err(|e| format!("malformed body: {e}")),
+            Err(_) => Err("body is not valid UTF-8".to_string()),
+        };
+        parsed.map_err(|message| self.refuse(400, &Value::Null, ServeError::bad_request(message)))
     }
 
-    /// `POST /v1/plan` — one request body, JSONL-daemon semantics.
-    fn plan_route(&self, req: &HttpRequest) -> (u16, String) {
-        let tenant = match self.admit(req) {
-            Ok(tenant) => tenant,
-            Err(refusal) => return refusal,
-        };
-        let body = match self.parse_body(req) {
-            Ok(body) => body,
-            Err(refusal) => return refusal,
-        };
-        if body.as_object().is_none() {
-            let err = ServeError::bad_request(format!(
-                "request must be a JSON object, got {}",
-                body.kind()
-            ));
-            return (400, err_response(&Value::Null, &err));
-        }
-        let id = body.field("id").clone();
-        let outcome = self.dispatch(&tenant, vec![body]).pop().expect("one item");
-        match outcome {
-            Ok(result) => (200, ok_response(&id, result)),
-            Err(err) => (status_of(err.kind), err_response(&id, &err)),
-        }
+    /// `POST /v1/plan` — one request body, JSONL-daemon semantics (a
+    /// missing `cmd` means `plan`).
+    fn plan_route(&self, req: &HttpRequest) -> Result<Answered, Answered> {
+        let tenant = self.tenant(req)?;
+        let body = self.parse_body(req)?;
+        let (id, outcome) = self.dispatch(&tenant, vec![body]).remove(0);
+        let status = outcome.as_ref().map_or_else(|e| status_of(e.kind), |_| 200);
+        Ok((status, render_value(&response_value(&id, outcome))))
     }
 
-    /// `POST /v1/batch` — many plan bodies in one HTTP request, grouped by
-    /// scenario so each group amortizes one tables build.
-    fn batch_route(&self, req: &HttpRequest) -> (u16, String) {
-        let tenant = match self.admit(req) {
-            Ok(tenant) => tenant,
-            Err(refusal) => return refusal,
-        };
-        let body = match self.parse_body(req) {
-            Ok(body) => body,
-            Err(refusal) => return refusal,
-        };
-        let id = body.field("id").clone();
+    /// `POST /v1/batch` — many request bodies in one HTTP request, grouped
+    /// by scenario so each group amortizes one tables build. Each item
+    /// answers exactly as the daemon's response line for it.
+    fn batch_route(&self, req: &HttpRequest) -> Result<Answered, Answered> {
+        let tenant = self.tenant(req)?;
+        let body = self.parse_body(req)?;
+        let id = body.field("id");
         let Value::Array(items) = body.field("requests") else {
             let err = ServeError::bad_request("missing 'requests' array");
-            return (400, err_response(&id, &err));
+            return Err(self.refuse(400, id, err));
         };
         if items.is_empty() || items.len() > self.batch_max {
             let err = ServeError::bad_request(format!(
@@ -441,196 +287,152 @@ impl GatewayState {
                 self.batch_max,
                 items.len()
             ));
-            return (400, err_response(&id, &err));
+            return Err(self.refuse(400, id, err));
         }
-        self.totals.get("batches").incr();
-        self.totals.get("batch_items").add(items.len() as u64);
-        let outcomes = self.dispatch(&tenant, items.clone());
-        let rendered: Vec<Value> = outcomes
-            .into_iter()
-            .map(|outcome| match outcome {
-                Ok(result) => ok_value(result),
-                Err(err) => err_value(&err),
-            })
-            .collect();
-        (200, ok_response(&id, Value::Array(rendered)))
+        self.batches.fetch_add(1, Ordering::Relaxed);
+        self.batch_items
+            .fetch_add(items.len() as u64, Ordering::Relaxed);
+        let answers = self.dispatch(&tenant, items.clone()).into_iter();
+        let answers = answers.map(|(item_id, outcome)| response_value(&item_id, outcome));
+        Ok((200, ok_response(id, Value::Array(answers.collect()))))
     }
 
-    fn stats_route(&self) -> (u16, String) {
+    /// `GET /v1/stats` — the service's shared sections, extended with the
+    /// gateway's request counts, shard count, tenants, and route latency.
+    fn stats_route(&self) -> Value {
         let uint = |v: u64| Value::Number(Number::PosInt(v));
-        let counter = |name: &str| uint(self.totals.get(name).get());
-        let mut requests = BTreeMap::new();
-        requests.insert("batch_items".to_string(), counter("batch_items"));
-        requests.insert("batches".to_string(), counter("batches"));
-        requests.insert("completed".to_string(), counter("completed"));
-        requests.insert("errors".to_string(), counter("errors"));
-        requests.insert("http".to_string(), counter("http"));
-        requests.insert("plan_hits".to_string(), counter("plan_hits"));
-        requests.insert("rate_limited".to_string(), counter("rate_limited"));
-        requests.insert("rejected".to_string(), counter("rejected"));
-        requests.insert("scenario_hits".to_string(), counter("scenario_hits"));
-
-        let mut queue = BTreeMap::new();
-        queue.insert("shards".to_string(), uint(self.shards.len() as u64));
-        queue.insert(
-            "depth".to_string(),
-            uint(self.shards.iter().map(|s| s.len() as u64).sum()),
-        );
-        queue.insert(
-            "capacity".to_string(),
-            uint(self.shards.iter().map(|s| s.depth() as u64).sum()),
-        );
-
-        let mut tenants = BTreeMap::new();
-        for tenant in self.registry.snapshot() {
-            let mut cache = BTreeMap::new();
-            cache.insert("bytes".to_string(), uint(tenant.cache.bytes() as u64));
-            cache.insert("evictions".to_string(), uint(tenant.cache.evictions()));
-            cache.insert("hits".to_string(), uint(tenant.cache.hits()));
-            cache.insert("misses".to_string(), uint(tenant.cache.misses()));
-            cache.insert(
-                "plans".to_string(),
-                uint(tenant.cache.plans_cached() as u64),
+        let tenants = self.registry.snapshot();
+        let caches: Vec<_> = tenants.iter().map(|t| Arc::clone(&t.cache)).collect();
+        let mut map = self.service.stats(&caches);
+        let (s, counts) = (self.summary(), self.service.summary());
+        if let Some(Value::Object(requests)) = map.get_mut("requests") {
+            requests.extend(
+                [
+                    ("batch_items", s.batch_items),
+                    ("batches", s.batches),
+                    ("http", s.requests),
+                    ("plan_hits", counts.plan_hits),
+                    ("rate_limited", s.rate_limited),
+                    ("scenario_hits", counts.scenario_hits),
+                ]
+                .map(|(k, v)| (k.to_string(), uint(v))),
             );
-            cache.insert(
-                "scenarios".to_string(),
-                uint(tenant.cache.scenarios() as u64),
-            );
-            let mut entry = BTreeMap::new();
-            entry.insert("cache".to_string(), Value::Object(cache));
-            entry.insert(
-                "completed".to_string(),
-                uint(self.tenant_completed.get(tenant.name()).get()),
-            );
-            entry.insert(
-                "errors".to_string(),
-                uint(self.tenant_errors.get(tenant.name()).get()),
-            );
-            entry.insert(
-                "rate_limited".to_string(),
-                uint(self.tenant_rate_limited.get(tenant.name()).get()),
-            );
-            entry.insert(
-                "requests".to_string(),
-                uint(self.tenant_requests.get(tenant.name()).get()),
-            );
-            tenants.insert(tenant.name().to_string(), Value::Object(entry));
         }
-
-        let mut http_latency = BTreeMap::new();
-        for (route, hist) in self.route_latency.snapshot() {
-            http_latency.insert(route, ccs_serve::obs::latency_entry(&hist.snapshot()));
+        if let Some(Value::Object(queue)) = map.get_mut("queue") {
+            queue.insert("shards".to_string(), uint(self.service.shards() as u64));
         }
-
-        let mut map = BTreeMap::new();
-        map.insert("http_latency_us".to_string(), Value::Object(http_latency));
-        map.insert("latency_us".to_string(), self.obs.latency_value());
-        map.insert("queue".to_string(), Value::Object(queue));
-        map.insert("requests".to_string(), Value::Object(requests));
-        map.insert(
-            "schema".to_string(),
-            Value::String(GATEWAY_STATS_SCHEMA.to_string()),
-        );
-        map.insert("tenants".to_string(), Value::Object(tenants));
-        map.insert(
-            "uptime_s".to_string(),
-            Value::Number(Number::Float(self.obs.uptime_s())),
-        );
-        (200, ok_response(&Value::Null, Value::Object(map)))
+        let tenants = tenants.iter().map(|t| {
+            let cache = object([
+                ("bytes", uint(t.cache.bytes() as u64)),
+                ("evictions", uint(t.cache.evictions())),
+                ("hits", uint(t.cache.hits())),
+                ("misses", uint(t.cache.misses())),
+                ("plans", uint(t.cache.plans_cached() as u64)),
+                ("scenarios", uint(t.cache.scenarios() as u64)),
+            ]);
+            let entry = object([
+                ("cache", cache),
+                ("completed", uint(load(&t.completed))),
+                ("errors", uint(load(&t.errors))),
+                ("rate_limited", uint(load(&t.rate_limited))),
+                ("requests", uint(load(&t.requests))),
+            ]);
+            (t.name().to_string(), entry)
+        });
+        let routes = ROUTES.iter().zip(&self.route_latency);
+        let http_latency = routes.map(|(r, h)| (r.to_string(), latency_entry(&h.snapshot())));
+        let schema = Value::String(GATEWAY_STATS_SCHEMA.to_string());
+        let own = [
+            ("http_latency_us", Value::Object(http_latency.collect())),
+            ("schema", schema),
+            ("tenants", Value::Object(tenants.collect())),
+        ];
+        map.extend(own.map(|(k, v)| (k.to_string(), v)));
+        Value::Object(map)
     }
 
-    /// Routes one request. Returns `(status, body, close_after)`.
-    fn route(&self, req: &HttpRequest) -> (u16, String, bool) {
-        self.totals.get("http").incr();
+    /// Routes one request. Refusals and answers alike come back as the
+    /// status and body to send.
+    fn route(&self, req: &HttpRequest) -> Answered {
         let started = Instant::now();
-        let (route_label, (status, body), close) = match (req.method.as_str(), req.path.as_str()) {
-            ("GET", "/healthz") => {
-                let mut map = BTreeMap::new();
-                map.insert("ok".to_string(), Value::Bool(true));
-                (
-                    "healthz",
-                    (200, ok_response(&Value::Null, Value::Object(map))),
-                    false,
-                )
+        let ok = |result: Value| Ok((200, ok_response(&Value::Null, result)));
+        let (route, answer) = match (req.method.as_str(), req.path.as_str()) {
+            ("GET", "/healthz") => ("healthz", ok(object([("ok", Value::Bool(true))]))),
+            ("GET", "/v1/stats") => ("stats", ok(self.stats_route())),
+            ("POST", "/v1/plan") => ("plan", self.plan_route(req)),
+            ("POST", "/v1/batch") => ("batch", self.batch_route(req)),
+            // Draining kills every tenant's service at once, so it demands
+            // the strongest credential configured — never the anonymous
+            // default that the plan routes are happy with.
+            ("POST", "/v1/shutdown")
+                if self.registry.authorize_admin(req.header("authorization")) =>
+            {
+                self.service.drain();
+                ("shutdown", ok(object([("draining", Value::Bool(true))])))
             }
-            ("GET", "/v1/stats") => ("stats", self.stats_route(), false),
-            ("POST", "/v1/plan") => ("plan", self.plan_route(req), false),
-            ("POST", "/v1/batch") => ("batch", self.batch_route(req), false),
             ("POST", "/v1/shutdown") => {
-                // Draining kills every tenant's service at once, so it
-                // demands the strongest credential configured — never the
-                // anonymous default that the plan routes are happy with.
-                if self.registry.authorize_admin(req.header("authorization")) {
-                    self.draining.store(true, Ordering::Relaxed);
-                    let mut map = BTreeMap::new();
-                    map.insert("draining".to_string(), Value::Bool(true));
-                    (
-                        "shutdown",
-                        (200, ok_response(&Value::Null, Value::Object(map))),
-                        true,
-                    )
-                } else {
-                    let err =
-                        ServeError::bad_request("shutdown requires an authorized bearer token");
-                    ("shutdown", (401, err_response(&Value::Null, &err)), false)
-                }
+                let err = ServeError::bad_request("shutdown requires an authorized bearer token");
+                ("shutdown", Err(self.refuse(401, &Value::Null, err)))
             }
             _ => {
                 let err = ServeError::bad_request(format!("no route {} {}", req.method, req.path));
-                ("none", (404, err_response(&Value::Null, &err)), false)
+                ("none", Err(self.refuse(404, &Value::Null, err)))
             }
         };
-        self.route_latency
-            .get(route_label)
-            .record(u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX));
-        (status, body, close)
+        let index = ROUTES.iter().position(|r| *r == route).unwrap_or(0);
+        let elapsed = u64::try_from(started.elapsed().as_nanos());
+        self.route_latency[index].record(elapsed.unwrap_or(u64::MAX));
+        answer.unwrap_or_else(|refused| refused)
+    }
+
+    fn connection(&self, stream: TcpStream) {
+        let _ = stream.set_read_timeout(Some(self.idle_timeout));
+        // One buffered write per response + TCP_NODELAY: without these, each
+        // formatted fragment becomes its own small segment and Nagle stalls
+        // every keep-alive round trip on the peer's delayed ACK (~40 ms).
+        let _ = stream.set_nodelay(true);
+        let Ok(write_half) = stream.try_clone() else {
+            return;
+        };
+        let mut out = std::io::BufWriter::new(write_half);
+        let mut reader = BufReader::new(stream);
+        loop {
+            match read_request(&mut reader, self.max_body_bytes) {
+                // Idle past the timeout, a transport error, or EOF (the
+                // drain shuts every read half): drop the connection.
+                Err(_) | Ok(ReadOutcome::Closed) => break,
+                Ok(ReadOutcome::Bad(message)) => {
+                    // The stream cannot be resynchronized after a framing
+                    // error; answer and close.
+                    let err = ServeError::bad_request(message);
+                    let (status, body) = self.refuse(400, &Value::Null, err);
+                    let _ = write_response(&mut out, status, &body, false);
+                    break;
+                }
+                Ok(ReadOutcome::Request(req)) => {
+                    let (status, body) = self.route(&req);
+                    // A draining gateway (after `/v1/shutdown`, say) closes
+                    // each connection after its answer.
+                    let keep = req.keep_alive() && !self.service.is_draining();
+                    if write_response(&mut out, status, &body, keep).is_err() || !keep {
+                        break;
+                    }
+                }
+            }
+        }
     }
 
     fn summary(&self) -> GatewaySummary {
+        let s = self.service.summary();
+        let tenants = self.registry.snapshot();
         GatewaySummary {
-            requests: self.totals.get("http").get(),
-            completed: self.totals.get("completed").get(),
-            errors: self.totals.get("errors").get(),
-            rejected: self.totals.get("rejected").get(),
-            rate_limited: self.totals.get("rate_limited").get(),
-            batches: self.totals.get("batches").get(),
-            batch_items: self.totals.get("batch_items").get(),
-        }
-    }
-}
-
-fn handle_connection(state: &GatewayState, stream: TcpStream) {
-    let _ = stream.set_read_timeout(Some(state.idle_timeout));
-    // One buffered write per response + TCP_NODELAY: without these, each
-    // formatted fragment becomes its own small segment and Nagle stalls
-    // every keep-alive round trip on the peer's delayed ACK (~40 ms).
-    let _ = stream.set_nodelay(true);
-    let Ok(write_half) = stream.try_clone() else {
-        return;
-    };
-    let mut out = std::io::BufWriter::new(write_half);
-    let mut reader = BufReader::new(stream);
-    loop {
-        match read_request(&mut reader, state.max_body_bytes) {
-            // Idle past the timeout (or transport error): drop the
-            // connection, so drain never waits on a silent client.
-            Err(_) | Ok(ReadOutcome::Closed) => break,
-            Ok(ReadOutcome::Bad(message)) => {
-                // The stream cannot be resynchronized after a framing
-                // error; answer and close.
-                let err = ServeError::bad_request(message);
-                let body = err_response(&Value::Null, &err);
-                let _ = write_response(&mut out, 400, &body, false);
-                break;
-            }
-            Ok(ReadOutcome::Request(req)) => {
-                let (status, body, close_after) = state.route(&req);
-                let keep =
-                    req.keep_alive() && !close_after && !state.draining.load(Ordering::Relaxed);
-                if write_response(&mut out, status, &body, keep).is_err() || !keep {
-                    break;
-                }
-            }
+            requests: self.route_latency.iter().map(|h| h.snapshot().count).sum(),
+            completed: s.completed,
+            errors: s.errors,
+            rejected: s.rejected,
+            rate_limited: tenants.iter().map(|t| load(&t.rate_limited)).sum(),
+            batches: load(&self.batches),
+            batch_items: load(&self.batch_items),
         }
     }
 }
@@ -654,7 +456,7 @@ pub fn run_gateway(config: &GatewayConfig) -> std::io::Result<GatewaySummary> {
 
 /// Serves an already-bound listener (tests bind port 0 and read
 /// `local_addr` first). Returns after a `/v1/shutdown` request has
-/// drained all shards.
+/// drained all shards; idle keep-alive connections do not hold it open.
 ///
 /// # Errors
 ///
@@ -664,38 +466,13 @@ pub fn run_gateway_on(
     config: &GatewayConfig,
 ) -> std::io::Result<GatewaySummary> {
     listener.set_nonblocking(true)?;
-    let state = GatewayState::new(config)?;
-    let state_ref = &state;
-    let workers_per_shard = config.workers_per_shard.max(1);
-    std::thread::scope(|scope| {
-        for shard in &state_ref.shards {
-            for _ in 0..workers_per_shard {
-                scope.spawn(move || {
-                    while let Some(job) = shard.pop() {
-                        state_ref.run_job(job);
-                    }
-                });
-            }
-        }
-        while !state_ref.draining.load(Ordering::Relaxed) {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    let _ = stream.set_nonblocking(false);
-                    scope.spawn(move || handle_connection(state_ref, stream));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                Err(_) => break,
-            }
-        }
-        for shard in &state_ref.shards {
-            shard.close();
-        }
-        // Scope exit joins the workers (the drain) and the connection
-        // threads (bounded by the idle timeout).
+    let gateway = Gateway::new(config)?;
+    gateway.service.run(|| {
+        gateway
+            .service
+            .accept(&listener, |stream| gateway.connection(stream));
     });
-    let summary = state.summary();
+    let summary = gateway.summary();
     eprintln!(
         "gateway: drained — requests={} completed={} errors={} rejected={} \
          rate_limited={} batches={} batch_items={}",

@@ -20,6 +20,7 @@ use ccs_serve::lock_unpoisoned;
 use ccs_serve::PlanCache;
 use serde::value::Value;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -59,25 +60,39 @@ struct Bucket {
     refilled: Instant,
 }
 
-/// One tenant: its namespaced cache, tier, and bucket state.
+/// One tenant: its namespaced cache, tier, bucket state, and stats
+/// counters (the registry caps how many tenants exist, so these stay
+/// bounded).
 pub struct Tenant {
     name: String,
     /// The tenant's private plan/scenario cache.
-    pub cache: PlanCache,
+    pub cache: Arc<PlanCache>,
     tier: Tier,
     bucket: Mutex<Bucket>,
+    /// Requests that reached [`Tenant::admit`].
+    pub requests: AtomicU64,
+    /// Of those, requests refused by the rate limit.
+    pub rate_limited: AtomicU64,
+    /// Plan-route items answered `ok`.
+    pub completed: AtomicU64,
+    /// Plan-route items answered with an error.
+    pub errors: AtomicU64,
 }
 
 impl Tenant {
     fn new(name: &str, cache_bytes: usize, tier: Tier) -> Self {
         Tenant {
             name: name.to_string(),
-            cache: PlanCache::with_budget(cache_bytes),
+            cache: Arc::new(PlanCache::with_budget(cache_bytes)),
             tier,
             bucket: Mutex::new(Bucket {
                 tokens: tier.burst.max(1.0),
                 refilled: Instant::now(),
             }),
+            requests: AtomicU64::new(0),
+            rate_limited: AtomicU64::new(0),
+            completed: AtomicU64::new(0),
+            errors: AtomicU64::new(0),
         }
     }
 
@@ -91,8 +106,10 @@ impl Tenant {
         self.tier
     }
 
-    /// Spends one request from the token bucket. `false` = rate-limited.
+    /// Counts one request and spends it from the token bucket. `false` =
+    /// rate-limited (and counted as such).
     pub fn admit(&self) -> bool {
+        self.requests.fetch_add(1, Ordering::Relaxed);
         if self.tier.is_unlimited() {
             return true;
         }
@@ -101,12 +118,12 @@ impl Tenant {
         let elapsed = now.duration_since(bucket.refilled).as_secs_f64();
         bucket.tokens = (bucket.tokens + elapsed * self.tier.rate).min(self.tier.burst.max(1.0));
         bucket.refilled = now;
-        if bucket.tokens >= 1.0 {
-            bucket.tokens -= 1.0;
-            true
-        } else {
-            false
+        if bucket.tokens < 1.0 {
+            self.rate_limited.fetch_add(1, Ordering::Relaxed);
+            return false;
         }
+        bucket.tokens -= 1.0;
+        true
     }
 }
 

@@ -1,17 +1,18 @@
 //! Gateway protocol suite: keep-alive, malformed requests, framing
-//! errors, tenant isolation, rate limiting, batching, and byte-identity
-//! of `/v1/plan` with the JSONL daemon's response line.
+//! errors, tenant isolation, rate limiting, batching, deadlines, drain,
+//! and byte-identity of `/v1/plan` with a live JSONL daemon's response
+//! line.
 
 use ccs_gateway::prelude::*;
-use ccs_serve::engine;
-use ccs_serve::protocol::ok_response;
-use ccs_serve::{PlanCache, ServeObs};
+use ccs_serve::prelude::{serve_connection, ServeConfig, ServeSummary};
 use ccs_wrsn::scenario::ScenarioGenerator;
 use serde::value::Value;
 use serde::Serialize;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::os::unix::net::UnixStream;
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 /// A gateway running on an ephemeral port, shut down on `stop()`.
 struct TestGateway {
@@ -119,39 +120,145 @@ fn parsed(body: &str) -> Value {
     serde_json::from_str(body).expect("response body parses")
 }
 
-/// Byte-identity: the `/v1/plan` HTTP body must equal the JSONL daemon's
-/// response line for the same request, across the full 27-request grid
-/// (3 seeds x 3 algorithms x 3 sharing schemes). Combined with the serve
-/// crate's `served_plan_is_byte_identical_to_direct_computation` (daemon
-/// line == one-shot `ccs plan` stdout), this pins the whole chain.
+/// A live JSONL daemon (`serve_connection`) on one end of a socket pair.
+struct TestDaemon {
+    writer: UnixStream,
+    reader: BufReader<UnixStream>,
+    thread: JoinHandle<ServeSummary>,
+}
+
+impl TestDaemon {
+    fn start() -> Self {
+        let (client, server) = UnixStream::pair().expect("socket pair");
+        let input = BufReader::new(server.try_clone().expect("clone"));
+        let config = ServeConfig {
+            workers: 1,
+            stats_every: None,
+            ..ServeConfig::default()
+        };
+        let thread = std::thread::spawn(move || serve_connection(input, Box::new(server), &config));
+        let reader = BufReader::new(client.try_clone().expect("clone"));
+        TestDaemon {
+            writer: client,
+            reader,
+            thread,
+        }
+    }
+
+    /// Sends one request line and reads its response line.
+    fn call(&mut self, line: &str) -> String {
+        writeln!(self.writer, "{line}").expect("write request line");
+        let mut response = String::new();
+        self.reader.read_line(&mut response).expect("response line");
+        response.trim_end().to_string()
+    }
+
+    fn stop(mut self) -> ServeSummary {
+        self.call(r#"{"cmd":"shutdown"}"#);
+        self.thread.join().expect("daemon thread")
+    }
+}
+
+/// Appends `extra` (`"key":value` pairs) to a request object.
+fn with_fields(body: &str, extra: &str) -> String {
+    format!("{},{extra}}}", &body[..body.len() - 1])
+}
+
+/// Transport parity: every `/v1/plan` HTTP body must equal a live JSONL
+/// daemon's response line for the same request, byte for byte — the
+/// 27-request plan grid (3 seeds x 3 algorithms x 3 sharing schemes) plus
+/// the other queued commands and the refusals both transports share.
+/// Combined with the serve crate's
+/// `served_plan_is_byte_identical_to_direct_computation` (daemon line ==
+/// one-shot `ccs plan` stdout), this pins the whole chain. Afterwards the
+/// `requests` counters the two stats snapshots share must agree.
+/// Transport control (`ping`, `stats`, `shutdown`) and framing errors stay
+/// transport-specific and are not compared.
 #[test]
 fn plan_responses_are_byte_identical_to_the_daemon_for_27_requests() {
     let gateway = start_gateway(GatewayConfig::default());
-    let reference = PlanCache::new();
-    let obs = ServeObs::new(None, None);
+    let mut daemon = TestDaemon::start();
     let mut stream = gateway.connect();
+    let mut bodies = Vec::new();
     let mut id = 0u64;
     for seed in [41, 42, 43] {
         for algo in ["ccsa", "ccsga", "ncp"] {
             for sharing in ["equal", "proportional", "shapley"] {
                 id += 1;
-                let body = plan_body(seed, 8, algo, sharing, id);
-                let (status, got) = request(&mut stream, "POST", "/v1/plan", &[], &body);
-                assert_eq!(status, 200, "{algo}/{sharing}: {got}");
-
-                let request_value: Value = serde_json::from_str(&body).unwrap();
-                let mut trace = obs.start();
-                let handled = engine::execute(&reference, "plan", &request_value, &mut trace)
-                    .expect("reference plan");
-                let expected = ok_response(request_value.field("id"), handled.result);
-                assert_eq!(got, expected, "seed {seed} {algo}/{sharing}");
+                bodies.push((200, plan_body(seed, 8, algo, sharing, id)));
             }
         }
     }
+    let scenario = serde_json::to_string(&scenario_value(44, 8)).unwrap();
+    for (status, body) in [
+        (
+            200,
+            format!(r#"{{"id":28,"cmd":"replay","scenario":{scenario},"seed":7}}"#),
+        ),
+        (
+            200,
+            format!(r#"{{"id":29,"cmd":"lifetime","scenario":{scenario},"rounds":2}}"#),
+        ),
+        (
+            200,
+            format!(r#"{{"id":30,"cmd":"online_step","scenario":{scenario},"pending":[0,2,4]}}"#),
+        ),
+        (400, r#"{"id":31,"cmd":"warp"}"#.to_string()),
+        (400, "[1,2,3]".to_string()),
+        (
+            400,
+            with_fields(&plan_body(41, 8, "ccsa", "equal", 32), r#""deadline_ms":0"#),
+        ),
+    ] {
+        bodies.push((status, body));
+    }
+    for (status, body) in &bodies {
+        let (got_status, got) = request(&mut stream, "POST", "/v1/plan", &[], body);
+        assert_eq!(got, daemon.call(body), "body {body:.80}");
+        assert_eq!(got_status, *status, "{got}");
+    }
+
+    let daemon_stats = parsed(&daemon.call(r#"{"id":0,"cmd":"stats"}"#));
+    let (_, gateway_stats) = request(&mut stream, "GET", "/v1/stats", &[], "");
+    let daemon_requests = daemon_stats.field("result").field("requests");
+    let gateway_requests = parsed(&gateway_stats)
+        .field("result")
+        .field("requests")
+        .clone();
+    let shared: Vec<&String> = daemon_requests
+        .as_object()
+        .expect("requests object")
+        .keys()
+        .filter(|key| gateway_requests.as_object().unwrap().contains_key(*key))
+        .collect();
+    assert_eq!(
+        shared,
+        [
+            "admitted",
+            "bad_request",
+            "completed",
+            "errors",
+            "expired",
+            "failed",
+            "panics",
+            "rejected",
+            "slow"
+        ]
+    );
+    for key in shared {
+        assert_eq!(
+            daemon_requests.field(key),
+            gateway_requests.field(key),
+            "requests.{key}: daemon {daemon_requests:?} gateway {gateway_requests:?}"
+        );
+    }
     drop(stream);
+    let served = daemon.stop();
     let summary = gateway.stop();
-    assert_eq!(summary.completed, 27);
-    assert_eq!(summary.errors, 0);
+    assert_eq!(summary.completed, 30);
+    assert_eq!(summary.errors, 3);
+    // The daemon's summary also counts its inline `stats` answer.
+    assert_eq!((served.completed, served.errors), (31, 3));
 }
 
 /// One connection, many requests: HTTP/1.1 keep-alive must reuse the
@@ -219,12 +326,33 @@ fn malformed_requests_get_400_and_the_gateway_survives() {
     assert_eq!(status, 400, "{body}");
     assert!(body.contains("content-length mismatch"), "{body}");
 
-    // The daemon is still alive and serving.
+    // Well-framed requests with bad bodies: a non-string `cmd` and a
+    // truncated JSON body.
     let mut stream = gateway.connect();
+    for body in [r#"{"cmd":5}"#, r#"{"cmd":"plan","scen"#] {
+        let (status, response) = request(&mut stream, "POST", "/v1/plan", &[], body);
+        assert_eq!(status, 400, "{body}: {response}");
+    }
+
+    // The gateway is still alive and serving, and it counted every error
+    // it answered.
     let (status, _) = request(&mut stream, "GET", "/healthz", &[], "");
     assert_eq!(status, 200);
+    let (_, stats) = request(&mut stream, "GET", "/v1/stats", &[], "");
+    let stats = parsed(&stats);
+    let requests = stats.field("result").field("requests");
+    let count = |key: &str| match requests.field(key) {
+        Value::Number(n) => n.as_f64() as u64,
+        other => panic!("requests.{key} missing: {other:?}"),
+    };
+    assert_eq!(count("bad_request"), 8, "{requests:?}");
+    assert_eq!(
+        count("errors"),
+        count("bad_request") + count("expired") + count("failed") + count("panics")
+    );
     drop(stream);
-    gateway.stop();
+    let summary = gateway.stop();
+    assert_eq!(summary.errors, 8);
 }
 
 /// Tenant isolation: tenant A's eviction pressure (many distinct
@@ -562,12 +690,234 @@ fn identity_refusals_and_stats_schema() {
     let (status, stats) = request(&mut stream, "GET", "/v1/stats", &[], "");
     assert_eq!(status, 200);
     let stats = parsed(&stats);
+    let snapshot = stats.field("result");
     assert_eq!(
-        stats.field("result").field("schema"),
+        snapshot.field("schema"),
         &Value::String("ccs-gateway-stats/v1".to_string())
+    );
+    // The v1 key sets: the daemon's shared sections plus the gateway's own.
+    let keys =
+        |v: &Value| -> Vec<String> { v.as_object().expect("object").keys().cloned().collect() };
+    assert_eq!(
+        keys(snapshot),
+        [
+            "cache",
+            "http_latency_us",
+            "latency_us",
+            "queue",
+            "requests",
+            "schema",
+            "tenants",
+            "uptime_s"
+        ]
+    );
+    assert_eq!(
+        keys(snapshot.field("requests")),
+        [
+            "admitted",
+            "bad_request",
+            "batch_items",
+            "batches",
+            "completed",
+            "errors",
+            "expired",
+            "failed",
+            "http",
+            "panics",
+            "plan_hits",
+            "rate_limited",
+            "rejected",
+            "scenario_hits",
+            "slow"
+        ]
+    );
+    assert_eq!(
+        keys(snapshot.field("queue")),
+        ["capacity", "depth", "high_water", "shards"]
+    );
+    assert_eq!(
+        keys(snapshot.field("http_latency_us")),
+        ["batch", "healthz", "none", "plan", "shutdown", "stats"]
     );
     let (status, body) = request(&mut stream, "GET", "/v1/nope", &[], "");
     assert_eq!(status, 404, "{body}");
     drop(stream);
     gateway.stop();
+}
+
+fn error_kind(response: &Value) -> &str {
+    match response.field("error").field("kind") {
+        Value::String(kind) => kind,
+        other => panic!("error.kind missing: {other:?}"),
+    }
+}
+
+fn stats_count(stream: &mut TcpStream, key: &str) -> u64 {
+    let (_, stats) = request(stream, "GET", "/v1/stats", &[], "");
+    match parsed(&stats).field("result").field("requests").field(key) {
+        Value::Number(n) => n.as_f64() as u64,
+        other => panic!("requests.{key} missing: {other:?}"),
+    }
+}
+
+/// Polls `/v1/stats` until `requests.admitted` reaches `n`.
+fn await_admitted(gateway: &TestGateway, n: u64) {
+    let mut stream = gateway.connect();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while stats_count(&mut stream, "admitted") < n {
+        assert!(Instant::now() < deadline, "work never admitted");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+/// One shard, so every item queues behind the one before it.
+fn one_shard() -> GatewayConfig {
+    GatewayConfig {
+        shards: 1,
+        ..GatewayConfig::default()
+    }
+}
+
+/// `deadline_ms: 0` can only mean "already expired": the gateway refuses
+/// it with the daemon's message, while an absent or `null` deadline means
+/// "no deadline".
+#[test]
+fn explicit_zero_deadline_is_a_bad_request() {
+    let gateway = start_gateway(GatewayConfig::default());
+    let mut stream = gateway.connect();
+    let body = |id, extra: &str| with_fields(&plan_body(9, 5, "ccsa", "equal", id), extra);
+    let (status, response) = request(
+        &mut stream,
+        "POST",
+        "/v1/plan",
+        &[],
+        &body(1, r#""deadline_ms":0"#),
+    );
+    assert_eq!(status, 400, "{response}");
+    let response = parsed(&response);
+    assert_eq!(error_kind(&response), "bad_request");
+    assert_eq!(
+        response.field("error").field("message"),
+        &Value::String("deadline_ms must be >= 1; omit for no deadline".to_string())
+    );
+    let (status, _) = request(&mut stream, "POST", "/v1/plan", &[], &body(2, r#""x":1"#));
+    assert_eq!(status, 200);
+    let (status, _) = request(
+        &mut stream,
+        "POST",
+        "/v1/plan",
+        &[],
+        &body(3, r#""deadline_ms":null"#),
+    );
+    assert_eq!(status, 200);
+    assert_eq!(stats_count(&mut stream, "bad_request"), 1);
+    drop(stream);
+    let summary = gateway.stop();
+    assert_eq!((summary.completed, summary.errors), (2, 1));
+}
+
+/// Work still queued when its deadline passes is cancelled with `504
+/// expired` instead of occupying the worker.
+#[test]
+fn queued_work_past_its_deadline_is_cancelled() {
+    let gateway = start_gateway(one_shard());
+    // Six distinct heavy plans keep the only worker busy.
+    let items: Vec<String> = (0..6)
+        .map(|i| plan_body(60 + i, 14, "ccsa", "equal", i))
+        .collect();
+    let batch = format!(r#"{{"id":1,"requests":[{}]}}"#, items.join(","));
+    let mut busy = gateway.connect();
+    let raw = format!(
+        "POST /v1/batch HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\r\n{batch}",
+        batch.len()
+    );
+    busy.write_all(raw.as_bytes()).expect("write batch");
+    await_admitted(&gateway, 6);
+
+    let mut stream = gateway.connect();
+    let late = with_fields(&plan_body(9, 5, "ccsa", "equal", 7), r#""deadline_ms":1"#);
+    let (status, response) = request(&mut stream, "POST", "/v1/plan", &[], &late);
+    assert_eq!(status, 504, "{response}");
+    assert_eq!(error_kind(&parsed(&response)), "expired");
+    let (status, _) = read_response(&mut busy);
+    assert_eq!(status, 200, "the batch itself completes");
+    assert_eq!(stats_count(&mut stream, "expired"), 1);
+    drop((busy, stream));
+    let summary = gateway.stop();
+    assert_eq!((summary.completed, summary.errors), (6, 1));
+}
+
+/// A deadline can also pass during the solve: the finished result is
+/// answered `504 expired`, never as a stale success.
+#[test]
+fn deadline_elapsing_during_the_solve_answers_expired() {
+    let gateway = start_gateway(GatewayConfig::default());
+    let mut stream = gateway.connect();
+    let heavy = with_fields(&plan_body(8, 14, "ccsa", "equal", 1), r#""deadline_ms":1"#);
+    let (status, response) = request(&mut stream, "POST", "/v1/plan", &[], &heavy);
+    assert_eq!(status, 504, "{response}");
+    assert_eq!(error_kind(&parsed(&response)), "expired");
+    assert_eq!(stats_count(&mut stream, "expired"), 1);
+    drop(stream);
+    let summary = gateway.stop();
+    assert_eq!(
+        summary.completed, 0,
+        "a post-deadline result is not a success"
+    );
+    assert_eq!(summary.errors, 1);
+}
+
+/// In a `/v1/batch`, each item carries its own deadline: only the item
+/// that waited too long behind a heavy one answers `expired`.
+#[test]
+fn only_the_late_batch_item_expires() {
+    let gateway = start_gateway(one_shard());
+    let mut stream = gateway.connect();
+    let items = [
+        plan_body(8, 14, "ccsa", "equal", 1),
+        with_fields(&plan_body(9, 5, "ccsa", "equal", 2), r#""deadline_ms":1"#),
+        plan_body(9, 5, "ccsa", "equal", 3),
+    ];
+    let batch = format!(r#"{{"id":7,"requests":[{}]}}"#, items.join(","));
+    let (status, response) = request(&mut stream, "POST", "/v1/batch", &[], &batch);
+    assert_eq!(status, 200, "{response}");
+    let response = parsed(&response);
+    let Value::Array(results) = response.field("result") else {
+        panic!("batch result must be an array: {response:?}");
+    };
+    let oks: Vec<&Value> = results.iter().map(|item| item.field("ok")).collect();
+    assert_eq!(
+        oks,
+        [&Value::Bool(true), &Value::Bool(false), &Value::Bool(true)]
+    );
+    assert_eq!(error_kind(&results[1]), "expired");
+    drop(stream);
+    let summary = gateway.stop();
+    assert_eq!((summary.completed, summary.errors), (2, 1));
+}
+
+/// The drain does not wait for idle keep-alive clients: it returns in
+/// well under a second (the idle timeout here is 2 s) while an idle
+/// connection stays open, and work admitted before the drain still gets
+/// its answer.
+#[test]
+fn drain_does_not_wait_for_idle_connections() {
+    let gateway = start_gateway(one_shard());
+    let idle = gateway.connect();
+    let mut busy = gateway.connect();
+    let body = plan_body(12, 10, "ccsga", "equal", 1);
+    let raw = format!(
+        "POST /v1/plan HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    busy.write_all(raw.as_bytes()).expect("write plan");
+    await_admitted(&gateway, 1);
+    let started = Instant::now();
+    let summary = gateway.stop();
+    let took = started.elapsed();
+    assert!(took < Duration::from_millis(900), "drain took {took:?}");
+    let (status, response) = read_response(&mut busy);
+    assert_eq!(status, 200, "admitted work is answered: {response}");
+    assert_eq!(summary.completed, 1);
+    drop(idle);
 }

@@ -1,5 +1,5 @@
-//! The reusable request-execution core shared by the JSONL daemon
-//! ([`crate::server`]) and the HTTP gateway (`ccs-gateway`).
+//! The request-execution core the [`crate::service`] workers run for both
+//! transports, the JSONL daemon and the HTTP gateway (`ccs-gateway`).
 //!
 //! One entry point: [`execute`] runs a protocol command against a
 //! [`PlanCache`] under the panic backstop. Every failure mode — invalid

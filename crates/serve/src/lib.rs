@@ -12,7 +12,7 @@
 //!    without bound ([`queue`]).
 //! 2. **Panic-proof request handling** — malformed or poison requests
 //!    produce structured `error` responses; worker panics are caught at
-//!    the service boundary and never take the daemon down ([`server`],
+//!    the service boundary and never take the daemon down ([`service`],
 //!    [`protocol`]).
 //! 3. **Transparent caching** — scenarios are canonically hashed, so
 //!    repeated requests reuse the precomputed [`ProblemTables`] kernel and
@@ -20,7 +20,10 @@
 //!    ([`cache`]).
 //! 4. **Drain on shutdown** — EOF or a `shutdown` request finishes all
 //!    in-flight and queued work, rejects new work, and exits cleanly
-//!    ([`queue::AdmissionQueue::close`]).
+//!    without waiting for idle clients ([`service::Service::drain`]).
+//!
+//! The HTTP gateway (`ccs-gateway`) shares the [`service`] core; the
+//! daemon in [`server`] adds only JSONL framing.
 //!
 //! A served plan is byte-identical to the one-shot CLI: the `result.text`
 //! field of a `plan` response equals `ccs plan` stdout for the same
@@ -39,16 +42,19 @@ pub mod obs;
 pub mod protocol;
 pub mod queue;
 pub mod server;
+pub mod service;
 
 pub use cache::{scenario_hash, CachedPlan, PlanCache, DEFAULT_CACHE_BYTES};
 pub use lru::{lock_unpoisoned, ByteLru};
 pub use obs::{Phase, ReqTrace, ServeObs, STATS_SCHEMA};
 pub use protocol::{err_response, ok_response, ErrorKind, ServeError};
 pub use queue::{AdmissionQueue, AdmitError};
-pub use server::{serve_connection, serve_stdio, serve_unix, ServeConfig, ServeSummary};
+pub use server::{serve_connection, serve_stdio, serve_unix, ServeConfig};
+pub use service::{Reply, ServeSummary, Service};
 
 /// One-stop import for daemon embedders and the CLI.
 pub mod prelude {
     pub use crate::protocol::{ErrorKind, ServeError};
-    pub use crate::server::{serve_connection, serve_stdio, serve_unix, ServeConfig, ServeSummary};
+    pub use crate::server::{serve_connection, serve_stdio, serve_unix, ServeConfig};
+    pub use crate::service::ServeSummary;
 }

@@ -18,6 +18,7 @@
 //! command, printed by the `--stats-every` ticker, and rendered to
 //! Prometheus text format for `--metrics-file`.
 
+use crate::protocol::object;
 use ccs_telemetry::{Histogram, HistogramSnapshot, RotatingWriter};
 use serde::value::{Number, Value};
 use std::collections::BTreeMap;
@@ -68,15 +69,9 @@ impl Phase {
         }
     }
 
+    /// The position in [`PHASES`] (declaration order).
     fn index(self) -> usize {
-        match self {
-            Phase::Admission => 0,
-            Phase::QueueWait => 1,
-            Phase::CacheLookup => 2,
-            Phase::Tables => 3,
-            Phase::Solve => 4,
-            Phase::Serialize => 5,
-        }
+        self as usize
     }
 }
 
@@ -240,30 +235,17 @@ impl ServeObs {
 }
 
 fn trace_value(trace: &ReqTrace, cmd: &str, status: &str, total_ns: u64, slow: bool) -> Value {
-    let mut phases = BTreeMap::new();
-    for phase in PHASES {
-        let ns = trace.phase_ns[phase.index()];
-        if ns > 0 {
-            phases.insert(
-                phase.name().to_string(),
-                Value::Number(Number::PosInt(ns / 1_000)),
-            );
-        }
-    }
-    let mut map = BTreeMap::new();
-    map.insert("cmd".to_string(), Value::String(cmd.to_string()));
-    map.insert("phases_us".to_string(), Value::Object(phases));
-    map.insert(
-        "req_id".to_string(),
-        Value::Number(Number::PosInt(trace.req_id)),
-    );
-    map.insert("slow".to_string(), Value::Bool(slow));
-    map.insert("status".to_string(), Value::String(status.to_string()));
-    map.insert(
-        "total_us".to_string(),
-        Value::Number(Number::PosInt(total_ns / 1_000)),
-    );
-    Value::Object(map)
+    let us = |ns: u64| Value::Number(Number::PosInt(ns / 1_000));
+    let phases = PHASES.iter().map(|p| (p.name(), trace.phase_ns[p.index()]));
+    let phases = phases.filter(|(_, ns)| *ns > 0).map(|(p, ns)| (p, us(ns)));
+    object([
+        ("cmd", Value::String(cmd.to_string())),
+        ("phases_us", object(phases)),
+        ("req_id", Value::Number(Number::PosInt(trace.req_id))),
+        ("slow", Value::Bool(slow)),
+        ("status", Value::String(status.to_string())),
+        ("total_us", us(total_ns)),
+    ])
 }
 
 /// Renders one histogram snapshot (nanosecond samples) as the standard
@@ -271,21 +253,15 @@ fn trace_value(trace: &ReqTrace, cmd: &str, status: &str, total_ns: u64, slow: b
 /// `p999`) — shared by the daemon's stats snapshot and the gateway's.
 pub fn latency_entry(snap: &HistogramSnapshot) -> Value {
     let us = |ns: u64| Value::Number(Number::PosInt(ns / 1_000));
-    let mut map = BTreeMap::new();
-    map.insert(
-        "count".to_string(),
-        Value::Number(Number::PosInt(snap.count)),
-    );
-    map.insert("max".to_string(), us(snap.max));
-    map.insert(
-        "mean".to_string(),
-        Value::Number(Number::Float(snap.mean() / 1_000.0)),
-    );
-    map.insert("p50".to_string(), us(snap.quantile(0.50)));
-    map.insert("p90".to_string(), us(snap.quantile(0.90)));
-    map.insert("p99".to_string(), us(snap.quantile(0.99)));
-    map.insert("p999".to_string(), us(snap.quantile(0.999)));
-    Value::Object(map)
+    object([
+        ("count", Value::Number(Number::PosInt(snap.count))),
+        ("max", us(snap.max)),
+        ("mean", Value::Number(Number::Float(snap.mean() / 1_000.0))),
+        ("p50", us(snap.quantile(0.50))),
+        ("p90", us(snap.quantile(0.90))),
+        ("p99", us(snap.quantile(0.99))),
+        ("p999", us(snap.quantile(0.999))),
+    ])
 }
 
 /// Renders a value tree as one canonical line (objects are `BTreeMap`s, so

@@ -42,8 +42,8 @@
 //! order is canonical and a given request's success response is
 //! byte-stable across runs — the protocol golden tests rely on this.
 
+use crate::obs::render_value;
 use serde::value::Value;
-use std::collections::BTreeMap;
 
 /// Structured failure of one request. The daemon maps *every* failure —
 /// parse errors, invalid fields, planner failures, worker panics,
@@ -139,32 +139,38 @@ impl std::fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
+/// The response object of one request: its echoed `id` plus `ok: true`
+/// and `result`, or `ok: false` and `error` (`kind`, `message`). Batch
+/// items and single responses share this one shape.
+pub fn response_value(id: &Value, outcome: Result<Value, ServeError>) -> Value {
+    let (ok, key, payload) = match outcome {
+        Ok(result) => (true, "result", result),
+        Err(error) => (
+            false,
+            "error",
+            object([
+                ("kind", Value::String(error.kind.name().to_string())),
+                ("message", Value::String(error.message)),
+            ]),
+        ),
+    };
+    object([("id", id.clone()), ("ok", Value::Bool(ok)), (key, payload)])
+}
+
 /// Renders a success response line (no trailing newline).
 pub fn ok_response(id: &Value, result: Value) -> String {
-    let mut map = BTreeMap::new();
-    map.insert("id".to_string(), id.clone());
-    map.insert("ok".to_string(), Value::Bool(true));
-    map.insert("result".to_string(), result);
-    render(&map)
+    render_value(&response_value(id, Ok(result)))
 }
 
 /// Renders an error response line (no trailing newline).
 pub fn err_response(id: &Value, error: &ServeError) -> String {
-    let mut detail = BTreeMap::new();
-    detail.insert(
-        "kind".to_string(),
-        Value::String(error.kind.name().to_string()),
-    );
-    detail.insert("message".to_string(), Value::String(error.message.clone()));
-    let mut map = BTreeMap::new();
-    map.insert("error".to_string(), Value::Object(detail));
-    map.insert("id".to_string(), id.clone());
-    map.insert("ok".to_string(), Value::Bool(false));
-    render(&map)
+    render_value(&response_value(id, Err(error.clone())))
 }
 
-fn render(map: &BTreeMap<String, Value>) -> String {
-    serde_json::to_string(&Value::Object(map.clone())).expect("response tree serializes")
+/// A JSON object from `(key, value)` pairs (keys end up sorted, so the
+/// rendering is canonical).
+pub fn object<'a>(pairs: impl IntoIterator<Item = (&'a str, Value)>) -> Value {
+    Value::Object(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
 }
 
 /// Field-access helpers over the parsed request object. Missing fields

@@ -66,14 +66,15 @@ impl<T> AdmissionQueue<T> {
         self.len() == 0
     }
 
-    /// Admits `job`, or explains why it cannot be admitted. Never blocks.
-    pub fn try_push(&self, job: T) -> Result<(), AdmitError> {
+    /// Admits `job`, or hands it back with the reason it cannot be
+    /// admitted (so the caller can still answer it). Never blocks.
+    pub fn try_push(&self, job: T) -> Result<(), (T, AdmitError)> {
         let mut state = lock_unpoisoned(&self.state);
         if state.closed {
-            return Err(AdmitError::Draining);
+            return Err((job, AdmitError::Draining));
         }
         if state.jobs.len() >= self.depth {
-            return Err(AdmitError::Full { depth: self.depth });
+            return Err((job, AdmitError::Full { depth: self.depth }));
         }
         state.jobs.push_back(job);
         drop(state);
@@ -122,7 +123,7 @@ mod tests {
         let q = AdmissionQueue::new(2);
         q.try_push(1).unwrap();
         q.try_push(2).unwrap();
-        assert_eq!(q.try_push(3), Err(AdmitError::Full { depth: 2 }));
+        assert_eq!(q.try_push(3), Err((3, AdmitError::Full { depth: 2 })));
         assert_eq!(q.pop(), Some(1));
         q.try_push(3).unwrap();
         assert_eq!(q.len(), 2);
@@ -134,7 +135,7 @@ mod tests {
         q.try_push("a").unwrap();
         q.try_push("b").unwrap();
         q.close();
-        assert_eq!(q.try_push("c"), Err(AdmitError::Draining));
+        assert_eq!(q.try_push("c"), Err(("c", AdmitError::Draining)));
         assert_eq!(q.pop(), Some("a"));
         assert_eq!(q.pop(), Some("b"));
         assert_eq!(q.pop(), None);
@@ -146,7 +147,7 @@ mod tests {
         let q = AdmissionQueue::<u8>::new(0);
         assert_eq!(q.depth(), 1);
         q.try_push(1).unwrap();
-        assert_eq!(q.try_push(2), Err(AdmitError::Full { depth: 1 }));
+        assert_eq!(q.try_push(2), Err((2, AdmitError::Full { depth: 1 })));
     }
 
     /// The poisoned-lock regression (ISSUE 8): a panic while the queue

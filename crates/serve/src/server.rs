@@ -1,49 +1,32 @@
-//! The server engine: admission, worker pool, drain, and stats.
+//! The JSONL daemon: line framing over stdin or a Unix socket, in front
+//! of the shared [`Service`].
 //!
-//! ```text
-//!  reader/acceptor ──try_push──▶ AdmissionQueue ──pop──▶ worker pool
-//!        │  (reject when full)        │                     │
-//!        ▼                           close()                ▼
-//!  immediate error/reject        (EOF / shutdown)   catch_unwind(handle)
-//!     responses                                          │
-//!        └───────────────▶ shared line writer ◀──────────┘
-//! ```
-//!
-//! * **Backpressure** — admission never blocks: a full queue produces an
-//!   immediate `rejected` response, so clients always learn their fate.
-//! * **Panic-proofing** — workers run every handler under
-//!   [`std::panic::catch_unwind`]; a poison request yields an `internal`
-//!   error response and the worker survives to serve the next job.
-//! * **Deadlines** — a job whose `deadline_ms` elapsed while queued is
-//!   cancelled with an `expired` response instead of occupying a worker
-//!   (graceful cancellation: expired work never starts).
-//! * **Drain** — EOF on stdin, a `shutdown` request, or (in socket mode)
-//!   the end of the accept loop closes the queue: in-flight and queued
-//!   work finishes, new work is rejected, workers exit, the process
-//!   returns 0. Process supervisors should close the daemon's stdin (or
-//!   send `{"cmd":"shutdown"}`) as their TERM action.
+//! Each input line is one request. `ping`, `stats` and `shutdown` are
+//! answered inline by the reader — liveness and metrics must stay
+//! reachable under full backpressure; every other line goes through the
+//! service, whose worker writes the response line itself. EOF on stdin or
+//! a `shutdown` request from any connection drains the daemon: admitted
+//! work finishes, new work is rejected, and the process returns 0. Process
+//! supervisors should close the daemon's stdin (or send
+//! `{"cmd":"shutdown"}`) as their TERM action.
 
 use crate::cache::{PlanCache, DEFAULT_CACHE_BYTES};
-use crate::engine;
 use crate::lru::lock_unpoisoned;
-use crate::obs::{self, Phase, ReqTrace, ServeObs};
-use crate::protocol::{err_response, ok_response, ErrorKind, ServeError};
-use crate::queue::{AdmissionQueue, AdmitError};
+use crate::obs::{self, render_value, Phase, ReqTrace, ServeObs};
+use crate::protocol::{err_response, object, ok_response, response_value, ServeError};
+use crate::service::{Outcome, Reply, ServeSummary, Service};
 use ccs_telemetry::RotatingWriter;
-use serde::value::{Number, Value};
-use std::collections::BTreeMap;
+use serde::value::Value;
 use std::io::{BufRead, BufReader, Write};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Worker threads executing requests. `0` = auto: half the machine's
-    /// available parallelism, clamped to `[1, 4]` (each request fans out
-    /// internally via `ccs-par`, so workers × par-threads is the real
-    /// concurrency).
+    /// Worker threads executing requests. `0` = auto (see
+    /// [`Service::new`]).
     pub workers: usize,
     /// Maximum queued (admitted but not yet started) requests; beyond
     /// this, requests are rejected with explicit backpressure.
@@ -89,123 +72,9 @@ impl Default for ServeConfig {
     }
 }
 
-impl ServeConfig {
-    fn resolved_workers(&self) -> usize {
-        if self.workers > 0 {
-            return self.workers;
-        }
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(2);
-        (cores / 2).clamp(1, 4)
-    }
-}
-
-/// Final counters of one server run (also the stats-line payload).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServeSummary {
-    /// Requests admitted to the queue.
-    pub admitted: u64,
-    /// Requests rejected by backpressure or drain.
-    pub rejected: u64,
-    /// Requests answered with `ok: true`.
-    pub completed: u64,
-    /// Requests answered with `ok: false` (including caught panics).
-    pub errors: u64,
-    /// Malformed or invalid requests (`bad_request` responses).
-    pub bad_request: u64,
-    /// Requests whose `deadline_ms` elapsed while queued or during the
-    /// solve.
-    pub expired: u64,
-    /// Domain failures (`failed` responses).
-    pub failed: u64,
-    /// Worker panics caught at the service boundary.
-    pub panics: u64,
-    /// Scenario-cache hits (a `ProblemTables` rebuild avoided).
-    pub scenario_hits: u64,
-    /// Plan-memo hits (a full plan computation avoided).
-    pub plan_hits: u64,
-}
-
-#[derive(Default)]
-struct Stats {
-    admitted: AtomicU64,
-    rejected: AtomicU64,
-    completed: AtomicU64,
-    errors: AtomicU64,
-    bad_request: AtomicU64,
-    expired: AtomicU64,
-    failed: AtomicU64,
-    panics: AtomicU64,
-    scenario_hits: AtomicU64,
-    plan_hits: AtomicU64,
-}
-
-impl Stats {
-    fn summary(&self) -> ServeSummary {
-        ServeSummary {
-            admitted: self.admitted.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-            errors: self.errors.load(Ordering::Relaxed),
-            bad_request: self.bad_request.load(Ordering::Relaxed),
-            expired: self.expired.load(Ordering::Relaxed),
-            failed: self.failed.load(Ordering::Relaxed),
-            panics: self.panics.load(Ordering::Relaxed),
-            scenario_hits: self.scenario_hits.load(Ordering::Relaxed),
-            plan_hits: self.plan_hits.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Counts one error response: the per-kind counter first, the `errors`
-    /// total last, so `errors == bad_request + expired + failed + panics`
-    /// holds for any observer once the daemon is quiescent.
-    fn count_error(&self, kind: ErrorKind) {
-        match kind {
-            ErrorKind::BadRequest => {
-                self.bad_request.fetch_add(1, Ordering::Relaxed);
-            }
-            ErrorKind::Expired => {
-                self.expired.fetch_add(1, Ordering::Relaxed);
-                ccs_telemetry::counter!("serve.expired").incr();
-            }
-            ErrorKind::Failed => {
-                self.failed.fetch_add(1, Ordering::Relaxed);
-            }
-            ErrorKind::Internal => {
-                self.panics.fetch_add(1, Ordering::Relaxed);
-                ccs_telemetry::counter!("serve.panics").incr();
-            }
-            // Rejections are backpressure, not errors; counted separately.
-            ErrorKind::Rejected => {}
-        }
-        self.errors.fetch_add(1, Ordering::Relaxed);
-        ccs_telemetry::counter!("serve.errors").incr();
-    }
-}
-
-/// A line-oriented response sink shared between the reader (immediate
-/// errors/rejects) and the workers (results).
+/// A line-oriented response sink shared between the reader (inline
+/// answers) and the workers (results).
 type SharedWriter = Arc<Mutex<Box<dyn Write + Send>>>;
-
-struct Job {
-    id: Value,
-    cmd: String,
-    body: Value,
-    admitted_at: Instant,
-    deadline: Option<Duration>,
-    writer: SharedWriter,
-    trace: ReqTrace,
-}
-
-struct ServerState {
-    queue: AdmissionQueue<Job>,
-    cache: PlanCache,
-    stats: Stats,
-    obs: ServeObs,
-    metrics_file: Option<String>,
-    draining: AtomicBool,
-}
 
 fn write_line(writer: &SharedWriter, line: &str) {
     // Poison-tolerant: a worker that panicked mid-write must not turn
@@ -214,6 +83,15 @@ fn write_line(writer: &SharedWriter, line: &str) {
     // A broken client pipe must not kill the daemon; drop the response.
     let _ = writeln!(w, "{line}");
     let _ = w.flush();
+}
+
+impl Reply for SharedWriter {
+    fn reply(&self, _: usize, id: &Value, outcome: Outcome, trace: &mut ReqTrace) {
+        let line = trace.time(Phase::Serialize, || {
+            render_value(&response_value(id, outcome))
+        });
+        write_line(self, &line);
+    }
 }
 
 /// Outcome of one capped line read ([`read_line_capped`]).
@@ -275,330 +153,117 @@ pub fn read_line_capped<R: BufRead>(reader: &mut R, cap: usize) -> std::io::Resu
     }
 }
 
-/// What the reader should do after a line was processed.
-enum Admit {
-    Continue,
-    Shutdown,
+struct Daemon {
+    service: Service<SharedWriter>,
+    cache: Arc<PlanCache>,
+    max_line_bytes: usize,
 }
 
-impl ServerState {
+impl Daemon {
     fn new(config: &ServeConfig) -> Self {
         let trace = config.trace_requests.as_ref().and_then(|path| {
-            match RotatingWriter::create(path, config.trace_max_bytes) {
-                Ok(writer) => Some(writer),
-                Err(e) => {
-                    eprintln!("serve: cannot open trace file {path}: {e} (tracing disabled)");
-                    None
-                }
-            }
+            RotatingWriter::create(path, config.trace_max_bytes)
+                .map_err(|e| {
+                    eprintln!("serve: cannot open trace file {path}: {e} (tracing disabled)")
+                })
+                .ok()
         });
-        ServerState {
-            queue: AdmissionQueue::new(config.queue_depth),
-            cache: PlanCache::with_budget(config.cache_bytes),
-            stats: Stats::default(),
-            obs: ServeObs::new(trace, config.slow_ms.map(Duration::from_millis)),
-            metrics_file: config.metrics_file.clone(),
-            draining: AtomicBool::new(false),
+        let obs = ServeObs::new(trace, config.slow_ms.map(Duration::from_millis));
+        Daemon {
+            service: Service::new(1, config.workers, config.queue_depth, obs),
+            cache: Arc::new(PlanCache::with_budget(config.cache_bytes)),
+            max_line_bytes: config.max_line_bytes,
         }
     }
 
-    /// Parses and admits one request line, writing any immediate response.
-    fn admit_line(&self, line: &str, writer: &SharedWriter) -> Admit {
-        let line = line.trim();
+    /// Answers request lines from `input` until EOF or `shutdown`; returns
+    /// whether a `shutdown` ended it.
+    fn read(&self, mut input: impl BufRead, writer: &SharedWriter) -> bool {
+        let cap = self.max_line_bytes;
+        loop {
+            match read_line_capped(&mut input, cap) {
+                Ok(LineRead::Line(line)) => {
+                    if !self.line(line.trim(), writer) {
+                        return true;
+                    }
+                }
+                Ok(LineRead::TooLong(bytes)) => self.refuse(
+                    writer,
+                    format!("request line of {bytes} bytes exceeds the {cap}-byte cap"),
+                ),
+                Ok(LineRead::Eof) | Err(_) => return false,
+            }
+        }
+    }
+
+    /// Answers one request line; `false` once it was a `shutdown`.
+    fn line(&self, line: &str, writer: &SharedWriter) -> bool {
         if line.is_empty() {
-            return Admit::Continue;
+            return true;
         }
         let body: Value = match serde_json::from_str(line) {
-            Ok(v) => v,
+            Ok(body) => body,
             Err(e) => {
-                self.stats.count_error(ErrorKind::BadRequest);
-                let err = ServeError::bad_request(format!("malformed request: {e}"));
-                write_line(writer, &err_response(&Value::Null, &err));
-                return Admit::Continue;
+                self.refuse(writer, format!("malformed request: {e}"));
+                return true;
             }
         };
-        let id = body.field("id").clone();
-        if body.as_object().is_none() {
-            self.respond_err(
-                writer,
-                &id,
-                &ServeError::bad_request(format!(
-                    "request must be a JSON object, got {}",
-                    body.kind()
-                )),
-            );
-            return Admit::Continue;
+        let id = body.field("id");
+        match body.field("cmd") {
+            Value::String(cmd) if cmd == "ping" => {
+                self.service.count_completed();
+                let pong = object([("pong", Value::Bool(true))]);
+                write_line(writer, &ok_response(id, pong));
+            }
+            Value::String(cmd) if cmd == "stats" => {
+                // The snapshot covers the requests answered before it.
+                write_line(writer, &ok_response(id, self.stats_snapshot()));
+                self.service.count_completed();
+            }
+            Value::String(cmd) if cmd == "shutdown" => {
+                let draining = object([("draining", Value::Bool(true))]);
+                write_line(writer, &ok_response(id, draining));
+                return false;
+            }
+            _ => self
+                .service
+                .submit(0, &self.cache, vec![(0, body)], None, Arc::clone(writer)),
         }
-        let cmd = match body.field("cmd") {
-            Value::String(s) => s.clone(),
-            Value::Null => {
-                self.respond_err(writer, &id, &ServeError::bad_request("missing 'cmd'"));
-                return Admit::Continue;
-            }
-            other => {
-                self.respond_err(
-                    writer,
-                    &id,
-                    &ServeError::bad_request(format!(
-                        "'cmd' must be a string, got {}",
-                        other.kind()
-                    )),
-                );
-                return Admit::Continue;
-            }
-        };
-        match cmd.as_str() {
-            "ping" => {
-                // Answered inline, out of band of the queue: a liveness
-                // probe must work even under full backpressure.
-                self.stats.completed.fetch_add(1, Ordering::Relaxed);
-                ccs_telemetry::counter!("serve.completed").incr();
-                let mut result = BTreeMap::new();
-                result.insert("pong".to_string(), Value::Bool(true));
-                write_line(writer, &ok_response(&id, Value::Object(result)));
-                Admit::Continue
-            }
-            "shutdown" => {
-                let mut result = BTreeMap::new();
-                result.insert("draining".to_string(), Value::Bool(true));
-                write_line(writer, &ok_response(&id, Value::Object(result)));
-                Admit::Shutdown
-            }
-            "stats" => {
-                // Answered inline like `ping`: the metrics surface must
-                // stay reachable even when the queue is saturated.
-                self.stats.completed.fetch_add(1, Ordering::Relaxed);
-                ccs_telemetry::counter!("serve.completed").incr();
-                write_line(writer, &ok_response(&id, self.stats_snapshot()));
-                Admit::Continue
-            }
-            "plan" | "replay" | "lifetime" | "online_step" => {
-                let mut trace = self.obs.start();
-                // Absent (or JSON null) means "no deadline". An *explicit*
-                // zero is rejected: it can only mean "already expired" and
-                // silently treating it as "no deadline" inverts the
-                // client's intent.
-                let deadline = match body.field("deadline_ms") {
-                    Value::Null => None,
-                    Value::Number(Number::PosInt(0)) => {
-                        self.respond_err(
-                            writer,
-                            &id,
-                            &ServeError::bad_request(
-                                "deadline_ms must be >= 1; omit for no deadline",
-                            ),
-                        );
-                        return Admit::Continue;
-                    }
-                    _ => match crate::protocol::fields::u64_or(&body, "deadline_ms", 0) {
-                        Ok(ms) => Some(Duration::from_millis(ms)),
-                        Err(e) => {
-                            self.respond_err(writer, &id, &e);
-                            return Admit::Continue;
-                        }
-                    },
-                };
-                let reject_id = id.clone();
-                let admitted_at = Instant::now();
-                // Admission covers the decision up to (and including) the
-                // push; queue wait starts at `admitted_at`.
-                trace.record(Phase::Admission, trace.total_ns());
-                let job = Job {
-                    id,
-                    cmd,
-                    body,
-                    admitted_at,
-                    deadline,
-                    writer: Arc::clone(writer),
-                    trace,
-                };
-                match self.queue.try_push(job) {
-                    Ok(()) => {
-                        self.stats.admitted.fetch_add(1, Ordering::Relaxed);
-                        ccs_telemetry::counter!("serve.admitted").incr();
-                        let depth = self.queue.len();
-                        self.obs.observe_queue_depth(depth);
-                        ccs_telemetry::global()
-                            .gauge("serve.queue_depth")
-                            .set(depth as f64);
-                        Admit::Continue
-                    }
-                    Err(reason) => {
-                        let err = match reason {
-                            AdmitError::Full { depth } => {
-                                ServeError::rejected(format!("queue full (depth {depth})"))
-                            }
-                            AdmitError::Draining => ServeError::rejected("draining"),
-                        };
-                        self.stats.rejected.fetch_add(1, Ordering::Relaxed);
-                        ccs_telemetry::counter!("serve.rejected").incr();
-                        write_line(writer, &err_response(&reject_id, &err));
-                        Admit::Continue
-                    }
-                }
-            }
-            other => {
-                self.respond_err(
-                    writer,
-                    &id,
-                    &ServeError::bad_request(format!("unknown cmd '{other}'")),
-                );
-                Admit::Continue
-            }
-        }
+        true
     }
 
-    fn respond_err(&self, writer: &SharedWriter, id: &Value, err: &ServeError) {
-        self.stats.count_error(err.kind);
-        write_line(writer, &err_response(id, err));
-    }
-
-    /// Answers an over-long request line with `bad_request`.
-    fn reject_long_line(&self, writer: &SharedWriter, bytes: usize, cap: usize) {
-        self.respond_err(
-            writer,
-            &Value::Null,
-            &ServeError::bad_request(format!(
-                "request line of {bytes} bytes exceeds the {cap}-byte cap"
-            )),
-        );
-    }
-
-    /// Executes one admitted job and writes its response.
-    fn execute(&self, job: Job) {
-        let Job {
-            id,
-            cmd,
-            body,
-            admitted_at,
-            deadline,
-            writer,
-            mut trace,
-        } = job;
-        let registry = ccs_telemetry::global();
-        let _span = registry.span("serve.request");
-        registry
-            .gauge("serve.queue_depth")
-            .set(self.queue.len() as f64);
-        let queued = admitted_at.elapsed();
-        trace.record(
-            Phase::QueueWait,
-            u64::try_from(queued.as_nanos()).unwrap_or(u64::MAX),
-        );
-        if let Some(deadline) = deadline {
-            if queued > deadline {
-                self.stats.count_error(ErrorKind::Expired);
-                let err = ServeError::expired(format!(
-                    "deadline of {} ms passed while queued",
-                    deadline.as_millis()
-                ));
-                let line = trace.time(Phase::Serialize, || err_response(&id, &err));
-                write_line(&writer, &line);
-                self.obs.finish(&trace, &cmd, "expired");
-                return;
-            }
-        }
-        // The shared engine runs the handler under the panic backstop; a
-        // caught panic surfaces here as an `Internal` error.
-        let outcome = engine::execute(&self.cache, &cmd, &body, &mut trace);
-        // The deadline can also pass *during* the solve, not just in the
-        // queue: a result the client has already given up on is answered
-        // `expired` (and counted as such), never as a full success.
-        // Failures keep their own kind — the deadline is moot for them.
-        let solve_expired = deadline.is_some_and(|d| admitted_at.elapsed() > d);
-        let (line, status) = match outcome {
-            Ok(_) if solve_expired => {
-                self.stats.count_error(ErrorKind::Expired);
-                let ms = deadline.map(|d| d.as_millis()).unwrap_or_default();
-                let err =
-                    ServeError::expired(format!("deadline of {ms} ms passed during the solve"));
-                let line = trace.time(Phase::Serialize, || err_response(&id, &err));
-                (line, "expired")
-            }
-            Ok(handled) => {
-                self.stats.completed.fetch_add(1, Ordering::Relaxed);
-                ccs_telemetry::counter!("serve.completed").incr();
-                if handled.scenario_hit == Some(true) {
-                    self.stats.scenario_hits.fetch_add(1, Ordering::Relaxed);
-                    ccs_telemetry::counter!("serve.cache.scenario_hits").incr();
-                }
-                if handled.plan_hit == Some(true) {
-                    self.stats.plan_hits.fetch_add(1, Ordering::Relaxed);
-                    ccs_telemetry::counter!("serve.cache.plan_hits").incr();
-                }
-                let line = trace.time(Phase::Serialize, || ok_response(&id, handled.result));
-                (line, "ok")
-            }
-            Err(err) => {
-                self.stats.count_error(err.kind);
-                let line = trace.time(Phase::Serialize, || err_response(&id, &err));
-                (line, err.kind.name())
-            }
-        };
-        write_line(&writer, &line);
-        // End-to-end latency includes writing the response — what the
-        // client actually observed.
-        self.obs.finish(&trace, &cmd, status);
+    /// Answers an unparseable line with `bad_request`.
+    fn refuse(&self, writer: &SharedWriter, message: String) {
+        let err = ServeError::bad_request(message);
+        self.service.count_error(err.kind);
+        write_line(writer, &err_response(&Value::Null, &err));
     }
 
     /// The versioned stats snapshot ([`obs::STATS_SCHEMA`]) — the payload
-    /// of the `stats` protocol command and the JSON stats-every line.
+    /// of the `stats` command, the JSON stats line, and the metrics file.
     fn stats_snapshot(&self) -> Value {
-        let s = self.stats.summary();
-        let uint = |v: u64| Value::Number(Number::PosInt(v));
-        let mut cache = BTreeMap::new();
-        cache.insert("bytes".to_string(), uint(self.cache.bytes() as u64));
-        cache.insert("evictions".to_string(), uint(self.cache.evictions()));
-        cache.insert("plan_hits".to_string(), uint(s.plan_hits));
-        cache.insert("plans".to_string(), uint(self.cache.plans_cached() as u64));
-        cache.insert("scenario_hits".to_string(), uint(s.scenario_hits));
-        cache.insert("scenarios".to_string(), uint(self.cache.scenarios() as u64));
-        let mut queue = BTreeMap::new();
-        queue.insert("capacity".to_string(), uint(self.queue.depth() as u64));
-        queue.insert("depth".to_string(), uint(self.queue.len() as u64));
-        queue.insert("high_water".to_string(), uint(self.obs.high_water()));
-        let mut requests = BTreeMap::new();
-        requests.insert("admitted".to_string(), uint(s.admitted));
-        requests.insert("bad_request".to_string(), uint(s.bad_request));
-        requests.insert("completed".to_string(), uint(s.completed));
-        requests.insert("errors".to_string(), uint(s.errors));
-        requests.insert("expired".to_string(), uint(s.expired));
-        requests.insert("failed".to_string(), uint(s.failed));
-        requests.insert("panics".to_string(), uint(s.panics));
-        requests.insert("rejected".to_string(), uint(s.rejected));
-        requests.insert("slow".to_string(), uint(self.obs.slow_count()));
-        let mut map = BTreeMap::new();
-        map.insert("cache".to_string(), Value::Object(cache));
-        map.insert("latency_us".to_string(), self.obs.latency_value());
-        map.insert("queue".to_string(), Value::Object(queue));
-        map.insert("requests".to_string(), Value::Object(requests));
-        map.insert(
-            "schema".to_string(),
-            Value::String(obs::STATS_SCHEMA.to_string()),
-        );
-        map.insert(
-            "uptime_s".to_string(),
-            Value::Number(Number::Float(self.obs.uptime_s())),
-        );
+        let mut map = self.service.stats(std::slice::from_ref(&self.cache));
+        let schema = Value::String(obs::STATS_SCHEMA.to_string());
+        map.insert("schema".to_string(), schema);
         Value::Object(map)
     }
 
     /// Rewrites the Prometheus metrics file, if one is configured.
-    fn write_metrics_file(&self) {
-        if let Some(path) = &self.metrics_file {
+    fn write_metrics_file(&self, config: &ServeConfig) {
+        if let Some(path) = &config.metrics_file {
             obs::write_file_atomic(path, &obs::render_prometheus(&self.stats_snapshot()));
         }
     }
 
     fn stats_line(&self, human: bool) -> String {
         if !human {
-            return obs::render_value(&self.stats_snapshot());
+            return render_value(&self.stats_snapshot());
         }
-        let s = self.stats.summary();
+        let s = self.service.summary();
         format!(
             "serve: queue={} admitted={} rejected={} completed={} errors={} \
              cache(scenarios={} plans={} scenario_hits={} plan_hits={})",
-            self.queue.len(),
+            self.service.queued(),
             s.admitted,
             s.rejected,
             s.completed,
@@ -609,36 +274,60 @@ impl ServerState {
             s.plan_hits,
         )
     }
+
+    /// Runs the service around `front` with the optional stats ticker, then
+    /// writes the final metrics file and the drain line.
+    fn run(&self, config: &ServeConfig, front: impl FnOnce()) -> ServeSummary {
+        self.service.run(|| {
+            std::thread::scope(|scope| {
+                let (stop, stopped) = mpsc::channel::<()>();
+                if config.stats_every.is_some() || config.metrics_file.is_some() {
+                    // Default the metrics-file rewrite to the stats period
+                    // (or 10 s when only --metrics-file is set).
+                    let period = config.stats_every.unwrap_or(Duration::from_secs(10));
+                    scope.spawn(move || {
+                        while stopped.recv_timeout(period) == Err(RecvTimeoutError::Timeout) {
+                            if config.stats_every.is_some() {
+                                eprintln!("{}", self.stats_line(config.stats_human));
+                            }
+                            self.write_metrics_file(config);
+                        }
+                    });
+                }
+                front();
+                drop(stop);
+            });
+        });
+        // The final metrics-file state covers everything up to the drain.
+        self.write_metrics_file(config);
+        let summary = self.service.summary();
+        eprintln!(
+            "serve: drained — admitted={} rejected={} completed={} errors={} \
+             (panics caught: {}, scenario hits: {}, plan hits: {})",
+            summary.admitted,
+            summary.rejected,
+            summary.completed,
+            summary.errors,
+            summary.panics,
+            summary.scenario_hits,
+            summary.plan_hits,
+        );
+        summary
+    }
 }
 
 /// Serves one line-oriented connection (requests on `input`, responses on
-/// `output`) with a worker pool, until EOF or a `shutdown` request, then
-/// drains and returns the final counters.
-///
-/// This is the building block of both [`serve_stdio`] and the tests; the
-/// Unix-socket front end shares the same state across connections.
+/// `output`) until EOF or a `shutdown` request, then drains and returns
+/// the final counters. [`serve_stdio`] and the tests build on it.
 pub fn serve_connection<R: BufRead>(
     input: R,
     output: Box<dyn Write + Send>,
     config: &ServeConfig,
 ) -> ServeSummary {
-    let state = ServerState::new(config);
+    let daemon = Daemon::new(config);
     let writer: SharedWriter = Arc::new(Mutex::new(output));
-    let state_ref = &state;
-    let cap = config.max_line_bytes;
-    run_with_reader(state_ref, config, move || {
-        let mut input = input;
-        loop {
-            match read_line_capped(&mut input, cap) {
-                Ok(LineRead::Line(line)) => {
-                    if let Admit::Shutdown = state_ref.admit_line(&line, &writer) {
-                        break;
-                    }
-                }
-                Ok(LineRead::TooLong(bytes)) => state_ref.reject_long_line(&writer, bytes, cap),
-                Ok(LineRead::Eof) | Err(_) => break,
-            }
-        }
+    daemon.run(config, || {
+        daemon.read(input, &writer);
     })
 }
 
@@ -651,133 +340,33 @@ pub fn serve_stdio(config: &ServeConfig) -> ServeSummary {
 
 /// Serves a Unix domain socket: every connection speaks the same JSONL
 /// protocol, all connections share one queue, worker pool, and cache. A
-/// `shutdown` request from any connection drains the whole daemon. The
-/// socket file is removed on exit.
+/// `shutdown` request from any connection drains the whole daemon; idle
+/// connections do not hold the drain open. The socket file is removed on
+/// exit.
 ///
 /// # Errors
 ///
 /// An io error binding the socket (the per-connection errors are handled
 /// by dropping the connection).
 pub fn serve_unix(path: &str, config: &ServeConfig) -> std::io::Result<ServeSummary> {
-    use std::os::unix::net::UnixListener;
+    use std::os::unix::net::{UnixListener, UnixStream};
 
     // A stale socket file from a previous run would make bind fail.
     let _ = std::fs::remove_file(path);
     let listener = UnixListener::bind(path)?;
     listener.set_nonblocking(true)?;
-    let state = ServerState::new(config);
-    let state_ref = &state;
-    let summary = std::thread::scope(|scope| {
-        run_with_reader(state_ref, config, move || {
-            while !state_ref.draining.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let _ = stream.set_nonblocking(false);
-                        let Ok(write_half) = stream.try_clone() else {
-                            continue;
-                        };
-                        let writer: SharedWriter = Arc::new(Mutex::new(Box::new(write_half)));
-                        let cap = config.max_line_bytes;
-                        scope.spawn(move || {
-                            let mut reader = BufReader::new(stream);
-                            loop {
-                                match read_line_capped(&mut reader, cap) {
-                                    Ok(LineRead::Line(line)) => {
-                                        if let Admit::Shutdown =
-                                            state_ref.admit_line(&line, &writer)
-                                        {
-                                            state_ref.draining.store(true, Ordering::Relaxed);
-                                            break;
-                                        }
-                                    }
-                                    Ok(LineRead::TooLong(bytes)) => {
-                                        state_ref.reject_long_line(&writer, bytes, cap);
-                                    }
-                                    Ok(LineRead::Eof) | Err(_) => break,
-                                }
-                            }
-                        });
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(20));
-                    }
-                    Err(_) => break,
-                }
+    let daemon = Daemon::new(config);
+    let summary = daemon.run(config, || {
+        daemon.service.accept(&listener, |stream: UnixStream| {
+            let Ok(write_half) = stream.try_clone() else {
+                return;
+            };
+            let writer: SharedWriter = Arc::new(Mutex::new(Box::new(write_half)));
+            if daemon.read(BufReader::new(stream), &writer) {
+                daemon.service.drain();
             }
-        })
+        });
     });
     let _ = std::fs::remove_file(path);
     Ok(summary)
-}
-
-/// The common engine: spawns the worker pool (and the optional stats
-/// ticker), runs `reader` on the current thread, then closes the queue and
-/// joins everything — the drain.
-fn run_with_reader(
-    state: &ServerState,
-    config: &ServeConfig,
-    reader: impl FnOnce(),
-) -> ServeSummary {
-    let workers = config.resolved_workers();
-    let stop = Arc::new((Mutex::new(false), Condvar::new()));
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                while let Some(job) = state.queue.pop() {
-                    state.execute(job);
-                }
-            });
-        }
-        if config.stats_every.is_some() || config.metrics_file.is_some() {
-            // Default the metrics-file rewrite to the stats period (or
-            // 10 s when only --metrics-file is set).
-            let period = config
-                .stats_every
-                .unwrap_or_else(|| Duration::from_secs(10));
-            let print_stats = config.stats_every.is_some();
-            let human = config.stats_human;
-            let stop = Arc::clone(&stop);
-            scope.spawn(move || {
-                let (lock, cond) = &*stop;
-                let mut stopped = lock_unpoisoned(lock);
-                loop {
-                    let (guard, timeout) = cond
-                        .wait_timeout(stopped, period)
-                        .unwrap_or_else(|poisoned| poisoned.into_inner());
-                    stopped = guard;
-                    if *stopped {
-                        return;
-                    }
-                    if timeout.timed_out() {
-                        if print_stats {
-                            eprintln!("{}", state.stats_line(human));
-                        }
-                        state.write_metrics_file();
-                    }
-                }
-            });
-        }
-        reader();
-        state.draining.store(true, Ordering::Relaxed);
-        state.queue.close();
-        // Scope exit joins the workers (the drain) and then the ticker.
-        let (lock, cond) = &*stop;
-        *lock_unpoisoned(lock) = true;
-        cond.notify_all();
-    });
-    // The final metrics-file state covers everything up to the drain.
-    state.write_metrics_file();
-    let summary = state.stats.summary();
-    eprintln!(
-        "serve: drained — admitted={} rejected={} completed={} errors={} \
-         (panics caught: {}, scenario hits: {}, plan hits: {})",
-        summary.admitted,
-        summary.rejected,
-        summary.completed,
-        summary.errors,
-        summary.panics,
-        summary.scenario_hits,
-        summary.plan_hits,
-    );
-    summary
 }

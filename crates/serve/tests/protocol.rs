@@ -473,3 +473,75 @@ fn oversized_request_line_is_rejected_and_the_stream_resyncs() {
     assert_eq!(summary.completed, 1);
     assert_eq!(summary.bad_request, 1);
 }
+
+/// The drain does not wait for idle clients: after a `shutdown` from one
+/// connection, `serve_unix` returns in well under a second while another
+/// client sits idle, and a request admitted before the drain still gets
+/// its response.
+#[test]
+fn unix_drain_does_not_wait_for_idle_clients() {
+    use std::io::{BufRead, BufReader};
+    use std::os::unix::net::UnixStream;
+    use std::time::{Duration, Instant};
+
+    let socket = std::env::temp_dir().join(format!("ccs-drain-test-{}.sock", std::process::id()));
+    let socket = socket.to_string_lossy().into_owned();
+    let config = ServeConfig {
+        workers: 1,
+        stats_every: None,
+        ..ServeConfig::default()
+    };
+    std::thread::scope(|scope| {
+        let daemon = {
+            let (socket, config) = (socket.clone(), config.clone());
+            scope.spawn(move || serve_unix(&socket, &config))
+        };
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !std::path::Path::new(&socket).exists() {
+            assert!(Instant::now() < deadline, "socket never appeared");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let idle = UnixStream::connect(&socket).expect("connect idle client");
+        let mut busy = UnixStream::connect(&socket).expect("connect busy client");
+        let scenario = scenario_json(12, 10);
+        writeln!(busy, r#"{{"id":1,"cmd":"plan","scenario":{scenario}}}"#).expect("write");
+
+        // Shut down from a third connection once the plan is admitted.
+        let control = UnixStream::connect(&socket).expect("connect control client");
+        let mut reader = BufReader::new(control.try_clone().expect("clone"));
+        let mut control = control;
+        loop {
+            writeln!(control, r#"{{"cmd":"stats"}}"#).expect("write");
+            let mut line = String::new();
+            reader.read_line(&mut line).expect("read");
+            let stats: Value = serde_json::from_str(&line).expect("stats parses");
+            if stats.field("result").field("requests").field("admitted")
+                == &Value::Number(serde::value::Number::PosInt(1))
+            {
+                break;
+            }
+            assert!(Instant::now() < deadline, "plan never admitted");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        let started = Instant::now();
+        writeln!(control, r#"{{"cmd":"shutdown"}}"#).expect("write");
+        let mut busy_reader = BufReader::new(busy.try_clone().expect("clone"));
+        let mut response = String::new();
+        busy_reader.read_line(&mut response).expect("read");
+        let response: Value = serde_json::from_str(&response).expect("response parses");
+        assert!(response_ok(&response), "admitted work is answered");
+
+        // Both clients stay open. A watchdog closes them after 5 s at most,
+        // so a drain that waits for them fails the timing assertion below
+        // instead of hanging.
+        let (done, watchdog) = std::sync::mpsc::channel::<()>();
+        scope.spawn(move || {
+            let _ = watchdog.recv_timeout(Duration::from_secs(5));
+            drop((idle, busy, busy_reader));
+        });
+        daemon.join().expect("daemon thread").expect("daemon bind");
+        let took = started.elapsed();
+        drop(done);
+        assert!(took < Duration::from_millis(900), "drain took {took:?}");
+    });
+}

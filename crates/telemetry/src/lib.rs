@@ -57,7 +57,6 @@
 //! binaries opt in by calling `global().enable()` (the `--report` /
 //! `--trace-json` CLI flags do exactly that) and snapshot it at exit.
 
-pub mod family;
 pub mod hist;
 mod registry;
 mod report;
@@ -65,7 +64,6 @@ pub mod rotate;
 pub mod sink;
 mod span;
 
-pub use family::{CounterFamily, Family, FamilyCounter, HistogramFamily};
 pub use hist::{Histogram, HistogramSnapshot};
 pub use registry::{Counter, Gauge, Registry, Timer};
 pub use report::{ProfileRow, RunReport, TimerStats};
