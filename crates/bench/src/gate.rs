@@ -1,29 +1,32 @@
 //! The shared bench-regression gate.
 //!
-//! Every bench binary emits a `BENCH_<N>.json` document with a top-level
-//! `benches` object mapping bench names to numeric metrics, and gates a
-//! `--check` run against the newest committed baseline. Different binaries
-//! emit disjoint bench families (`bench_smoke` the hot-path timings,
-//! `serve_load` the daemon throughput), so the baseline lookup is
-//! *name-aware*: it picks the newest `BENCH_<N>.json` that covers at least
-//! one of the caller's bench names. A freshly committed `BENCH_5.json`
-//! from one family therefore never silently turns the other family's gate
+//! Every suite of the `bench_gate` runner emits a `ccs-bench/v1` document
+//! with a top-level `benches` object mapping cell names to numeric metrics,
+//! and gates a `--check` run against the newest committed baseline. The
+//! suites emit disjoint cell families (`smoke` the hot-path timings,
+//! `serve` the daemon throughput), so the baseline lookup is *name-aware*:
+//! it picks the newest `BENCH_<N>.json` at the workspace root that covers
+//! at least one of the caller's cell names. A freshly committed baseline
+//! from one family therefore never silently turns another family's gate
 //! into a no-op.
 //!
 //! # Host calibration
 //!
 //! Wall-clock baselines only transfer between hosts of similar speed: a
-//! `serial_ms` recorded on a fast CI runner fails any 20% gate on a slower
+//! `t1_mean_ms` recorded on a fast CI runner fails any 20% gate on a slower
 //! laptop even when the code got *faster*. Documents therefore record a
 //! `host_sentinel_ms` — the wall clock of [`host_sentinel_ms`], a fixed
 //! deterministic single-threaded workload — and [`regressions`] rescales
 //! the baseline of every [`Gate`] marked `host_sensitive` by the sentinel
-//! ratio before comparing. When either side lacks the sentinel (baselines
-//! committed before calibration existed), host-sensitive gates are skipped
-//! with a notice on stderr; host-independent gates (exact work counters)
-//! still apply, so the algorithmic regression net stays up.
+//! ratio before comparing: a slower host stretches a time budget and
+//! lowers a throughput floor by the same factor. When either side lacks
+//! the sentinel (baselines committed before calibration existed),
+//! host-sensitive gates are skipped with a notice on stderr;
+//! host-independent gates (exact work counters) still apply, so the
+//! algorithmic regression net stays up.
 
 use serde_json::Value;
+use std::path::{Path, PathBuf};
 
 /// Root field under which bench documents record their host calibration.
 pub const SENTINEL_FIELD: &str = "host_sentinel_ms";
@@ -88,8 +91,9 @@ pub fn host_sentinel_ms() -> f64 {
 }
 
 /// The baseline→current calibration factor: >1 means the current host is
-/// that much slower than the baseline's, so host-sensitive thresholds
-/// stretch by it. `None` when either document lacks a positive sentinel.
+/// that much slower than the baseline's, so host-sensitive time budgets
+/// stretch by it and throughput floors shrink by it. `None` when either
+/// document lacks a positive sentinel.
 pub fn timing_scale(current: &Value, baseline: &Value) -> Option<f64> {
     let read = |doc: &Value| match doc.field(SENTINEL_FIELD) {
         Value::Number(n) if n.as_f64() > 0.0 => Some(n.as_f64()),
@@ -98,13 +102,19 @@ pub fn timing_scale(current: &Value, baseline: &Value) -> Option<f64> {
     Some(read(current)? / read(baseline)?)
 }
 
-/// The newest committed baseline *covering this bench family*: the
-/// `BENCH_<N>.json` in the current directory with the largest `N` whose
-/// `benches` object shares at least one name with `names`. Unreadable or
-/// unrelated files are skipped, so the gate degrades gracefully on a fresh
-/// checkout (no baseline → `None` → skip).
-pub fn newest_baseline(names: &[&str]) -> Option<(String, Value)> {
-    let mut candidates: Vec<(u64, String)> = std::fs::read_dir(".")
+/// The directory holding the committed `BENCH_<N>.json` baselines: the
+/// workspace root, wherever the runner is started from.
+pub fn workspace_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+}
+
+/// The newest committed baseline *covering this cell family*: the
+/// `BENCH_<N>.json` in `dir` with the largest `N` whose `benches` object
+/// shares at least one name with `names`. Unreadable or unrelated files
+/// are skipped, so the gate degrades gracefully on a fresh checkout (no
+/// baseline → `None` → skip).
+pub fn newest_baseline(dir: &Path, names: &[&str]) -> Option<(String, Value)> {
+    let mut candidates: Vec<(u64, String)> = std::fs::read_dir(dir)
         .ok()?
         .flatten()
         .filter_map(|entry| {
@@ -119,7 +129,7 @@ pub fn newest_baseline(names: &[&str]) -> Option<(String, Value)> {
         .collect();
     candidates.sort_by_key(|c| std::cmp::Reverse(c.0));
     for (_, file) in candidates {
-        let Ok(text) = std::fs::read_to_string(&file) else {
+        let Ok(text) = std::fs::read_to_string(dir.join(&file)) else {
             continue;
         };
         let Ok(value) = serde_json::from_str::<Value>(&text) else {
@@ -170,9 +180,12 @@ pub fn regressions(current: &Value, baseline: &Value, gates: &[Gate]) -> Vec<Str
             };
             let (cur, mut base) = (cur.as_f64(), base.as_f64());
             if gate.host_sensitive {
-                match scale {
-                    Some(s) => base *= s,
-                    None => continue,
+                // `s > 1`: this host is slower, so it needs more time and
+                // reaches less throughput than the baseline's host.
+                match (scale, gate.direction) {
+                    (Some(s), Direction::HigherIsWorse) => base *= s,
+                    (Some(s), Direction::LowerIsWorse) => base /= s,
+                    (None, _) => continue,
                 }
             }
             let failed = if base > 0.0 {
@@ -338,5 +351,49 @@ mod tests {
         let v1 = doc(r#"{"benches":{"a":{"serial_ms":1.0}}}"#);
         let cur = doc(r#"{"benches":{"a":{"serial_ms":1.0,"oracle_evals":999}}}"#);
         assert!(regressions(&cur, &v1, &GATES).is_empty());
+    }
+
+    #[test]
+    fn slower_host_lowers_a_throughput_floor() {
+        // Baseline from a 2× faster host: its 100 items/s is 50 here, so
+        // the 25% floor sits at 37.5, not at 150.
+        let gate = [Gate {
+            field: "items_per_s",
+            tolerance: 0.25,
+            direction: Direction::LowerIsWorse,
+            zero_base_fails: false,
+            host_sensitive: true,
+        }];
+        let base = doc(r#"{"host_sentinel_ms":1.0,"benches":{"s":{"items_per_s":100.0}}}"#);
+        let ok = doc(r#"{"host_sentinel_ms":2.0,"benches":{"s":{"items_per_s":45.0}}}"#);
+        assert!(regressions(&ok, &base, &gate).is_empty());
+        let slow = doc(r#"{"host_sentinel_ms":2.0,"benches":{"s":{"items_per_s":30.0}}}"#);
+        let fails = regressions(&slow, &base, &gate);
+        assert_eq!(fails.len(), 1, "{fails:?}");
+        assert!(fails[0].contains("vs baseline 50.00"), "{fails:?}");
+    }
+
+    #[test]
+    fn newest_baseline_is_the_highest_number_covering_a_name() {
+        let dir = std::env::temp_dir().join(format!("ccs-gate-lookup-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let write = |file: &str, text: &str| std::fs::write(dir.join(file), text).unwrap();
+        write("BENCH_3.json", r#"{"benches":{"a":{}}}"#);
+        write("BENCH_10.json", r#"{"benches":{"b":{}}}"#);
+        write("BENCH_12.json", "{not json");
+        write("BENCH_x.json", r#"{"benches":{"a":{}}}"#);
+        let found = |names: &[&str]| newest_baseline(&dir, names).map(|(file, _)| file);
+        assert_eq!(found(&["a"]).as_deref(), Some("BENCH_3.json"));
+        assert_eq!(found(&["a", "b"]).as_deref(), Some("BENCH_10.json"));
+        assert_eq!(found(&["c"]), None);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn committed_baselines_are_found_from_any_working_directory() {
+        // `cargo test` runs this from `crates/bench`, which holds no
+        // baseline of its own.
+        let (file, _) = newest_baseline(&workspace_root(), &["ccsa_n40"]).expect("smoke baseline");
+        assert!(file.starts_with("BENCH_"), "{file}");
     }
 }

@@ -9,10 +9,13 @@
 //! ```
 //!
 //! Results are printed and written as CSV/markdown under `results/`.
-//! Criterion micro-benchmarks live under `benches/`.
+//! Criterion micro-benchmarks live under `benches/`. CI's gated bench
+//! suites run through the `bench_gate` binary ([`harness`]).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod exp;
 pub mod gate;
+pub mod harness;
+mod load;

@@ -465,7 +465,7 @@ fn place_points<R: Rng + ?Sized>(
 }
 
 /// The seeded large-`n` scenario preset behind the scaling-curve suite
-/// (`bench_scaling`, the grid-equivalence property tests): `n` devices in
+/// (`bench_gate --suite scaling`, the grid-equivalence property tests): `n` devices in
 /// Gaussian clusters over a field whose side grows with `sqrt(n)` (constant
 /// spatial density — the paper's setup scaled up, not compressed), one
 /// charger per ~50 devices spread uniformly. Deterministic: the same
