@@ -19,13 +19,7 @@ pub fn fig_online(out: &Path) -> io::Result<()> {
         "policy", "miss %", "util %", "kJ/served", "replans"
     );
     let policies = [
-        (
-            "ccsga",
-            OnlinePolicy::Ccsga(CcsgaOptions {
-                worklist: true,
-                ..CcsgaOptions::default()
-            }),
-        ),
+        ("ccsga", OnlinePolicy::Ccsga(CcsgaOptions::default())),
         ("fcfs", OnlinePolicy::Fcfs),
     ];
     let runs = parallel_map((0..10u64).collect::<Vec<_>>(), |seed| {

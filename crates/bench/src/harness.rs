@@ -466,10 +466,7 @@ fn sfm_run() -> Box<dyn Fn() -> Run> {
 }
 
 fn ccsga_policy() -> OnlinePolicy {
-    OnlinePolicy::Ccsga(CcsgaOptions {
-        worklist: true,
-        ..CcsgaOptions::default()
-    })
+    OnlinePolicy::Ccsga(CcsgaOptions::default())
 }
 
 /// A hotspot stream over 30 devices and 4 chargers, tight enough that

@@ -17,7 +17,7 @@
 //! shard lock), but only the first insert is kept and both computed values
 //! are identical, so observable behaviour does not depend on scheduling.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 use std::hash::BuildHasher;
 use std::sync::Arc;
@@ -67,63 +67,42 @@ impl<V> CoalitionCache<V> {
         (FastBuildHasher::default().hash_one(key) as usize) % SHARDS
     }
 
-    /// Returns the memoized value for `coalition`, computing and inserting
-    /// it with `compute` on a miss.
+    /// Returns the memoized value for `coalition` (a sorted member slice),
+    /// computing and inserting it with `compute` on a miss.
     ///
+    /// The hit path performs **no allocation at all** — the engine's probes
+    /// price warm compositions this way; the owned `Vec` key is only built
+    /// on a miss, alongside the (much more expensive) value computation.
     /// `compute` must be a pure function of the composition; it runs
     /// *outside* the shard lock, so concurrent misses on the same key may
     /// compute redundantly, but the first inserted value wins and all
     /// callers observe it.
-    pub fn get_or_insert_with(
-        &self,
-        coalition: &BTreeSet<usize>,
-        compute: impl FnOnce() -> V,
-    ) -> Arc<V> {
-        let key: Vec<usize> = coalition.iter().copied().collect();
-        let shard = &self.shards[Self::shard_of(&key)];
-        if let Some(hit) = shard.lock().get(&key) {
+    pub fn get_or_insert_with(&self, coalition: &[usize], compute: impl FnOnce() -> V) -> Arc<V> {
+        debug_assert!(
+            coalition.windows(2).all(|w| w[0] < w[1]),
+            "key must be sorted"
+        );
+        let shard = &self.shards[Self::shard_of(coalition)];
+        if let Some(hit) = shard.lock().get(coalition) {
             ccs_telemetry::counter!("cache.hits").incr();
             return Arc::clone(hit);
         }
         ccs_telemetry::counter!("cache.misses").incr();
         let value = Arc::new(compute());
         let mut guard = shard.lock();
-        Arc::clone(guard.entry(key).or_insert(value))
+        Arc::clone(guard.entry(coalition.to_vec()).or_insert(value))
     }
 
-    /// [`CoalitionCache::get_or_insert_with`] keyed directly by a sorted
-    /// member slice, so the hit path performs **no allocation at all** —
-    /// the engine's worklist probes price warm compositions this way. The
-    /// owned `Vec` key is only built on a miss, alongside the (much more
-    /// expensive) value computation.
-    pub fn get_or_insert_by_key(&self, key: &[usize], compute: impl FnOnce() -> V) -> Arc<V> {
-        debug_assert!(key.windows(2).all(|w| w[0] < w[1]), "key must be sorted");
-        let shard = &self.shards[Self::shard_of(key)];
-        if let Some(hit) = shard.lock().get(key) {
-            ccs_telemetry::counter!("cache.hits").incr();
-            return Arc::clone(hit);
-        }
-        ccs_telemetry::counter!("cache.misses").incr();
-        let value = Arc::new(compute());
-        let mut guard = shard.lock();
-        Arc::clone(guard.entry(key.to_vec()).or_insert(value))
-    }
-
-    /// Returns the memoized value for `coalition` without computing.
-    pub fn get(&self, coalition: &BTreeSet<usize>) -> Option<Arc<V>> {
-        let key: Vec<usize> = coalition.iter().copied().collect();
-        self.get_by_key(&key)
-    }
-
-    /// [`CoalitionCache::get`] for callers that already hold the sorted
-    /// member indices as a slice — no `BTreeSet` or key allocation needed
-    /// (the incremental-delta hint path probes `coalition ∖ {player}` this
-    /// way on every candidate move).
-    pub fn get_by_key(&self, key: &[usize]) -> Option<Arc<V>> {
-        debug_assert!(key.windows(2).all(|w| w[0] < w[1]), "key must be sorted");
-        self.shards[Self::shard_of(key)]
+    /// Returns the memoized value for `coalition` (a sorted member slice)
+    /// without computing. Not counted as a hit or miss.
+    pub fn get(&self, coalition: &[usize]) -> Option<Arc<V>> {
+        debug_assert!(
+            coalition.windows(2).all(|w| w[0] < w[1]),
+            "key must be sorted"
+        );
+        self.shards[Self::shard_of(coalition)]
             .lock()
-            .get(key)
+            .get(coalition)
             .map(Arc::clone)
     }
 
@@ -151,49 +130,21 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    fn set(indices: &[usize]) -> BTreeSet<usize> {
-        indices.iter().copied().collect()
-    }
-
     #[test]
     fn memoizes_per_composition() {
         let cache = CoalitionCache::new();
         let computes = AtomicUsize::new(0);
-        let eval = |c: &BTreeSet<usize>| {
+        let eval = |c: &[usize]| {
             cache.get_or_insert_with(c, || {
                 computes.fetch_add(1, Ordering::Relaxed);
                 c.len() * 10
             })
         };
-        assert_eq!(*eval(&set(&[0, 2])), 20);
-        assert_eq!(*eval(&set(&[0, 2])), 20);
-        assert_eq!(*eval(&set(&[1])), 10);
+        assert_eq!(*eval(&[0, 2]), 20);
+        assert_eq!(*eval(&[0, 2]), 20);
+        assert_eq!(*eval(&[1]), 10);
         assert_eq!(computes.load(Ordering::Relaxed), 2);
         assert_eq!(cache.len(), 2);
-    }
-
-    #[test]
-    fn by_key_and_by_set_share_entries() {
-        let cache = CoalitionCache::new();
-        let computes = AtomicUsize::new(0);
-        let v1 = cache.get_or_insert_by_key(&[1, 4, 6], || {
-            computes.fetch_add(1, Ordering::Relaxed);
-            11usize
-        });
-        assert_eq!(*v1, 11);
-        // The set-keyed API must hit the slice-keyed entry and vice versa.
-        let v2 = cache.get_or_insert_with(&set(&[1, 4, 6]), || {
-            computes.fetch_add(1, Ordering::Relaxed);
-            99
-        });
-        assert_eq!(*v2, 11);
-        let v3 = cache.get_or_insert_by_key(&[1, 4, 6], || {
-            computes.fetch_add(1, Ordering::Relaxed);
-            99
-        });
-        assert_eq!(*v3, 11);
-        assert_eq!(computes.load(Ordering::Relaxed), 1);
-        assert_eq!(cache.len(), 1);
     }
 
     #[test]
@@ -201,19 +152,19 @@ mod tests {
         let cache = CoalitionCache::new();
         for a in 0..10usize {
             for b in (a + 1)..10 {
-                cache.get_or_insert_with(&set(&[a, b]), || (a, b));
+                cache.get_or_insert_with(&[a, b], || (a, b));
             }
         }
         assert_eq!(cache.len(), 45);
-        assert_eq!(*cache.get(&set(&[3, 7])).unwrap(), (3, 7));
-        assert!(cache.get(&set(&[3, 7, 9])).is_none());
+        assert_eq!(*cache.get(&[3, 7]).unwrap(), (3, 7));
+        assert!(cache.get(&[3, 7, 9]).is_none());
     }
 
     #[test]
     fn clear_empties_every_shard() {
         let cache = CoalitionCache::new();
         for i in 0..100usize {
-            cache.get_or_insert_with(&set(&[i]), || i);
+            cache.get_or_insert_with(&[i], || i);
         }
         assert_eq!(cache.len(), 100);
         cache.clear();
@@ -228,7 +179,7 @@ mod tests {
                 let cache = &cache;
                 scope.spawn(move || {
                     for i in 0..200usize {
-                        let key = set(&[i % 50, 50 + (i + t) % 7]);
+                        let key = [i % 50, 50 + (i + t) % 7];
                         let value = cache.get_or_insert_with(&key, || key.len());
                         assert_eq!(*value, key.len());
                     }

@@ -56,7 +56,7 @@
 use crate::game::HedonicGame;
 use crate::partition::{CoalitionId, Partition};
 use crate::stability::is_nash_stable;
-use std::collections::{BTreeSet, HashSet};
+use std::collections::HashSet;
 
 /// How a player is allowed to deviate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -140,9 +140,8 @@ enum Move {
 
 /// Reusable buffers shared by every probe of a run — the allocation-free
 /// hot-loop pass. Candidate member lists live in one flat `slab` arena
-/// (each a sorted sub-slice) instead of per-candidate `BTreeSet`s, and the
-/// gain batch is written into a retained buffer via
-/// `ccs_par::par_eval_min_into`.
+/// (each a sorted sub-slice), and the gain batch is written into a
+/// retained buffer via `ccs_par::par_eval_min_into`.
 struct Scratch {
     /// Flat arena of candidate member lists, each sorted ascending.
     slab: Vec<usize>,
@@ -150,9 +149,8 @@ struct Scratch {
     cands: Vec<(Move, usize, usize)>,
     /// Per-candidate gains; `None` marks an inadmissible candidate.
     gains: Vec<Option<f64>>,
-    /// Sorted members of the probing player's current coalition.
-    from: Vec<usize>,
-    /// `from` minus the player (utilitarian residual).
+    /// The probing player's coalition minus the player (utilitarian
+    /// residual).
     residual: Vec<usize>,
     /// Changed-slot indices pending for an exact-mode partial probe.
     pending: Vec<usize>,
@@ -169,7 +167,6 @@ impl Scratch {
             slab: Vec::new(),
             cands: Vec::new(),
             gains: Vec::new(),
-            from: Vec::new(),
             residual: Vec::new(),
             pending: Vec::new(),
             slot_seen: vec![0; n],
@@ -366,8 +363,7 @@ pub fn run<G: HedonicGame>(
     let mut history: Vec<HashSet<Vec<usize>>> = vec![HashSet::new(); n];
     if options.rule == SwitchRule::SelfishWithHistory {
         for (p, visited) in history.iter_mut().enumerate() {
-            let members = key_of(partition.members(partition.coalition_of(p)));
-            visited.insert(members);
+            visited.insert(partition.members(partition.coalition_of(p)).to_vec());
         }
     }
 
@@ -459,7 +455,7 @@ pub fn run<G: HedonicGame>(
                     Move::Singleton => partition.move_to_singleton(player).1,
                 };
                 if options.rule == SwitchRule::SelfishWithHistory {
-                    history[player].insert(key_of(partition.members(target)));
+                    history[player].insert(partition.members(target).to_vec());
                 }
                 switches += 1;
                 any_switch = true;
@@ -511,10 +507,6 @@ pub fn run<G: HedonicGame>(
     }
 }
 
-fn key_of(members: &BTreeSet<usize>) -> Vec<usize> {
-    members.iter().copied().collect()
-}
-
 /// Collects into `scratch.pending` the deduplicated, ascending slot indices
 /// that changed since `player`'s last probe (its unread `changed_log`
 /// suffix), excluding its own slot and tombstones.
@@ -537,8 +529,8 @@ fn collect_pending(scratch: &mut Scratch, wl: &Worklist, player: usize, partitio
 }
 
 /// Appends `members ∪ {player}` to `slab` in ascending order and returns
-/// the range start. `player` must not be a member.
-fn push_joined(slab: &mut Vec<usize>, members: &BTreeSet<usize>, player: usize) -> usize {
+/// the range start. `members` must be sorted and must not contain `player`.
+pub(crate) fn push_joined(slab: &mut Vec<usize>, members: &[usize], player: usize) -> usize {
     let start = slab.len();
     let mut placed = false;
     for &q in members {
@@ -581,12 +573,9 @@ fn best_move<G: HedonicGame>(
     let attempts = ccs_telemetry::counter!("coalition.switch_ops_attempted");
     let from_id = partition.coalition_of(player);
     let from_members = partition.members(from_id);
-    let coalition_count = partition.num_coalitions();
 
-    scratch.from.clear();
-    scratch.from.extend(from_members.iter().copied());
     prefs.incr();
-    let current_cost = game.player_cost_sorted(player, &scratch.from);
+    let current_cost = game.player_cost(player, from_members);
 
     // Costs of the coalition left behind, before and after departure — only
     // the utilitarian rule reads these, so the selfish rules skip the
@@ -595,13 +584,12 @@ fn best_move<G: HedonicGame>(
         scratch.residual.clear();
         scratch
             .residual
-            .extend(scratch.from.iter().copied().filter(|&q| q != player));
-        let before = scratch
-            .from
+            .extend(from_members.iter().copied().filter(|&q| q != player));
+        let before = from_members
             .iter()
             .map(|&q| {
                 prefs.incr();
-                game.player_cost_sorted(q, &scratch.from)
+                game.player_cost(q, from_members)
             })
             .sum();
         let after = scratch
@@ -609,7 +597,7 @@ fn best_move<G: HedonicGame>(
             .iter()
             .map(|&q| {
                 prefs.incr();
-                game.player_cost_sorted(q, &scratch.residual)
+                game.player_cost(q, &scratch.residual)
             })
             .sum();
         (before, after)
@@ -715,11 +703,12 @@ fn best_move<G: HedonicGame>(
         // larger coalition, and only if the coalition budget allows one
         // more). Going solo is the individual-rationality fallback: it is
         // never blocked by history (see the module docs) and needs nobody's
-        // consent.
+        // consent. The coalition count is an O(slots) scan, so it is only
+        // taken for games that set a cap.
         if from_members.len() > 1
             && game
                 .max_coalitions()
-                .is_none_or(|cap| coalition_count < cap)
+                .is_none_or(|cap| partition.num_coalitions() < cap)
         {
             let start = scratch.slab.len();
             scratch.slab.push(player);
@@ -739,11 +728,11 @@ fn best_move<G: HedonicGame>(
     ccs_par::par_eval_min_into(cands.len(), 2, gains, |i| {
         let (mv, s, e) = cands[i];
         let joined = &slab[s..e];
-        if !game.coalition_feasible_sorted(joined) {
+        if !game.coalition_feasible(joined) {
             return None;
         }
         prefs.incr();
-        let new_cost = game.player_cost_sorted(player, joined);
+        let new_cost = game.player_cost(player, joined);
         match options.rule {
             SwitchRule::SelfishWithHistory => Some(current_cost - new_cost),
             SwitchRule::SelfishWithConsent => match mv {
@@ -753,7 +742,7 @@ fn best_move<G: HedonicGame>(
                     let harmed = members.iter().any(|&q| {
                         prefs.incr();
                         prefs.incr();
-                        game.player_cost_sorted(q, joined) > game.player_cost(q, members) + eps
+                        game.player_cost(q, joined) > game.player_cost(q, members) + eps
                     });
                     if harmed {
                         None
@@ -778,7 +767,7 @@ fn best_move<G: HedonicGame>(
                                 .iter()
                                 .map(|&q| {
                                     prefs.incr();
-                                    game.player_cost_sorted(q, joined)
+                                    game.player_cost(q, joined)
                                 })
                                 .sum::<f64>(),
                         )
@@ -920,7 +909,7 @@ mod tests {
             fn num_players(&self) -> usize {
                 self.0.num_players()
             }
-            fn player_cost(&self, p: usize, c: &BTreeSet<usize>) -> f64 {
+            fn player_cost(&self, p: usize, c: &[usize]) -> f64 {
                 self.0.player_cost(p, c)
             }
             fn max_coalitions(&self) -> Option<usize> {
@@ -965,7 +954,7 @@ mod tests {
             fn num_players(&self) -> usize {
                 2
             }
-            fn player_cost(&self, _p: usize, _c: &BTreeSet<usize>) -> f64 {
+            fn player_cost(&self, _p: usize, _c: &[usize]) -> f64 {
                 1e6 - self.0.fetch_add(1, Ordering::Relaxed) as f64
             }
         }
@@ -1014,10 +1003,10 @@ mod tests {
         fn num_players(&self) -> usize {
             self.0.num_players()
         }
-        fn player_cost(&self, p: usize, c: &BTreeSet<usize>) -> f64 {
+        fn player_cost(&self, p: usize, c: &[usize]) -> f64 {
             self.0.player_cost(p, c)
         }
-        fn coalition_feasible(&self, c: &BTreeSet<usize>) -> bool {
+        fn coalition_feasible(&self, c: &[usize]) -> bool {
             self.0.coalition_feasible(c)
         }
         fn neighbor_order(&self, player: usize, limit: usize, out: &mut Vec<usize>) -> bool {

@@ -4,8 +4,10 @@
 //! inside a given coalition (preferences are cost-minimizing), and which
 //! coalitions are admissible. The CCS core implements this trait with the
 //! comprehensive-cost model; the tests here use small synthetic games.
-
-use std::collections::BTreeSet;
+//!
+//! Every coalition crosses the trait as a **sorted slice** of member
+//! indices (strictly ascending, as [`Partition`](crate::partition::Partition)
+//! stores it), so games can key memos on it without copying.
 
 /// A cost-based hedonic coalition-formation game over players `{0, .., n-1}`.
 ///
@@ -20,49 +22,21 @@ pub trait HedonicGame: Sync {
     /// Number of players.
     fn num_players(&self) -> usize;
 
-    /// The cost player `player` pays as a member of `coalition`.
-    ///
-    /// `coalition` always contains `player`.
+    /// The cost player `player` pays as a member of `coalition`, a sorted
+    /// slice that always contains `player`.
     ///
     /// # Panics
     ///
     /// Implementations may panic if `player` is not in `coalition`.
-    fn player_cost(&self, player: usize, coalition: &BTreeSet<usize>) -> f64;
+    fn player_cost(&self, player: usize, coalition: &[usize]) -> f64;
 
-    /// [`player_cost`](HedonicGame::player_cost) for callers that hold the
-    /// coalition as a **sorted slice** of member indices instead of a set —
-    /// the engine's allocation-free probe path. Must return exactly the
-    /// same value as `player_cost` on the equivalent set. The default
-    /// materializes a temporary set; games with flat-key memos (the CCS
-    /// core) override it to skip every per-probe allocation.
-    fn player_cost_sorted(&self, player: usize, members: &[usize]) -> f64 {
-        debug_assert!(
-            members.windows(2).all(|w| w[0] < w[1]),
-            "members must be sorted and duplicate-free"
-        );
-        let coalition: BTreeSet<usize> = members.iter().copied().collect();
-        self.player_cost(player, &coalition)
-    }
-
-    /// Whether a coalition is admissible at all (e.g. within service
-    /// capacity). The engine never forms infeasible coalitions. Singletons
-    /// must always be feasible so every player has a fallback.
-    fn coalition_feasible(&self, coalition: &BTreeSet<usize>) -> bool {
+    /// Whether a coalition (a sorted slice) is admissible at all (e.g.
+    /// within service capacity). The engine never forms infeasible
+    /// coalitions. Singletons must always be feasible so every player has a
+    /// fallback.
+    fn coalition_feasible(&self, coalition: &[usize]) -> bool {
         let _ = coalition;
         true
-    }
-
-    /// [`coalition_feasible`](HedonicGame::coalition_feasible) on a sorted
-    /// member slice (see [`player_cost_sorted`](HedonicGame::player_cost_sorted)
-    /// for the contract). Must agree with `coalition_feasible` on the
-    /// equivalent set.
-    fn coalition_feasible_sorted(&self, members: &[usize]) -> bool {
-        debug_assert!(
-            members.windows(2).all(|w| w[0] < w[1]),
-            "members must be sorted and duplicate-free"
-        );
-        let coalition: BTreeSet<usize> = members.iter().copied().collect();
-        self.coalition_feasible(&coalition)
     }
 
     /// Optional cap on the number of coalitions (e.g. available chargers).
@@ -86,7 +60,7 @@ pub trait HedonicGame: Sync {
     /// Total social cost of a coalition structure: sum of all player costs.
     fn social_cost<'a, I>(&self, coalitions: I) -> f64
     where
-        I: IntoIterator<Item = &'a BTreeSet<usize>>,
+        I: IntoIterator<Item = &'a [usize]>,
     {
         coalitions
             .into_iter()
@@ -99,17 +73,11 @@ impl<G: HedonicGame + ?Sized> HedonicGame for &G {
     fn num_players(&self) -> usize {
         (**self).num_players()
     }
-    fn player_cost(&self, player: usize, coalition: &BTreeSet<usize>) -> f64 {
+    fn player_cost(&self, player: usize, coalition: &[usize]) -> f64 {
         (**self).player_cost(player, coalition)
     }
-    fn player_cost_sorted(&self, player: usize, members: &[usize]) -> f64 {
-        (**self).player_cost_sorted(player, members)
-    }
-    fn coalition_feasible(&self, coalition: &BTreeSet<usize>) -> bool {
+    fn coalition_feasible(&self, coalition: &[usize]) -> bool {
         (**self).coalition_feasible(coalition)
-    }
-    fn coalition_feasible_sorted(&self, members: &[usize]) -> bool {
-        (**self).coalition_feasible_sorted(members)
     }
     fn max_coalitions(&self) -> Option<usize> {
         (**self).max_coalitions()
@@ -161,7 +129,7 @@ impl HedonicGame for FeeSharingGame {
         self.distance.len()
     }
 
-    fn player_cost(&self, player: usize, coalition: &BTreeSet<usize>) -> f64 {
+    fn player_cost(&self, player: usize, coalition: &[usize]) -> f64 {
         assert!(coalition.contains(&player), "player must be a member");
         let share = self.fee / coalition.len() as f64;
         // Distance to the coalition "center": the member minimizing total
@@ -178,7 +146,7 @@ impl HedonicGame for FeeSharingGame {
         share + self.distance[player][center]
     }
 
-    fn coalition_feasible(&self, coalition: &BTreeSet<usize>) -> bool {
+    fn coalition_feasible(&self, coalition: &[usize]) -> bool {
         coalition.len() <= self.max_size
     }
 }
@@ -200,14 +168,13 @@ mod tests {
     #[test]
     fn singleton_pays_full_fee() {
         let g = line_game(6.0, 4);
-        let solo = BTreeSet::from([2]);
-        assert_eq!(g.player_cost(2, &solo), 6.0);
+        assert_eq!(g.player_cost(2, &[2]), 6.0);
     }
 
     #[test]
     fn sharing_reduces_fee_share() {
         let g = line_game(6.0, 4);
-        let pair = BTreeSet::from([0, 1]);
+        let pair = [0, 1];
         // center is player 0 or 1 (tie on total distance 1.0 → index 0).
         assert_eq!(g.player_cost(0, &pair), 3.0);
         assert_eq!(g.player_cost(1, &pair), 4.0);
@@ -216,20 +183,19 @@ mod tests {
     #[test]
     fn feasibility_caps_size() {
         let g = line_game(6.0, 2);
-        assert!(g.coalition_feasible(&BTreeSet::from([0, 1])));
-        assert!(!g.coalition_feasible(&BTreeSet::from([0, 1, 2])));
+        assert!(g.coalition_feasible(&[0, 1]));
+        assert!(!g.coalition_feasible(&[0, 1, 2]));
     }
 
     #[test]
     fn social_cost_sums_members() {
         let g = line_game(6.0, 4);
-        let c1 = BTreeSet::from([0, 1]);
-        let c2 = BTreeSet::from([2, 3]);
-        let total = g.social_cost([&c1, &c2]);
-        let manual = g.player_cost(0, &c1)
-            + g.player_cost(1, &c1)
-            + g.player_cost(2, &c2)
-            + g.player_cost(3, &c2);
+        let (c1, c2): (&[usize], &[usize]) = (&[0, 1], &[2, 3]);
+        let total = g.social_cost([c1, c2]);
+        let manual = g.player_cost(0, c1)
+            + g.player_cost(1, c1)
+            + g.player_cost(2, c2)
+            + g.player_cost(3, c2);
         assert!((total - manual).abs() < 1e-12);
     }
 
@@ -237,7 +203,6 @@ mod tests {
     #[should_panic(expected = "player must be a member")]
     fn cost_requires_membership() {
         let g = line_game(6.0, 4);
-        let c = BTreeSet::from([0, 1]);
-        let _ = g.player_cost(3, &c);
+        let _ = g.player_cost(3, &[0, 1]);
     }
 }

@@ -1,8 +1,10 @@
 //! Partitions of a player set into coalitions.
 //!
 //! A [`Partition`] keeps a two-way mapping — player → coalition and
-//! coalition → member set — with every player in exactly one coalition at
-//! all times. Coalition ids are stable handles; emptied coalitions are kept
+//! coalition → member list — with every player in exactly one coalition at
+//! all times. Each member list is a strictly ascending `Vec<usize>`, so a
+//! coalition is handed out as a sorted slice that doubles as its cache and
+//! history key. Coalition ids are stable handles; emptied coalitions are kept
 //! as tombstones and skipped by iteration, so ids never dangle during a
 //! coalition-formation run.
 //!
@@ -19,7 +21,6 @@
 //! assert_eq!(p.members(target).len(), 2);
 //! ```
 
-use std::collections::BTreeSet;
 use std::fmt;
 
 /// Stable handle of a coalition inside one [`Partition`].
@@ -44,8 +45,8 @@ impl fmt::Display for CoalitionId {
 pub struct Partition {
     /// Coalition slot of each player.
     assignment: Vec<usize>,
-    /// Member sets per slot; empty slots are tombstones.
-    slots: Vec<BTreeSet<usize>>,
+    /// Strictly ascending member lists per slot; empty slots are tombstones.
+    slots: Vec<Vec<usize>>,
 }
 
 impl Partition {
@@ -58,7 +59,7 @@ impl Partition {
         assert!(n > 0, "partition needs at least one player");
         Partition {
             assignment: (0..n).collect(),
-            slots: (0..n).map(|i| BTreeSet::from([i])).collect(),
+            slots: (0..n).map(|i| vec![i]).collect(),
         }
     }
 
@@ -87,7 +88,6 @@ impl Partition {
         let mut slots = Vec::with_capacity(groups.len());
         for (slot, group) in groups.iter().enumerate() {
             assert!(!group.is_empty(), "group {slot} is empty");
-            let mut members = BTreeSet::new();
             for &p in group {
                 assert!(p < n, "player {p} out of range");
                 assert!(
@@ -95,8 +95,9 @@ impl Partition {
                     "player {p} appears in more than one group"
                 );
                 assignment[p] = slot;
-                members.insert(p);
             }
+            let mut members = group.clone();
+            members.sort_unstable();
             slots.push(members);
         }
         assert!(
@@ -145,22 +146,23 @@ impl Partition {
         CoalitionId(self.assignment[player])
     }
 
-    /// Member set of a coalition (empty for tombstoned slots).
+    /// Members of a coalition, strictly ascending (empty for tombstoned
+    /// slots).
     ///
     /// # Panics
     ///
     /// Panics if the id does not belong to this partition.
-    pub fn members(&self, id: CoalitionId) -> &BTreeSet<usize> {
+    pub fn members(&self, id: CoalitionId) -> &[usize] {
         &self.slots[id.0]
     }
 
     /// Iterator over the nonempty coalitions as `(id, members)`.
-    pub fn coalitions(&self) -> impl Iterator<Item = (CoalitionId, &BTreeSet<usize>)> {
+    pub fn coalitions(&self) -> impl Iterator<Item = (CoalitionId, &[usize])> {
         self.slots
             .iter()
             .enumerate()
             .filter(|(_, s)| !s.is_empty())
-            .map(|(i, s)| (CoalitionId(i), s))
+            .map(|(i, s)| (CoalitionId(i), s.as_slice()))
     }
 
     /// Moves a player into an existing coalition. No-op if already there.
@@ -180,8 +182,10 @@ impl Partition {
             !self.slots[target.0].is_empty(),
             "cannot join tombstoned coalition {target}"
         );
-        self.slots[from.0].remove(&player);
-        self.slots[target.0].insert(player);
+        remove_member(&mut self.slots[from.0], player);
+        let to = &mut self.slots[target.0];
+        let at = to.binary_search(&player).unwrap_err();
+        to.insert(at, player);
         self.assignment[player] = target.0;
         from
     }
@@ -195,15 +199,15 @@ impl Partition {
         if self.slots[from.0].len() == 1 {
             return (from, from);
         }
-        self.slots[from.0].remove(&player);
+        remove_member(&mut self.slots[from.0], player);
         // Reuse a tombstone slot if any, else push.
         let slot = match self.slots.iter().position(|s| s.is_empty()) {
             Some(i) => {
-                self.slots[i].insert(player);
+                self.slots[i].push(player);
                 i
             }
             None => {
-                self.slots.push(BTreeSet::from([player]));
+                self.slots.push(vec![player]);
                 self.slots.len() - 1
             }
         };
@@ -218,18 +222,22 @@ impl Partition {
     pub fn canonical(&self) -> Vec<Vec<usize>> {
         let mut groups: Vec<Vec<usize>> = self
             .coalitions()
-            .map(|(_, members)| members.iter().copied().collect())
+            .map(|(_, members)| members.to_vec())
             .collect();
         groups.sort();
         groups
     }
 
-    /// Checks internal consistency (every player in exactly the slot its
-    /// assignment claims). Intended for `debug_assert!` and tests.
+    /// Checks internal consistency (every slot strictly ascending, every
+    /// player in exactly the slot its assignment claims). Intended for
+    /// `debug_assert!` and tests.
     pub fn is_consistent(&self) -> bool {
         let n = self.num_players();
         let mut seen = vec![false; n];
         for (slot, members) in self.slots.iter().enumerate() {
+            if members.windows(2).any(|w| w[0] >= w[1]) {
+                return false;
+            }
             for &p in members {
                 if p >= n || seen[p] || self.assignment[p] != slot {
                     return false;
@@ -239,6 +247,14 @@ impl Partition {
         }
         seen.into_iter().all(|s| s)
     }
+}
+
+/// Removes `player` from a sorted member list, keeping it sorted.
+fn remove_member(members: &mut Vec<usize>, player: usize) {
+    let at = members
+        .binary_search(&player)
+        .expect("player is a member of its assigned slot");
+    members.remove(at);
 }
 
 impl fmt::Display for Partition {
@@ -305,10 +321,7 @@ mod tests {
         let from = p.move_to_coalition(0, target);
         assert_eq!(from, CoalitionId(0));
         assert_eq!(p.coalition_of(0), target);
-        assert_eq!(
-            p.members(target).iter().copied().collect::<Vec<_>>(),
-            vec![0, 3]
-        );
+        assert_eq!(p.members(target), [0, 3]);
         assert!(p.members(from).is_empty(), "old slot is a tombstone");
         assert_eq!(p.num_coalitions(), 3);
         assert!(p.is_consistent());
@@ -332,7 +345,7 @@ mod tests {
         let mut p = Partition::grand_coalition(3);
         let slots_before = 1;
         let (_, s1) = p.move_to_singleton(0);
-        assert_eq!(p.members(s1).iter().copied().collect::<Vec<_>>(), vec![0]);
+        assert_eq!(p.members(s1), [0]);
         assert_eq!(p.num_coalitions(), 2);
         // Already a singleton: no-op.
         let (a, b) = p.move_to_singleton(0);

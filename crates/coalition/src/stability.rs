@@ -7,9 +7,9 @@
 //! (it ignores switch histories and consent), so a `true` answer certifies a
 //! pure Nash equilibrium of the underlying game.
 
+use crate::engine::push_joined;
 use crate::game::HedonicGame;
 use crate::partition::{CoalitionId, Partition};
-use std::collections::BTreeSet;
 
 /// A deviation that would strictly benefit a player.
 #[derive(Debug, Clone, PartialEq)]
@@ -33,6 +33,7 @@ pub fn find_blocking_move<G: HedonicGame>(
 ) -> Option<BlockingMove> {
     let n = game.num_players();
     let coalition_count = partition.num_coalitions();
+    let mut joined: Vec<usize> = Vec::new();
     for player in 0..n {
         let from_id = partition.coalition_of(player);
         let from_members = partition.members(from_id);
@@ -42,8 +43,8 @@ pub fn find_blocking_move<G: HedonicGame>(
             if id == from_id {
                 continue;
             }
-            let mut joined: BTreeSet<usize> = members.clone();
-            joined.insert(player);
+            joined.clear();
+            push_joined(&mut joined, members, player);
             if !game.coalition_feasible(&joined) {
                 continue;
             }
@@ -63,7 +64,7 @@ pub fn find_blocking_move<G: HedonicGame>(
                 .max_coalitions()
                 .is_none_or(|cap| coalition_count < cap)
         {
-            let solo = BTreeSet::from([player]);
+            let solo = [player];
             if game.coalition_feasible(&solo) {
                 let new_cost = game.player_cost(player, &solo);
                 if new_cost < current_cost - epsilon {

@@ -59,7 +59,7 @@ proptest! {
         for player in 0..n {
             let members = report.partition.members(report.partition.coalition_of(player));
             let current = game.player_cost(player, members);
-            let solo = game.player_cost(player, &std::collections::BTreeSet::from([player]));
+            let solo = game.player_cost(player, &[player]);
             prop_assert!(
                 current <= solo + 1e-9,
                 "player {player} pays {current} but solo costs {solo} in {}",

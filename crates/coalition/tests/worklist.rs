@@ -2,7 +2,6 @@
 //! reference full scan across rules, shortlist caps and thread counts, and
 //! a regression test that provably quiescent players are never probed.
 
-use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -46,12 +45,12 @@ impl HedonicGame for Spatial {
         self.inner.num_players()
     }
 
-    fn player_cost(&self, player: usize, coalition: &BTreeSet<usize>) -> f64 {
+    fn player_cost(&self, player: usize, coalition: &[usize]) -> f64 {
         self.evals[player].fetch_add(1, Ordering::Relaxed);
         self.inner.player_cost(player, coalition)
     }
 
-    fn coalition_feasible(&self, coalition: &BTreeSet<usize>) -> bool {
+    fn coalition_feasible(&self, coalition: &[usize]) -> bool {
         self.inner.coalition_feasible(coalition)
     }
 

@@ -29,10 +29,7 @@
 //! schemes are designed to sustain.
 
 use crate::algo::noncoop::solo_cost;
-use crate::cost::{
-    best_facility, evaluate_facility, join_upper_bound, leave_upper_bound,
-    try_best_facility_with_upper, FacilityChoice,
-};
+use crate::cost::{best_facility, evaluate_facility, try_best_facility_anchored, FacilityChoice};
 use crate::gathering::gathering_point;
 use crate::grid::UniformGrid;
 use crate::problem::CcsProblem;
@@ -755,14 +752,12 @@ fn refine(
 /// strictly decreases a bounded-below total, and the loop is additionally
 /// capped, so it terminates.
 ///
-/// Facility pricing dominates the runtime, so two kernel fast paths feed
-/// the memo: each scan snapshots every group's current facility evaluation
-/// once, and each candidate "member leaves src" / "member joins dst" set is
-/// priced through [`try_best_facility_with_upper`] seeded with the
-/// [`DeltaEval`]-style bound at the snapshot facility
-/// ([`leave_upper_bound`] / [`join_upper_bound`]) — pruning most chargers
-/// before any Weiszfeld solve while returning bitwise the unseeded scan's
-/// choice.
+/// Facility pricing dominates the runtime, so each candidate "member
+/// leaves src" / "member joins dst" set is priced through
+/// [`try_best_facility_anchored`], anchored at that group's current
+/// charger — the warm start CCSGA's cache misses take too. The anchor's
+/// achieved cost prunes most other chargers before any Weiszfeld solve,
+/// and the choice is bitwise the unanchored scan's.
 fn local_improvement(problem: &CcsProblem, groups: &mut Vec<(ChargerId, Point, Vec<DeviceId>)>) {
     const MAX_MOVES: usize = 1_000;
     let eps = 1e-9;
@@ -771,13 +766,13 @@ fn local_improvement(problem: &CcsProblem, groups: &mut Vec<(ChargerId, Point, V
     let mut memo: HashMap<Vec<DeviceId>, FacilityChoice> = HashMap::new();
     let priced = |memo: &mut HashMap<Vec<DeviceId>, FacilityChoice>,
                   sorted: &[DeviceId],
-                  ub: Option<Cost>|
+                  anchor: Option<ChargerId>|
      -> FacilityChoice {
         if let Some(hit) = memo.get(sorted) {
             return hit.clone();
         }
-        let f = match ub {
-            Some(ub) => try_best_facility_with_upper(problem, sorted, ub)
+        let f = match anchor {
+            Some(c) => try_best_facility_anchored(problem, sorted, c)
                 .expect("no charger's energy budget covers this group's demand"),
             None => best_facility(problem, sorted),
         };
@@ -796,23 +791,8 @@ fn local_improvement(problem: &CcsProblem, groups: &mut Vec<(ChargerId, Point, V
         .collect();
 
     for _ in 0..MAX_MOVES {
-        // Snapshot each group's current facility evaluation (sorted member
-        // list + choice); the per-candidate upper bounds below are deltas
-        // off these.
-        let snaps: Vec<Option<(Vec<DeviceId>, FacilityChoice)>> = groups
-            .iter()
-            .map(|(c, p, members)| {
-                if members.is_empty() {
-                    return None;
-                }
-                let mut sorted = members.clone();
-                sorted.sort();
-                let choice = evaluate_facility(problem, *c, &sorted, *p);
-                Some((sorted, choice))
-            })
-            .collect();
         let mut best: Option<(usize, usize, Option<usize>, f64)> = None; // (src, local, dst, gain)
-        for (src, (_, _, members)) in groups.iter().enumerate() {
+        for (src, &(src_charger, _, ref members)) in groups.iter().enumerate() {
             if members.is_empty() {
                 continue;
             }
@@ -824,10 +804,9 @@ fn local_improvement(problem: &CcsProblem, groups: &mut Vec<(ChargerId, Point, V
                 let residual_cost = if residual.is_empty() {
                     0.0
                 } else {
-                    let ub = snaps[src]
-                        .as_ref()
-                        .and_then(|(s, choice)| leave_upper_bound(problem, s, choice, d));
-                    priced(&mut memo, &residual, ub).group_cost().value()
+                    priced(&mut memo, &residual, Some(src_charger))
+                        .group_cost()
+                        .value()
                 };
                 // Destination: every other group, or a fresh singleton.
                 for dst in 0..=groups.len() {
@@ -835,21 +814,20 @@ fn local_improvement(problem: &CcsProblem, groups: &mut Vec<(ChargerId, Point, V
                         continue;
                     }
                     let (joined_cost, old_dst_cost, dst_key) = if dst < groups.len() {
-                        let (_, _, dst_members) = &groups[dst];
+                        let (dst_charger, _, dst_members) = &groups[dst];
                         if dst_members.is_empty() || !problem.group_size_ok(dst_members.len() + 1) {
                             continue;
                         }
                         let mut joined = dst_members.clone();
                         joined.push(d);
                         joined.sort();
-                        if !problem.feasible_group(&joined) {
+                        if !problem.feasible_group(joined.iter().copied()) {
                             continue; // no charger's budget covers the merge
                         }
-                        let ub = snaps[dst]
-                            .as_ref()
-                            .and_then(|(s, choice)| join_upper_bound(problem, s, choice, d));
                         (
-                            priced(&mut memo, &joined, ub).group_cost().value(),
+                            priced(&mut memo, &joined, Some(*dst_charger))
+                                .group_cost()
+                                .value(),
                             cost_of[dst],
                             Some(dst),
                         )

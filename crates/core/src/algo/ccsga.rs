@@ -24,7 +24,7 @@ use ccs_coalition::cache::CoalitionCache;
 use ccs_coalition::engine::{run, EngineOptions, SwitchRule};
 use ccs_coalition::game::HedonicGame;
 use ccs_coalition::partition::Partition;
-use std::collections::BTreeSet;
+use ccs_wrsn::entities::DeviceId;
 use std::sync::Arc;
 
 /// Where the game dynamics start.
@@ -60,11 +60,6 @@ pub struct CcsgaOptions {
     /// where the audit dwarfs the dynamics. When off,
     /// [`CcsgaOutcome::nash_stable`] reads `false` ("not verified").
     pub check_stability: bool,
-    /// Whether the engine runs its activity-driven worklist (skip players
-    /// no switch could have affected — see `ccs_coalition::engine`).
-    /// Default `true`; the trajectory is bit-identical either way, so this
-    /// knob exists for the equivalence tests and as an escape hatch.
-    pub worklist: bool,
 }
 
 impl Default for CcsgaOptions {
@@ -76,7 +71,6 @@ impl Default for CcsgaOptions {
             epsilon: 1e-9,
             neighbor_cap: 0,
             check_stability: true,
-            worklist: true,
         }
     }
 }
@@ -123,31 +117,14 @@ impl<'a> CcsGame<'a> {
         }
     }
 
-    fn evaluate(&self, coalition: &BTreeSet<usize>) -> Arc<CachedCoalition> {
-        self.evaluate_hinted(coalition, None)
-    }
-
-    /// Evaluates a coalition, optionally knowing that `newcomer` is the
-    /// member that was just added to an existing composition. On a cache
-    /// miss, the cached base coalition's charger anchors the pruned scan
-    /// (see [`price`](Self::price)); the cached result is bitwise
-    /// independent of whether a hint was available.
-    fn evaluate_hinted(
-        &self,
-        coalition: &BTreeSet<usize>,
-        newcomer: Option<usize>,
-    ) -> Arc<CachedCoalition> {
-        let key: Vec<usize> = coalition.iter().copied().collect();
+    /// Evaluates a coalition (a sorted member slice) through the memo, so
+    /// a warm composition costs one sharded hash lookup and nothing else.
+    /// `newcomer` names the member that was just added to an existing
+    /// composition, if any; see [`price`](Self::price) for how it anchors
+    /// a miss. The cached result is bitwise independent of the hint.
+    fn evaluate(&self, members: &[usize], newcomer: Option<usize>) -> Arc<CachedCoalition> {
         self.cache
-            .get_or_insert_by_key(&key, || self.price(&key, newcomer))
-    }
-
-    /// [`evaluate_hinted`](Self::evaluate_hinted) keyed by a sorted member
-    /// slice: the engine's allocation-free probe path. A warm composition
-    /// costs one sharded hash lookup and nothing else.
-    fn evaluate_sorted(&self, members: &[usize], newcomer: Option<usize>) -> Arc<CachedCoalition> {
-        self.cache
-            .get_or_insert_by_key(members, || self.price(members, newcomer))
+            .get_or_insert_with(members, || self.price(members, newcomer))
     }
 
     /// Prices a composition from scratch (the cache-miss path). On a miss,
@@ -157,16 +134,13 @@ impl<'a> CcsGame<'a> {
     /// The result is bitwise independent of whether a hint was available
     /// (see [`try_best_facility_anchored`]).
     fn price(&self, key: &[usize], newcomer: Option<usize>) -> CachedCoalition {
-        let members: Vec<ccs_wrsn::entities::DeviceId> = key
-            .iter()
-            .map(|&i| ccs_wrsn::entities::DeviceId::new(i as u32))
-            .collect();
+        let members: Vec<DeviceId> = key.iter().map(|&i| DeviceId::new(i as u32)).collect();
         let anchor = newcomer.and_then(|p| {
             let base_key: Vec<usize> = key.iter().copied().filter(|&q| q != p).collect();
             if base_key.is_empty() {
                 return None;
             }
-            Some(self.cache.get_by_key(&base_key)?.facility.charger)
+            Some(self.cache.get(&base_key)?.facility.charger)
         });
         let facility = match anchor {
             Some(c) => try_best_facility_anchored(self.problem, &members, c)
@@ -189,58 +163,20 @@ impl HedonicGame for CcsGame<'_> {
         self.problem.num_devices()
     }
 
-    fn player_cost(&self, player: usize, coalition: &BTreeSet<usize>) -> f64 {
-        assert!(coalition.contains(&player), "player must be a member");
-        let cached = self.evaluate_hinted(coalition, Some(player));
+    /// On a warm composition this is one sharded hash lookup plus a binary
+    /// search — no key `Vec`, no `DeviceId` buffer.
+    fn player_cost(&self, player: usize, coalition: &[usize]) -> f64 {
+        let cached = self.evaluate(coalition, Some(player));
         let idx = coalition
-            .iter()
-            .position(|&p| p == player)
-            .expect("membership checked above");
-        (cached.shares[idx] + cached.facility.moving[idx]).value()
-    }
-
-    /// Allocation-free probe path: on a warm composition this is one
-    /// sharded hash lookup plus a binary search — no `BTreeSet`, no key
-    /// `Vec`, no `DeviceId` buffer.
-    fn player_cost_sorted(&self, player: usize, members: &[usize]) -> f64 {
-        let cached = self.evaluate_sorted(members, Some(player));
-        let idx = members
             .binary_search(&player)
             .expect("player must be a member");
         (cached.shares[idx] + cached.facility.moving[idx]).value()
     }
 
-    fn coalition_feasible(&self, coalition: &BTreeSet<usize>) -> bool {
-        if !self.problem.group_size_ok(coalition.len()) {
-            return false;
-        }
-        let members: Vec<ccs_wrsn::entities::DeviceId> = coalition
-            .iter()
-            .map(|&i| ccs_wrsn::entities::DeviceId::new(i as u32))
-            .collect();
-        self.problem.feasible_group(&members)
-    }
-
-    /// Same admissibility rule as [`coalition_feasible`](HedonicGame::coalition_feasible)
-    /// — size cap plus "some charger's budget covers the summed demand" —
-    /// but summing straight off the index slice, with no `DeviceId` buffer.
-    fn coalition_feasible_sorted(&self, members: &[usize]) -> bool {
-        if !self.problem.group_size_ok(members.len()) {
-            return false;
-        }
-        let demand: ccs_wrsn::units::Joules = members
-            .iter()
-            .map(|&i| {
-                self.problem
-                    .device(ccs_wrsn::entities::DeviceId::new(i as u32))
-                    .demand()
-            })
-            .sum();
+    /// [`CcsProblem::feasible_group`] straight off the index slice.
+    fn coalition_feasible(&self, coalition: &[usize]) -> bool {
         self.problem
-            .scenario()
-            .chargers()
-            .iter()
-            .any(|c| c.can_deliver(demand))
+            .feasible_group(coalition.iter().map(|&i| DeviceId::new(i as u32)))
     }
 
     /// Nearest devices first, from the precomputed device grid: rings are
@@ -256,7 +192,7 @@ impl HedonicGame for CcsGame<'_> {
         if tables.cached_neighbor_order(player as u32, limit as u32, out) {
             return true;
         }
-        let pos = |id: u32| tables.device_position(ccs_wrsn::entities::DeviceId::new(id));
+        let pos = |id: u32| tables.device_position(DeviceId::new(id));
         let from = pos(player as u32);
         let by_distance_then_id =
             |a: &(f64, u32), b: &(f64, u32)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1));
@@ -328,7 +264,7 @@ pub fn ccsga(
             epsilon: options.epsilon,
             shortlist_cap: options.neighbor_cap,
             check_stability: options.check_stability,
-            worklist: options.worklist,
+            ..EngineOptions::default()
         },
     );
 
@@ -338,13 +274,10 @@ pub fn ccsga(
         .partition
         .coalitions()
         .map(|(_, members)| {
-            let ids: Vec<ccs_wrsn::entities::DeviceId> = members
-                .iter()
-                .map(|&i| ccs_wrsn::entities::DeviceId::new(i as u32))
-                .collect();
+            let ids: Vec<DeviceId> = members.iter().map(|&i| DeviceId::new(i as u32)).collect();
             // Every final coalition was priced during the dynamics — reuse
             // the memo instead of re-running the charger scan.
-            let facility = game.evaluate(members).facility.clone();
+            let facility = game.evaluate(members, None).facility.clone();
             GroupPlan::from_facility(problem, ids, facility, sharing)
         })
         .collect();

@@ -88,7 +88,7 @@ pub fn clustering(
 /// singletons are feasible (validated at problem construction) and every
 /// split strictly shrinks the pieces.
 fn split_to_feasible(problem: &CcsProblem, cluster: Vec<DeviceId>, out: &mut Vec<Vec<DeviceId>>) {
-    if problem.feasible_group(&cluster) {
+    if problem.feasible_group(cluster.iter().copied()) {
         out.push(cluster);
         return;
     }

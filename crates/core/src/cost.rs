@@ -460,18 +460,22 @@ fn facility_scan_grid_from(
 /// ring machinery only pays off once there are enough chargers to skip.
 const GRID_MIN_CHARGERS: usize = 64;
 
-/// Strategy dispatch behind [`try_best_facility`]: both strategies return
-/// the bitwise-identical argmin (pinned by the `fastpath_grid` proptests),
-/// so the cutoff is purely a performance choice.
+/// Strategy dispatch behind [`try_best_facility`] and
+/// [`try_best_facility_anchored`], continuing from an incumbent `best` at
+/// `best_cost` (`None` at infinity), which also seeds the pruning
+/// threshold. Both strategies return the bitwise-identical argmin (pinned
+/// by the `fastpath_grid` proptests), so the cutoff is purely a
+/// performance choice.
 fn pruned_facility_scan(
     problem: &CcsProblem,
     members: &[DeviceId],
-    threshold: f64,
+    best: Option<FacilityChoice>,
+    best_cost: f64,
 ) -> Option<FacilityChoice> {
     if problem.tables().num_chargers() >= GRID_MIN_CHARGERS {
-        facility_scan_grid(problem, members, threshold)
+        facility_scan_grid_from(problem, members, best, best_cost, best_cost)
     } else {
-        facility_scan_full(problem, members, threshold)
+        facility_scan_full_from(problem, members, best, best_cost, best_cost)
     }
 }
 
@@ -488,36 +492,19 @@ fn pruned_facility_scan(
 /// singletons: problem construction validates them).
 pub fn try_best_facility(problem: &CcsProblem, members: &[DeviceId]) -> Option<FacilityChoice> {
     assert!(!members.is_empty(), "a group needs at least one member");
-    pruned_facility_scan(problem, members, f64::INFINITY)
-}
-
-/// [`try_best_facility`] seeded with an upper bound `ub` on the best group
-/// cost — typically a [`DeltaEval`] of the member set at a known-feasible
-/// facility. The bound lets the scan prune chargers before any evaluation;
-/// if it turns out unachievable (the fresh gathering points all cost more
-/// than `ub`, possible because Weiszfeld is approximate), the scan is redone
-/// unseeded, so the result is always exactly [`try_best_facility`]'s.
-pub fn try_best_facility_with_upper(
-    problem: &CcsProblem,
-    members: &[DeviceId],
-    ub: Cost,
-) -> Option<FacilityChoice> {
-    assert!(!members.is_empty(), "a group needs at least one member");
-    let seeded = pruned_facility_scan(problem, members, ub.value());
-    match seeded {
-        Some(choice) if choice.group_cost() <= ub => Some(choice),
-        _ => pruned_facility_scan(problem, members, f64::INFINITY),
-    }
+    pruned_facility_scan(problem, members, None, f64::INFINITY)
 }
 
 /// [`try_best_facility`] that evaluates `anchor` — a charger a caller has
-/// reason to believe is the winner, e.g. the base coalition's choice when
-/// probing one member's join — before the ordered scan. The anchor's
-/// *achieved* cost (unlike `try_best_facility_with_upper`'s hypothetical
-/// bound) is a valid threshold from the first ring, so the scan prunes as
-/// hard as possible and never needs an unseeded redo. Bitwise identical to
-/// [`try_best_facility`]: pruning compares against an achieved cost and
-/// the `(group_cost, charger id)` order is visit-order independent.
+/// reason to believe is the winner, e.g. the charger of the group this set
+/// differs from by one member — before the ordered scan. This is the one
+/// warm start for re-pricing a group: CCSGA's cache misses and CCSA's
+/// local-improvement moves both take it. The anchor's *achieved* cost is a
+/// valid threshold from the first ring, so the scan prunes as hard as
+/// possible; an anchor whose budget cannot cover the group is skipped.
+/// Bitwise identical to [`try_best_facility`] for every anchor (pinned by
+/// the `fastpath` proptests): pruning compares against an achieved cost
+/// and the `(group_cost, charger id)` order is visit-order independent.
 pub fn try_best_facility_anchored(
     problem: &CcsProblem,
     members: &[DeviceId],
@@ -537,11 +524,7 @@ pub fn try_best_facility_anchored(
             &mut threshold,
         );
     }
-    if problem.tables().num_chargers() >= GRID_MIN_CHARGERS {
-        facility_scan_grid_from(problem, members, best, best_cost, threshold)
-    } else {
-        facility_scan_full_from(problem, members, best, best_cost, threshold)
-    }
+    pruned_facility_scan(problem, members, best, best_cost)
 }
 
 /// Like [`try_best_facility`], for callers that have already established
@@ -553,183 +536,6 @@ pub fn try_best_facility_anchored(
 pub fn best_facility(problem: &CcsProblem, members: &[DeviceId]) -> FacilityChoice {
     try_best_facility(problem, members)
         .expect("no charger's energy budget covers this group's demand")
-}
-
-/// An incrementally maintained facility evaluation at a **fixed**
-/// `(charger, point)`: one member joining or leaving costs O(log k) list
-/// surgery plus one energy-table lookup and one distance — the congestion
-/// term is a table lookup at materialization time.
-///
-/// The invariant (debug-asserted in [`DeltaEval::choice`], pinned by a
-/// proptest) is that materializing after any join/leave sequence is
-/// **bit-identical** to [`evaluate_facility`] from scratch on the resulting
-/// member set: entries are kept aligned with the sorted member list and all
-/// sums re-run over the vectors in the same order, so no floating-point
-/// reassociation can creep in.
-///
-/// This powers the coalition engine's best-response scan: the cost of a
-/// candidate move at the coalition's *current* facility is a delta, and the
-/// full charger scan ([`try_best_facility_with_upper`]) runs with that value
-/// as its pruning bound — falling back to an unseeded scan only when the
-/// facility choice actually changes.
-#[derive(Debug, Clone)]
-pub struct DeltaEval {
-    charger: ChargerId,
-    point: Point,
-    base_fee: Cost,
-    charger_travel: Cost,
-    members: Vec<DeviceId>,
-    energy: Vec<Cost>,
-    moving: Vec<Cost>,
-}
-
-impl DeltaEval {
-    /// Adopts an already-evaluated facility for `members` (aligned with the
-    /// choice's `energy`/`moving` vectors, ascending by device id).
-    pub fn new(members: &[DeviceId], choice: &FacilityChoice) -> Self {
-        assert_eq!(members.len(), choice.bill.energy.len(), "misaligned choice");
-        debug_assert!(
-            members.windows(2).all(|w| w[0] < w[1]),
-            "members must be sorted"
-        );
-        DeltaEval {
-            charger: choice.charger,
-            point: choice.point,
-            base_fee: choice.bill.base_fee,
-            charger_travel: choice.bill.charger_travel,
-            members: members.to_vec(),
-            energy: choice.bill.energy.clone(),
-            moving: choice.moving.clone(),
-        }
-    }
-
-    /// The fixed facility's charger.
-    #[inline]
-    pub fn charger(&self) -> ChargerId {
-        self.charger
-    }
-
-    /// The current member set (sorted ascending).
-    #[inline]
-    pub fn members(&self) -> &[DeviceId] {
-        &self.members
-    }
-
-    /// Adds one member: O(log k) search, O(k) insert, one table lookup and
-    /// one distance computation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `d` is already a member.
-    pub fn join(&mut self, problem: &CcsProblem, d: DeviceId) {
-        let pos = self
-            .members
-            .binary_search(&d)
-            .expect_err("device already in the coalition");
-        let dev = problem.device(d);
-        self.members.insert(pos, d);
-        self.energy
-            .insert(pos, problem.tables().energy(self.charger, d));
-        self.moving.insert(
-            pos,
-            dev.move_cost_rate() * dev.position().distance(&self.point),
-        );
-    }
-
-    /// Removes one member: O(log k) search, O(k) removal.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `d` is not a member.
-    pub fn leave(&mut self, d: DeviceId) {
-        let pos = self
-            .members
-            .binary_search(&d)
-            .expect("device not in the coalition");
-        self.members.remove(pos);
-        self.energy.remove(pos);
-        self.moving.remove(pos);
-    }
-
-    /// Whether the fixed charger's energy budget still covers the current
-    /// member set (joins can outgrow it; leaves never do).
-    pub fn feasible(&self, problem: &CcsProblem) -> bool {
-        !self.members.is_empty() && problem.charger_can_serve(self.charger, &self.members)
-    }
-
-    /// Materializes the current state as a [`FacilityChoice`] — bit-identical
-    /// to `evaluate_facility(problem, charger, members, point)` from scratch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the member set is empty.
-    pub fn choice(&self, problem: &CcsProblem) -> FacilityChoice {
-        assert!(
-            !self.members.is_empty(),
-            "a group needs at least one member"
-        );
-        let choice = FacilityChoice {
-            charger: self.charger,
-            point: self.point,
-            bill: GroupBill {
-                base_fee: self.base_fee,
-                charger_travel: self.charger_travel,
-                energy: self.energy.clone(),
-                congestion: problem
-                    .tables()
-                    .congestion(self.charger, self.members.len()),
-            },
-            moving: self.moving.clone(),
-        };
-        debug_assert_eq!(
-            choice,
-            evaluate_facility(problem, self.charger, &self.members, self.point),
-            "DeltaEval diverged from from-scratch evaluation"
-        );
-        choice
-    }
-
-    /// The group cost of the current state, without materializing: the same
-    /// vector sums [`FacilityChoice::group_cost`] runs, in the same order.
-    pub fn group_cost(&self, problem: &CcsProblem) -> Cost {
-        let congestion = problem
-            .tables()
-            .congestion(self.charger, self.members.len());
-        let bill_total = (self.base_fee + self.charger_travel + congestion)
-            + self.energy.iter().copied().sum::<Cost>();
-        bill_total + self.moving.iter().copied().sum::<Cost>()
-    }
-}
-
-/// The group cost of `base ∪ {joiner}` held at `base`'s facility — an upper
-/// bound for [`try_best_facility_with_upper`] on the enlarged set. `None`
-/// when the base charger's budget cannot absorb the joiner (the bound would
-/// not correspond to a feasible facility).
-///
-/// `base_members` must be the sorted member list `base` was evaluated for.
-pub fn join_upper_bound(
-    problem: &CcsProblem,
-    base_members: &[DeviceId],
-    base: &FacilityChoice,
-    joiner: DeviceId,
-) -> Option<Cost> {
-    let mut delta = DeltaEval::new(base_members, base);
-    delta.join(problem, joiner);
-    delta.feasible(problem).then(|| delta.group_cost(problem))
-}
-
-/// The group cost of `base ∖ {leaver}` held at `base`'s facility — an upper
-/// bound for the shrunken set (always feasible: demand only drops). `None`
-/// when the leaver was the last member.
-pub fn leave_upper_bound(
-    problem: &CcsProblem,
-    base_members: &[DeviceId],
-    base: &FacilityChoice,
-    leaver: DeviceId,
-) -> Option<Cost> {
-    let mut delta = DeltaEval::new(base_members, base);
-    delta.leave(leaver);
-    (!delta.members().is_empty()).then(|| delta.group_cost(problem))
 }
 
 #[cfg(test)]

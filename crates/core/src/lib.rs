@@ -63,8 +63,8 @@ pub mod prelude {
         BlockingCoalition,
     };
     pub use crate::cost::{
-        best_facility, evaluate_facility, try_best_facility, try_best_facility_with_upper,
-        DeltaEval, FacilityChoice, GroupBill,
+        best_facility, evaluate_facility, try_best_facility, try_best_facility_anchored,
+        FacilityChoice, GroupBill,
     };
     pub use crate::exclusive::{
         enforce_exclusivity, exclusivity_ratio, hungarian, ExclusivityError,

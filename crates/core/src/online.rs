@@ -20,11 +20,13 @@
 //!    scheme), except that only *idle* chargers are offered — each at
 //!    its live position, renumbered with its own origin map.
 //! 2. **Incremental re-pricing.** The residual is solved by the chosen
-//!    [`OnlinePolicy`]: online-CCSGA runs the hedonic engine in
-//!    activity-driven worklist mode (`DeltaEval` + dirty worklists), so
-//!    only coalitions whose neighborhood changed are re-priced; the
-//!    naive FCFS baseline dispatches each request alone to the nearest
-//!    idle charger.
+//!    [`OnlinePolicy`]: online-CCSGA runs the hedonic engine, whose
+//!    activity-driven worklist probes only players whose neighbourhood
+//!    changed, and whose coalition cache prices each new composition
+//!    through the anchored facility scan
+//!    ([`try_best_facility_anchored`](crate::cost::try_best_facility_anchored));
+//!    the naive FCFS baseline dispatches each request alone to the
+//!    nearest idle charger.
 //! 3. **Commitment.** Each planned group is admitted only if the tour
 //!    completes before every member's deadline and the charger's tank
 //!    covers the tour plus the ride home (refilling first at the depot
@@ -91,7 +93,7 @@ pub enum OnlinePolicy {
 /// Configuration of one online run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OnlineConfig {
-    /// The dispatch policy (default: worklist-mode CCSGA).
+    /// The dispatch policy (default: CCSGA with default options).
     pub policy: OnlinePolicy,
     /// Per-charger tank parameters.
     pub energy: EnergyModel,
@@ -100,10 +102,7 @@ pub struct OnlineConfig {
 impl Default for OnlineConfig {
     fn default() -> Self {
         OnlineConfig {
-            policy: OnlinePolicy::Ccsga(CcsgaOptions {
-                worklist: true,
-                ..CcsgaOptions::default()
-            }),
+            policy: OnlinePolicy::Ccsga(CcsgaOptions::default()),
             energy: EnergyModel::default(),
         }
     }

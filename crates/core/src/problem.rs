@@ -158,14 +158,18 @@ impl CcsProblem {
     }
 
     /// Whether the group is admissible at all: within the size cap and
-    /// servable by at least one charger's energy budget.
-    pub fn feasible_group(&self, members: &[DeviceId]) -> bool {
-        self.group_size_ok(members.len())
-            && self
-                .scenario
-                .chargers()
-                .iter()
-                .any(|c| c.can_deliver(self.group_demand(members)))
+    /// servable by at least one charger's energy budget. The one
+    /// admissibility rule every solver uses; the demand is summed once, as
+    /// the same left fold as [`group_demand`](Self::group_demand).
+    pub fn feasible_group(&self, members: impl ExactSizeIterator<Item = DeviceId>) -> bool {
+        if !self.group_size_ok(members.len()) {
+            return false;
+        }
+        let demand: Joules = members.map(|d| self.device(d).demand()).sum();
+        self.scenario
+            .chargers()
+            .iter()
+            .any(|c| c.can_deliver(demand))
     }
 }
 
@@ -252,9 +256,9 @@ mod budget_tests {
         .unwrap();
         let p = CcsProblem::new(scenario);
         // Singletons fit; the pair exceeds the single charger's budget.
-        assert!(p.feasible_group(&[DeviceId::new(0)]));
-        assert!(p.feasible_group(&[DeviceId::new(1)]));
-        assert!(!p.feasible_group(&[DeviceId::new(0), DeviceId::new(1)]));
+        assert!(p.feasible_group([DeviceId::new(0)].into_iter()));
+        assert!(p.feasible_group([DeviceId::new(1)].into_iter()));
+        assert!(!p.feasible_group([DeviceId::new(0), DeviceId::new(1)].into_iter()));
         assert!(!p.charger_can_serve(ChargerId::new(0), &[DeviceId::new(0), DeviceId::new(1)]));
         assert_eq!(
             p.group_demand(&[DeviceId::new(0), DeviceId::new(1)]),
@@ -280,6 +284,6 @@ mod budget_tests {
     fn unbudgeted_chargers_serve_anything() {
         let p = CcsProblem::new(ScenarioGenerator::new(1).devices(10).chargers(2).generate());
         let all: Vec<DeviceId> = p.scenario().device_ids().collect();
-        assert!(p.feasible_group(&all));
+        assert!(p.feasible_group(all.iter().copied()));
     }
 }

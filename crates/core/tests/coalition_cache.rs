@@ -6,7 +6,6 @@ use ccs_coalition::cache::CoalitionCache;
 use ccs_core::prelude::*;
 use ccs_wrsn::entities::DeviceId;
 use ccs_wrsn::scenario::ScenarioGenerator;
-use std::collections::BTreeSet;
 
 fn problem(seed: u64, devices: usize, chargers: usize) -> CcsProblem {
     CcsProblem::new(
@@ -20,7 +19,7 @@ fn problem(seed: u64, devices: usize, chargers: usize) -> CcsProblem {
 /// Direct (uncached) evaluation of a coalition, mirroring what CCSGA's
 /// hedonic game memoizes: each member's bill share plus moving cost at the
 /// coalition's best facility.
-fn direct_member_costs(p: &CcsProblem, sharing: &dyn CostSharing, c: &BTreeSet<usize>) -> Vec<f64> {
+fn direct_member_costs(p: &CcsProblem, sharing: &dyn CostSharing, c: &[usize]) -> Vec<f64> {
     let members: Vec<DeviceId> = c.iter().map(|&i| DeviceId::new(i as u32)).collect();
     let facility = best_facility(p, &members);
     let shares = sharing.shares(
@@ -46,13 +45,17 @@ fn mix(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-fn random_coalition(n: usize, seed: u64) -> BTreeSet<usize> {
+/// A random sorted, duplicate-free coalition (the cache's key form).
+fn random_coalition(n: usize, seed: u64) -> Vec<usize> {
     let size = 1 + (mix(seed) as usize) % 4.min(n);
-    let mut c = BTreeSet::new();
+    let mut c = Vec::new();
     let mut s = seed;
     while c.len() < size {
         s = mix(s);
-        c.insert((s as usize) % n);
+        let p = (s as usize) % n;
+        if let Err(at) = c.binary_search(&p) {
+            c.insert(at, p);
+        }
     }
     c
 }
@@ -68,7 +71,7 @@ fn cache_matches_direct_evaluation_after_interleaved_rounds() {
 
     // Interleave: each round touches a fresh coalition and revisits two
     // earlier ones, so hits and misses alternate within a round.
-    let mut seen: Vec<BTreeSet<usize>> = Vec::new();
+    let mut seen: Vec<Vec<usize>> = Vec::new();
     for round in 0..40u64 {
         let fresh = random_coalition(n, round);
         let mut batch = vec![fresh.clone()];
@@ -96,7 +99,7 @@ fn cache_matches_direct_evaluation_after_interleaved_rounds() {
 #[test]
 fn cache_is_first_insert_wins() {
     let cache: CoalitionCache<Vec<f64>> = CoalitionCache::new();
-    let c: BTreeSet<usize> = [1, 2, 3].into_iter().collect();
+    let c = [1, 2, 3];
     let first = cache.get_or_insert_with(&c, || vec![1.0]);
     let second = cache.get_or_insert_with(&c, || vec![2.0]);
     assert_eq!(*first, vec![1.0]);

@@ -1,19 +1,18 @@
 //! Property tests pinning down the evaluation kernel's **bit-exactness**:
 //! the `ProblemTables` fast paths (table-backed bills, the pruned
-//! best-facility scan, upper-bound seeding, incremental `DeltaEval`) must
-//! return results bitwise identical to the from-scratch reference
-//! computations they replaced. No tolerance comparisons here — equality is
+//! best-facility scan, the anchored warm start) must return results
+//! bitwise identical to the from-scratch reference computations they
+//! replaced. No tolerance comparisons here — equality is
 //! on the raw `f64` payloads (via `PartialEq` on `Cost`/`Point`).
 
 use ccs_core::cost::{
     evaluate_facility, evaluate_facility_direct, group_bill, group_bill_direct, try_best_facility,
-    try_best_facility_with_upper, DeltaEval, FacilityChoice,
+    try_best_facility_anchored, FacilityChoice,
 };
 use ccs_core::gathering::gathering_point;
 use ccs_core::prelude::*;
-use ccs_wrsn::entities::{ChargerId, DeviceId};
+use ccs_wrsn::entities::DeviceId;
 use ccs_wrsn::scenario::{ParamRange, ScenarioGenerator};
-use ccs_wrsn::units::Cost;
 use proptest::prelude::*;
 
 fn problem(seed: u64, devices: usize, chargers: usize, budgeted: bool) -> CcsProblem {
@@ -115,64 +114,56 @@ proptest! {
         prop_assert_eq!(&pruned, &reference);
     }
 
-    /// Upper-bound seeding never changes the answer: achievable, too-tight
-    /// and slack bounds all produce exactly the unseeded scan's choice.
+    /// The anchored warm start never changes the answer: for every
+    /// charger as the anchor — including anchors whose budget cannot
+    /// cover the group — the choice is bitwise the unanchored scan's, on
+    /// both sides of the scan-strategy cutoff (the sorted full scan below
+    /// 64 chargers, the ring scan at 64 and above), with and without
+    /// energy budgets.
     #[test]
-    fn upper_bound_seeding_is_result_transparent(
+    fn anchored_scan_matches_the_unanchored_scan_bitwise(
         seed in 0u64..1_000,
         devices in 2usize..12,
-        chargers in 2usize..6,
+        chargers in prop_oneof![2usize..6, 64usize..72],
         mask in 1u64..(1 << 12),
-        scale in 0.25f64..4.0,
+        budgeted in any::<bool>(),
     ) {
-        let p = problem(seed, devices, chargers, false);
+        let p = problem(seed, devices, chargers, budgeted);
         let members = members_from_mask(devices, mask);
-        let unseeded = try_best_facility(&p, &members).expect("unbudgeted groups are feasible");
-        let best_cost = unseeded.group_cost();
-        for ub in [
-            best_cost,                      // exactly achievable
-            best_cost * scale,              // slack or too tight
-            Cost::new(0.0),                 // absurdly tight: must fall back
-            best_cost * 1e6,                // absurdly slack: prunes nothing
-        ] {
-            let seeded = try_best_facility_with_upper(&p, &members, ub);
-            prop_assert!(seeded.as_ref() == Some(&unseeded), "diverged at ub = {ub}");
+        let plain = try_best_facility(&p, &members);
+        for anchor in p.scenario().charger_ids() {
+            let anchored = try_best_facility_anchored(&p, &members, anchor);
+            prop_assert!(
+                anchored == plain,
+                "anchor {anchor} (serves: {}): {anchored:?} vs {plain:?}",
+                p.charger_can_serve(anchor, &members)
+            );
         }
     }
+}
 
-    /// `DeltaEval` stays bitwise aligned with from-scratch evaluation over
-    /// arbitrary join/leave sequences at a fixed facility.
-    #[test]
-    fn delta_eval_matches_scratch_over_join_leave_sequences(
-        seed in 0u64..1_000,
-        devices in 3usize..12,
-        chargers in 1usize..5,
-        mask in 1u64..(1 << 12),
-        ops in proptest::collection::vec(0usize..12, 1..40),
-    ) {
-        let p = problem(seed, devices, chargers, false);
-        let members = members_from_mask(devices, mask);
-        let charger = ChargerId::new((seed % p.num_chargers() as u64) as u32);
-        let point = gathering_point(&p, charger, &members, p.params().gathering);
-        let base = evaluate_facility(&p, charger, &members, point);
-        let mut delta = DeltaEval::new(&members, &base);
-
-        for &op in &ops {
-            let d = DeviceId::new((op % devices) as u32);
-            if delta.members().contains(&d) {
-                if delta.members().len() == 1 {
-                    continue; // keep the set nonempty
-                }
-                delta.leave(d);
-            } else {
-                delta.join(&p, d);
-            }
-            let scratch = evaluate_facility(&p, charger, delta.members(), point);
-            let materialized = delta.choice(&p);
-            prop_assert_eq!(&materialized, &scratch);
-            prop_assert_eq!(
-                delta.group_cost(&p).value().to_bits(),
-                scratch.group_cost().value().to_bits()
+/// The anchored proptest above only covers an unservable anchor when the
+/// sampled group outgrows some budget; this pins such cases outright, on
+/// both sides of the scan-strategy cutoff: the smallest prefix group that
+/// some charger's budget covers and some does not.
+#[test]
+fn anchored_scan_skips_an_anchor_that_cannot_serve_the_group() {
+    for chargers in [4, 64] {
+        let p = problem(3, 12, chargers, true);
+        let members = (1..=12)
+            .map(|k| members_from_mask(12, (1 << k) - 1))
+            .find(|m| {
+                let serves = |c| p.charger_can_serve(c, m);
+                p.scenario().charger_ids().any(serves) && !p.scenario().charger_ids().all(serves)
+            })
+            .expect("some prefix group fits some budgets but not all");
+        let plain = try_best_facility(&p, &members);
+        assert!(plain.is_some());
+        for anchor in p.scenario().charger_ids() {
+            assert_eq!(
+                try_best_facility_anchored(&p, &members, anchor),
+                plain,
+                "{chargers} chargers, anchor {anchor}"
             );
         }
     }

@@ -76,9 +76,9 @@ proptest! {
         }
     }
 
-    /// Same equivalence under a *finite* seeded threshold (the
-    /// `try_best_facility_with_upper` path): both scans may return `None`
-    /// when the threshold excludes everything, and must agree on which.
+    /// Same equivalence under a *finite* threshold (what an anchored
+    /// scan's incumbent imposes): both scans may return `None` when the
+    /// threshold excludes everything, and must agree on which.
     #[test]
     fn grid_scan_agrees_under_seeded_thresholds(
         seed in 0u64..500,

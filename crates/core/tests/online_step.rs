@@ -76,10 +76,7 @@ proptest! {
             .horizon(120.0)
             .slack(slack)
             .generate(devices);
-        let options = CcsgaOptions {
-            worklist: true,
-            ..CcsgaOptions::default()
-        };
+        let options = CcsgaOptions::default();
         let config = OnlineConfig {
             policy: OnlinePolicy::Ccsga(options),
             ..OnlineConfig::default()

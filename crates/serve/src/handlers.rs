@@ -81,10 +81,7 @@ fn handle_online_step(
     let sharing = sharing_name(body)?;
     let scheme = make_sharing(sharing);
     let policy = match fields::str_or(body, "algo", "ccsga")? {
-        "ccsga" => OnlinePolicy::Ccsga(CcsgaOptions {
-            worklist: true,
-            ..CcsgaOptions::default()
-        }),
+        "ccsga" => OnlinePolicy::Ccsga(CcsgaOptions::default()),
         "fcfs" => OnlinePolicy::Fcfs,
         other => {
             return Err(ServeError::bad_request(format!(

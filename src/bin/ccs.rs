@@ -548,10 +548,7 @@ fn cmd_online(opts: &Flags) -> Result<(), String> {
     let sharing = sharing_from(opts)?;
     let policy_name = opts.get("policy").map(String::as_str).unwrap_or("ccsga");
     let policy = match policy_name {
-        "ccsga" => OnlinePolicy::Ccsga(CcsgaOptions {
-            worklist: true,
-            ..CcsgaOptions::default()
-        }),
+        "ccsga" => OnlinePolicy::Ccsga(CcsgaOptions::default()),
         "fcfs" => OnlinePolicy::Fcfs,
         other => return Err(format!("unknown online policy '{other}'")),
     };
