@@ -75,7 +75,6 @@ use ccs_wrsn::arrival::ChargeRequest;
 use ccs_wrsn::entities::{Charger, ChargerId, DeviceId};
 use ccs_wrsn::geometry::Point;
 use ccs_wrsn::mobile::{EnergyModel, MobileCharger};
-use ccs_wrsn::scenario::Scenario;
 use ccs_wrsn::units::{Cost, Joules, Meters, Seconds};
 use std::collections::BinaryHeap;
 
@@ -88,6 +87,17 @@ pub enum OnlinePolicy {
     /// Naive first-come-first-served: every request is dispatched alone
     /// to the nearest idle charger, in arrival order.
     Fcfs,
+}
+
+impl OnlinePolicy {
+    /// Plans one residual with this policy — the single dispatch point of
+    /// the event loop and [`plan_step`].
+    pub fn plan(self, residual: &CcsProblem, sharing: &dyn CostSharing) -> Schedule {
+        match self {
+            OnlinePolicy::Ccsga(options) => ccsga(residual, sharing, options).schedule,
+            OnlinePolicy::Fcfs => fcfs_schedule(residual, sharing),
+        }
+    }
 }
 
 /// Configuration of one online run.
@@ -436,7 +446,6 @@ impl<'a> OnlineSim<'a> {
         let scenario = self.problem.scenario();
         let ids: Vec<DeviceId> = plannable.iter().map(|&i| self.requests[i].device).collect();
         let positions: Vec<Point> = ids.iter().map(|d| scenario.device(*d).position()).collect();
-        let devices = residual_devices(scenario, &ids, &positions);
         let chargers: Vec<Charger> = idle
             .iter()
             .enumerate()
@@ -456,9 +465,7 @@ impl<'a> OnlineSim<'a> {
                 builder.build()
             })
             .collect();
-        let residual = Scenario::new(scenario.field(), devices, chargers)
-            .expect("residual devices and chargers are renumberings of valid entities");
-        CcsProblem::with_params(residual, self.problem.params().clone())
+        crate::recover::residual_over(&self.problem, &ids, &positions, chargers)
     }
 
     /// Re-plans the residual and admits commitments. Returns the replay
@@ -473,10 +480,7 @@ impl<'a> OnlineSim<'a> {
         self.replans += 1;
         ccs_telemetry::counter!("online.replans").incr();
         let residual = self.residual(&plannable, &idle);
-        let schedule = match self.config.policy {
-            OnlinePolicy::Ccsga(options) => ccsga(&residual, self.sharing, options).schedule,
-            OnlinePolicy::Fcfs => fcfs_schedule(&residual, self.sharing),
-        };
+        let schedule = self.config.policy.plan(&residual, self.sharing);
         let committed = self.admit(&residual, &schedule, &plannable, &idle);
         let record = ReplanRecord {
             problem: residual,
@@ -701,33 +705,7 @@ pub fn plan_step(
         .map(|&d| problem.scenario().device(d).position())
         .collect();
     let residual = crate::recover::residual_problem(problem, pending, &positions);
-    match policy {
-        OnlinePolicy::Ccsga(options) => ccsga(&residual, sharing, options).schedule,
-        OnlinePolicy::Fcfs => fcfs_schedule(&residual, sharing),
-    }
-}
-
-/// Re-builds the residual device list — the same dense renumbering as
-/// [`crate::recover::residual_problem`], duplicated here only because the
-/// online residual also subsets chargers (which that helper keeps whole).
-fn residual_devices(
-    scenario: &Scenario,
-    ids: &[DeviceId],
-    positions: &[Point],
-) -> Vec<ccs_wrsn::entities::Device> {
-    ids.iter()
-        .zip(positions)
-        .enumerate()
-        .map(|(i, (&orig, &pos))| {
-            let dev = scenario.device(orig);
-            ccs_wrsn::entities::Device::builder(DeviceId::new(i as u32), pos)
-                .battery(*dev.battery())
-                .demand(dev.demand())
-                .move_cost_rate(dev.move_cost_rate())
-                .speed(dev.speed())
-                .build()
-        })
-        .collect()
+    policy.plan(&residual, sharing)
 }
 
 /// The naive baseline: requests in arrival order, each dispatched alone

@@ -21,7 +21,7 @@ use crate::lifetime::Policy;
 use crate::problem::CcsProblem;
 use crate::schedule::Schedule;
 use crate::sharing::CostSharing;
-use ccs_wrsn::entities::{Device, DeviceId};
+use ccs_wrsn::entities::{Charger, Device, DeviceId};
 use ccs_wrsn::geometry::Point;
 use ccs_wrsn::scenario::Scenario;
 use ccs_wrsn::units::Cost;
@@ -152,16 +152,29 @@ impl<O> RecoveryOutcome<O> {
 /// original demand. Chargers, field, and cost parameters are unchanged.
 ///
 /// Public because the online mode ([`crate::online`]) re-plans through
-/// exactly this extraction on every event — the index of `unserved` *is*
-/// the origin map back to the full problem.
+/// this extraction — the index of `unserved` *is* the origin map back to
+/// the full problem.
 pub fn residual_problem(
     problem: &CcsProblem,
     unserved: &[DeviceId],
     positions: &[Point],
 ) -> CcsProblem {
-    debug_assert_eq!(unserved.len(), positions.len());
+    let chargers = problem.scenario().chargers().to_vec();
+    residual_over(problem, unserved, positions, chargers)
+}
+
+/// [`residual_problem`] over the given `chargers` instead of the full
+/// fleet: the one dense device renumbering behind the recovery loop and
+/// the online mode's event loop, which offers only its idle chargers.
+pub(crate) fn residual_over(
+    problem: &CcsProblem,
+    ids: &[DeviceId],
+    positions: &[Point],
+    chargers: Vec<Charger>,
+) -> CcsProblem {
+    debug_assert_eq!(ids.len(), positions.len());
     let scenario = problem.scenario();
-    let devices: Vec<Device> = unserved
+    let devices: Vec<Device> = ids
         .iter()
         .zip(positions)
         .enumerate()
@@ -175,8 +188,8 @@ pub fn residual_problem(
                 .build()
         })
         .collect();
-    let residual = Scenario::new(scenario.field(), devices, scenario.chargers().to_vec())
-        .expect("residual devices are dense renumberings of valid devices");
+    let residual = Scenario::new(scenario.field(), devices, chargers)
+        .expect("residual devices and chargers are renumberings of valid entities");
     CcsProblem::with_params(residual, problem.params().clone())
 }
 

@@ -1,4 +1,5 @@
-//! Request handlers: one function per protocol command, all returning
+//! Request handlers: the one implementation of each protocol command,
+//! run by the daemon, the gateway and the `ccs` CLI alike. All return
 //! `Result<Value, ServeError>` — every failure mode of the underlying
 //! stack (bad scenarios, solver budget errors, degenerate schedules) is
 //! mapped to a structured error at this boundary. Handlers call only the
@@ -78,17 +79,8 @@ fn handle_online_step(
 ) -> Result<Handled, ServeError> {
     let _span = ccs_telemetry::global().span("serve.online_step");
     let (_, problem, scenario_hit) = load_problem(cache, body, trace)?;
-    let sharing = sharing_name(body)?;
-    let scheme = make_sharing(sharing);
-    let policy = match fields::str_or(body, "algo", "ccsga")? {
-        "ccsga" => OnlinePolicy::Ccsga(CcsgaOptions::default()),
-        "fcfs" => OnlinePolicy::Fcfs,
-        other => {
-            return Err(ServeError::bad_request(format!(
-                "unknown online policy '{other}' (want 'ccsga' or 'fcfs')"
-            )))
-        }
-    };
+    let scheme = sharing(body)?;
+    let policy = online_policy(fields::str_or(body, "algo", "ccsga")?)?;
     let n = problem.num_devices();
     let pending = match body.field("pending") {
         Value::Array(items) if !items.is_empty() => {
@@ -203,35 +195,71 @@ fn lookup_problem(
     }
 }
 
-/// Interns the algorithm name (also the cache-key lifetime trick).
-fn algo_name(body: &Value) -> Result<&'static str, ServeError> {
-    match fields::str_or(body, "algo", "ccsa")? {
-        "ccsa" => Ok("ccsa"),
-        "ccsga" => Ok("ccsga"),
-        "ncp" => Ok("ncp"),
-        "opt" => Ok("opt"),
-        other => Err(ServeError::bad_request(format!(
-            "unknown algorithm '{other}'"
-        ))),
-    }
+/// A planner: the schedule, plus the algorithm's own result fields.
+type Planner =
+    fn(&CcsProblem, &dyn CostSharing) -> Result<(Schedule, Vec<(&'static str, Value)>), ServeError>;
+
+/// The planning algorithms by wire name.
+const ALGORITHMS: [(&str, Planner); 4] = [
+    ("ccsa", |p, s| {
+        Ok((ccsa(p, s, CcsaOptions::default()), Vec::new()))
+    }),
+    ("ccsga", |p, s| {
+        let out = ccsga(p, s, CcsgaOptions::default());
+        let dynamics = vec![
+            ("nash_stable", Value::Bool(out.nash_stable)),
+            ("rounds", uint(out.rounds as u64)),
+            ("switches", uint(out.switches as u64)),
+        ];
+        Ok((out.schedule, dynamics))
+    }),
+    ("ncp", |p, s| Ok((noncooperation(p, s), Vec::new()))),
+    ("opt", |p, s| {
+        let schedule = optimal(p, s, OptimalOptions::default())
+            .map_err(|e| ServeError::failed(e.to_string()))?;
+        Ok((schedule, Vec::new()))
+    }),
+];
+
+/// The algorithm named `name`: its interned name (the plan-cache key) and
+/// its planner.
+fn algorithm(name: &str) -> Result<(&'static str, Planner), ServeError> {
+    ALGORITHMS
+        .into_iter()
+        .find(|(n, _)| *n == name)
+        .ok_or_else(|| ServeError::bad_request(format!("unknown algorithm '{name}'")))
 }
 
-fn sharing_name(body: &Value) -> Result<&'static str, ServeError> {
-    match fields::str_or(body, "sharing", "equal")? {
-        "equal" => Ok("equal"),
-        "proportional" => Ok("proportional"),
-        "shapley" => Ok("shapley"),
-        other => Err(ServeError::bad_request(format!(
-            "unknown sharing scheme '{other}'"
-        ))),
-    }
+/// The cost-sharing scheme named `name` (`equal`, `proportional` or
+/// `shapley`), for every `sharing` field and `--sharing` flag.
+///
+/// # Errors
+///
+/// `bad_request` for any other name.
+pub fn sharing_scheme(name: &str) -> Result<Box<dyn CostSharing>, ServeError> {
+    all_schemes()
+        .into_iter()
+        .find(|s| s.name() == name)
+        .ok_or_else(|| ServeError::bad_request(format!("unknown sharing scheme '{name}'")))
 }
 
-fn make_sharing(name: &str) -> Box<dyn CostSharing> {
+fn sharing(body: &Value) -> Result<Box<dyn CostSharing>, ServeError> {
+    sharing_scheme(fields::str_or(body, "sharing", "equal")?)
+}
+
+/// The online dispatch policy named `name` (`ccsga` or `fcfs`), read by
+/// `online_step` and `ccs online`.
+///
+/// # Errors
+///
+/// `bad_request` for any other name.
+pub fn online_policy(name: &str) -> Result<OnlinePolicy, ServeError> {
     match name {
-        "proportional" => Box::new(ProportionalShare),
-        "shapley" => Box::new(ShapleyShare),
-        _ => Box::new(EqualShare),
+        "ccsga" => Ok(OnlinePolicy::Ccsga(CcsgaOptions::default())),
+        "fcfs" => Ok(OnlinePolicy::Fcfs),
+        other => Err(ServeError::bad_request(format!(
+            "unknown online policy '{other}' (want 'ccsga' or 'fcfs')"
+        ))),
     }
 }
 
@@ -273,32 +301,20 @@ fn recovery_config(body: &Value) -> Result<Option<RecoveryConfig>, ServeError> {
     }))
 }
 
-/// The memoized plan for `(scenario, algo, sharing)`.
+/// The memoized plan of `algo` under `scheme` for the scenario `hash`.
 fn plan_cached(
     cache: &PlanCache,
     hash: u64,
     problem: &CcsProblem,
-    algo: &'static str,
-    sharing: &'static str,
+    (algo, planner): (&'static str, Planner),
+    scheme: &dyn CostSharing,
 ) -> Result<(Arc<CachedPlan>, bool), ServeError> {
-    cache.plan(hash, algo, sharing, || {
-        let scheme = make_sharing(sharing);
-        let schedule = match algo {
-            "ccsa" => ccsa(problem, scheme.as_ref(), CcsaOptions::default()),
-            "ccsga" => ccsga(problem, scheme.as_ref(), CcsgaOptions::default()).schedule,
-            "ncp" => noncooperation(problem, scheme.as_ref()),
-            "opt" => optimal(problem, scheme.as_ref(), OptimalOptions::default())
-                .map_err(|e| ServeError::failed(e.to_string()))?,
-            other => {
-                return Err(ServeError::bad_request(format!(
-                    "unknown algorithm '{other}'"
-                )))
-            }
-        };
+    cache.plan(hash, algo, scheme.name(), || {
+        let (schedule, extra) = planner(problem, scheme)?;
         schedule
             .validate(problem)
             .map_err(|e| ServeError::failed(format!("schedule failed validation: {e}")))?;
-        let result = obj(vec![
+        let mut pairs = vec![
             ("algorithm", Value::String(schedule.algorithm().to_string())),
             (
                 "average_cost",
@@ -311,8 +327,12 @@ fn plan_cached(
             ("sharing", Value::String(schedule.sharing().to_string())),
             ("text", Value::String(schedule.to_string())),
             ("total_cost", num(schedule.total_cost().value())),
-        ]);
-        Ok(CachedPlan { schedule, result })
+        ];
+        pairs.extend(extra);
+        Ok(CachedPlan {
+            schedule,
+            result: obj(pairs),
+        })
     })
 }
 
@@ -323,16 +343,20 @@ fn handle_plan(
 ) -> Result<Handled, ServeError> {
     let _span = ccs_telemetry::global().span("serve.plan");
     let (hash, problem, scenario_hit) = load_problem(cache, body, trace)?;
-    let algo = algo_name(body)?;
-    let sharing = sharing_name(body)?;
+    let algo = algorithm(fields::str_or(body, "algo", "ccsa")?)?;
+    let scheme = sharing(body)?;
     let (plan, plan_hit) = trace.time(Phase::Solve, || {
-        plan_cached(cache, hash, &problem, algo, sharing)
+        plan_cached(cache, hash, &problem, algo, scheme.as_ref())
     })?;
     Ok(Handled {
         result: plan.result.clone(),
         scenario_hit: Some(scenario_hit),
         plan_hit: Some(plan_hit),
     })
+}
+
+fn count_served(served: &[bool]) -> u64 {
+    served.iter().filter(|s| **s).count() as u64
 }
 
 fn handle_replay(
@@ -342,14 +366,14 @@ fn handle_replay(
 ) -> Result<Handled, ServeError> {
     let _span = ccs_telemetry::global().span("serve.replay");
     let (hash, problem, scenario_hit) = load_problem(cache, body, trace)?;
-    let sharing = sharing_name(body)?;
-    let scheme = make_sharing(sharing);
+    let scheme = sharing(body)?;
     let seed = fields::u64_or(body, "seed", 0)?;
     let noise = noise_model(body)?;
     let failures = failure_model(body)?;
-    // Replay executes the cooperative (CCSA) plan, mirroring `ccs replay`.
+    // Replay executes the cooperative (CCSA) plan.
+    let ccsa = algorithm("ccsa")?;
     let (plan, plan_hit) = trace.time(Phase::Solve, || {
-        plan_cached(cache, hash, &problem, "ccsa", sharing)
+        plan_cached(cache, hash, &problem, ccsa, scheme.as_ref())
     })?;
     let run = trace.time(Phase::Solve, || {
         execute_with_failures(
@@ -361,7 +385,7 @@ fn handle_replay(
             seed,
         )
     });
-    let served = run.served.iter().filter(|s| **s).count();
+    let served = count_served(&run.served);
     let mut pairs = vec![
         ("devices", uint(run.served.len() as u64)),
         ("makespan_s", num(run.makespan.value())),
@@ -375,7 +399,7 @@ fn handle_replay(
         ),
         ("planned_cost", num(plan.schedule.total_cost().value())),
         ("realized_cost", num(run.total_cost().value())),
-        ("served", uint(served as u64)),
+        ("served", uint(served)),
     ];
     if let Some(config) = recovery_config(body)? {
         let out = trace.time(Phase::Solve, || {
@@ -390,10 +414,19 @@ fn handle_replay(
                 &config,
             )
         });
+        let rounds = out.rounds[1..].iter().map(|round| {
+            obj(vec![
+                ("degraded", Value::Bool(round.mode == RoundMode::Degraded)),
+                ("devices", uint(round.devices.len() as u64)),
+                ("round", uint(round.round as u64)),
+                ("served", uint(count_served(&round.execution.served))),
+            ])
+        });
         pairs.push((
             "recovery",
             obj(vec![
                 ("extra_rounds", uint(out.recovery_rounds() as u64)),
+                ("rounds", Value::Array(rounds.collect())),
                 ("served_fraction", num(out.served_fraction())),
                 ("total_cost", num(out.total_cost().value())),
             ]),
@@ -413,8 +446,7 @@ fn handle_lifetime(
 ) -> Result<Handled, ServeError> {
     let _span = ccs_telemetry::global().span("serve.lifetime");
     let (_, problem, scenario_hit) = load_problem(cache, body, trace)?;
-    let sharing = sharing_name(body)?;
-    let scheme = make_sharing(sharing);
+    let scheme = sharing(body)?;
     let rounds = fields::u64_or(body, "rounds", 20)? as usize;
     if rounds == 0 {
         // `run_lifetime` asserts on this; surface it as a clean protocol

@@ -25,9 +25,9 @@
 //! The HTTP gateway (`ccs-gateway`) shares the [`service`] core; the
 //! daemon in [`server`] adds only JSONL framing.
 //!
-//! A served plan is byte-identical to the one-shot CLI: the `result.text`
-//! field of a `plan` response equals `ccs plan` stdout for the same
-//! scenario, algorithm, and sharing scheme.
+//! The one-shot CLI (`ccs plan|replay|lifetime`) runs the same
+//! [`handlers`] in process, so a served `plan`'s `result.text` equals
+//! `ccs plan` stdout for the same scenario, algorithm, and sharing scheme.
 //!
 //! [`ProblemTables`]: ccs_core::tables::ProblemTables
 

@@ -75,9 +75,9 @@ impl Phase {
     }
 }
 
-/// The protocol commands that flow through the worker pipeline (and
-/// therefore get end-to-end latency histograms).
-pub const COMMANDS: [&str; 3] = ["plan", "replay", "lifetime"];
+/// The protocol commands that run on the worker pool — the ones the
+/// service admits, each with an end-to-end latency histogram.
+pub const COMMANDS: [&str; 4] = ["plan", "replay", "lifetime", "online_step"];
 
 fn command_index(cmd: &str) -> Option<usize> {
     COMMANDS.iter().position(|c| *c == cmd)

@@ -31,11 +31,9 @@ pub struct ServeConfig {
     /// Maximum queued (admitted but not yet started) requests; beyond
     /// this, requests are rejected with explicit backpressure.
     pub queue_depth: usize,
-    /// Period of the stats line on stderr (`None` = silent).
+    /// Period of the stats line on stderr, one JSON snapshot per line
+    /// (`None` = silent).
     pub stats_every: Option<Duration>,
-    /// Render the periodic stats line as human prose instead of the
-    /// default one-line JSON snapshot.
-    pub stats_human: bool,
     /// Rewrite this file (atomically) with Prometheus text metrics every
     /// stats period and at drain.
     pub metrics_file: Option<String>,
@@ -61,7 +59,6 @@ impl Default for ServeConfig {
             workers: 0,
             queue_depth: 64,
             stats_every: Some(Duration::from_secs(10)),
-            stats_human: false,
             metrics_file: None,
             trace_requests: None,
             trace_max_bytes: 16 << 20,
@@ -255,26 +252,6 @@ impl Daemon {
         }
     }
 
-    fn stats_line(&self, human: bool) -> String {
-        if !human {
-            return render_value(&self.stats_snapshot());
-        }
-        let s = self.service.summary();
-        format!(
-            "serve: queue={} admitted={} rejected={} completed={} errors={} \
-             cache(scenarios={} plans={} scenario_hits={} plan_hits={})",
-            self.service.queued(),
-            s.admitted,
-            s.rejected,
-            s.completed,
-            s.errors,
-            self.cache.scenarios(),
-            self.cache.plans_cached(),
-            s.scenario_hits,
-            s.plan_hits,
-        )
-    }
-
     /// Runs the service around `front` with the optional stats ticker, then
     /// writes the final metrics file and the drain line.
     fn run(&self, config: &ServeConfig, front: impl FnOnce()) -> ServeSummary {
@@ -288,7 +265,7 @@ impl Daemon {
                     scope.spawn(move || {
                         while stopped.recv_timeout(period) == Err(RecvTimeoutError::Timeout) {
                             if config.stats_every.is_some() {
-                                eprintln!("{}", self.stats_line(config.stats_human));
+                                eprintln!("{}", render_value(&self.stats_snapshot()));
                             }
                             self.write_metrics_file(config);
                         }

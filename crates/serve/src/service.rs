@@ -30,7 +30,7 @@
 use crate::cache::PlanCache;
 use crate::engine;
 use crate::lru::lock_unpoisoned;
-use crate::obs::{Phase, ReqTrace, ServeObs};
+use crate::obs::{Phase, ReqTrace, ServeObs, COMMANDS};
 use crate::protocol::{fields, object, ErrorKind, ServeError};
 use crate::queue::{AdmissionQueue, AdmitError};
 use serde::value::{Number, Value};
@@ -39,9 +39,6 @@ use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// The commands that run on the worker pool.
-const QUEUED: [&str; 4] = ["plan", "replay", "lifetime", "online_step"];
 
 /// The answer to an explicit `deadline_ms: 0`.
 const ZERO_DEADLINE: &str = "deadline_ms must be >= 1; omit for no deadline";
@@ -136,7 +133,7 @@ fn validate(
             )));
         }
     };
-    if !QUEUED.contains(&cmd) {
+    if !COMMANDS.contains(&cmd) {
         return Err(ServeError::bad_request(format!("unknown cmd '{cmd}'")));
     }
     // Absent (or JSON null) means "no deadline". An explicit zero can only

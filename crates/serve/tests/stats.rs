@@ -119,31 +119,38 @@ fn stats_snapshot_is_versioned_and_consistent() {
             serde_json::from_str::<Value>(line.trim()).expect("response parses")
         };
 
-        // One successful plan, then one bad request — both fully answered
-        // before the snapshot is taken.
+        // One successful plan, one online step, then one bad request — all
+        // fully answered before the snapshot is taken.
         let scenario = scenario_json(31, 6);
         writeln!(writer, r#"{{"id":1,"cmd":"plan","scenario":{scenario}}}"#).expect("write");
         let plan = read_line();
         assert_eq!(plan.field("ok"), &Value::Bool(true));
+        writeln!(
+            writer,
+            r#"{{"id":4,"cmd":"online_step","scenario":{scenario},"pending":[0,2]}}"#
+        )
+        .expect("write");
+        let step = read_line();
+        assert_eq!(step.field("ok"), &Value::Bool(true));
         writeln!(writer, r#"{{"id":2,"cmd":"warp"}}"#).expect("write");
         let bad = read_line();
         assert_eq!(bad.field("ok"), &Value::Bool(false));
 
         // Latency histograms fold in just *after* the response line is
         // written (end-to-end latency includes the write), so poll until
-        // the plan sample has landed.
+        // the plan and step samples have landed.
         let snapshot = loop {
             writeln!(writer, r#"{{"id":3,"cmd":"stats"}}"#).expect("write");
             let response = read_line();
             assert_eq!(response.field("ok"), &Value::Bool(true));
             let snapshot = response.field("result").clone();
-            let count = u64_field(snapshot.field("latency_us").field("serve.plan"), "count");
-            if count >= 1 {
+            let count = |series| u64_field(snapshot.field("latency_us").field(series), "count");
+            if count("serve.plan") >= 1 && count("serve.online_step") >= 1 {
                 break snapshot;
             }
             assert!(
                 std::time::Instant::now() < deadline,
-                "plan sample never landed"
+                "plan and step samples never landed"
             );
             std::thread::sleep(std::time::Duration::from_millis(5));
         };
@@ -207,8 +214,12 @@ fn stats_snapshot_is_versioned_and_consistent() {
             ["count", "max", "mean", "p50", "p90", "p99", "p999"]
         );
 
+        // Every queued command has its own end-to-end series.
+        let step_latency = snapshot.field("latency_us").field("serve.online_step");
+        assert_eq!(u64_field(step_latency, "count"), 1);
+
         // Counter invariants for a quiescent observer.
-        assert_eq!(u64_field(requests, "admitted"), 1);
+        assert_eq!(u64_field(requests, "admitted"), 2);
         assert_eq!(u64_field(requests, "bad_request"), 1);
         assert_eq!(
             u64_field(requests, "errors"),

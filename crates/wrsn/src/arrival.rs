@@ -96,39 +96,23 @@ impl ArrivalGenerator {
         }
     }
 
-    /// Mean fleet-wide arrival rate in requests per second.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `rate` is finite and positive.
+    /// Mean fleet-wide arrival rate in requests per second (finite and
+    /// positive; see [`ArrivalGenerator::validate`]).
     pub fn rate(mut self, rate: f64) -> Self {
-        assert!(rate.is_finite() && rate > 0.0, "rate must be positive");
         self.rate = rate;
         self
     }
 
     /// Length of the arrival window in seconds (requests only *arrive*
-    /// inside it; service may run past it).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `horizon` is finite and positive.
+    /// inside it; service may run past it). Finite and positive.
     pub fn horizon(mut self, horizon: f64) -> Self {
-        assert!(
-            horizon.is_finite() && horizon > 0.0,
-            "horizon must be positive"
-        );
         self.horizon = horizon;
         self
     }
 
     /// Relative deadline: each request's deadline is `arrival + slack`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `slack` is finite and positive.
+    /// Finite and positive.
     pub fn slack(mut self, slack: f64) -> Self {
-        assert!(slack.is_finite() && slack > 0.0, "slack must be positive");
         self.slack = slack;
         self
     }
@@ -137,6 +121,41 @@ impl ArrivalGenerator {
     pub fn profile(mut self, profile: ArrivalProfile) -> Self {
         self.profile = profile;
         self
+    }
+
+    /// Checks the parameters: `rate`, `horizon` and `slack` finite and
+    /// positive, a burst `period` finite and positive with `factor >= 1`,
+    /// a hotspot `fraction` in `(0, 1]`.
+    ///
+    /// # Errors
+    ///
+    /// The first parameter out of range, as a one-line message.
+    pub fn validate(&self) -> Result<(), String> {
+        let positive = |v: f64| v.is_finite() && v > 0.0;
+        // Parameters the profile does not have take a value that passes.
+        let (period, factor, fraction) = match self.profile {
+            ArrivalProfile::Poisson => (1.0, 1.0, 1.0),
+            ArrivalProfile::Hotspot { fraction, .. } => (1.0, 1.0, fraction),
+            ArrivalProfile::Burst { period, factor, .. } => (period, factor, 1.0),
+        };
+        let checks = [
+            (positive(self.rate), "rate must be positive"),
+            (positive(self.horizon), "horizon must be positive"),
+            (positive(self.slack), "slack must be positive"),
+            (positive(period), "burst period must be positive"),
+            (
+                factor.is_finite() && factor >= 1.0,
+                "burst factor must be >= 1",
+            ),
+            (
+                fraction > 0.0 && fraction <= 1.0,
+                "hotspot fraction must be in (0, 1]",
+            ),
+        ];
+        checks
+            .into_iter()
+            .find(|(ok, _)| !ok)
+            .map_or(Ok(()), |(_, msg)| Err(msg.to_string()))
     }
 
     /// Generates the stream for a fleet of `num_devices` devices, sorted
@@ -148,23 +167,16 @@ impl ArrivalGenerator {
     ///
     /// # Panics
     ///
-    /// Panics if `num_devices` is zero or a profile parameter is out of
-    /// range (burst `period`/`factor`, hotspot `fraction`).
+    /// Panics if `num_devices` is zero or a parameter fails
+    /// [`ArrivalGenerator::validate`].
     pub fn generate(&self, num_devices: usize) -> Vec<ChargeRequest> {
         assert!(num_devices > 0, "a stream needs at least one device");
+        if let Err(msg) = self.validate() {
+            panic!("{msg}");
+        }
         let peak = match self.profile {
             ArrivalProfile::Poisson | ArrivalProfile::Hotspot { .. } => self.rate,
-            ArrivalProfile::Burst { period, factor, .. } => {
-                assert!(
-                    period.is_finite() && period > 0.0,
-                    "burst period must be positive"
-                );
-                assert!(
-                    factor.is_finite() && factor >= 1.0,
-                    "burst factor must be >= 1"
-                );
-                self.rate * factor
-            }
+            ArrivalProfile::Burst { factor, .. } => self.rate * factor,
         };
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
         let mut out = Vec::new();
@@ -213,10 +225,6 @@ impl ArrivalGenerator {
         let index = match self.profile {
             ArrivalProfile::Poisson | ArrivalProfile::Burst { .. } => rng.gen_range(0..n),
             ArrivalProfile::Hotspot { fraction, share } => {
-                assert!(
-                    fraction > 0.0 && fraction <= 1.0,
-                    "hotspot fraction must be in (0, 1]"
-                );
                 let hot = ((fraction * n as f64).ceil() as usize).clamp(1, n);
                 let p: f64 = rng.gen_range(0.0..1.0);
                 if p < share.clamp(0.0, 1.0) || hot == n {

@@ -57,25 +57,31 @@ impl Default for EnergyModel {
 }
 
 impl EnergyModel {
-    /// Validates the parameters.
+    /// Checks the parameters: the capacity must be positive, `ecr_move`
+    /// nonnegative and `ecr_charge >= 1` (a transfer cannot create energy).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics unless the capacity is positive, `ecr_move` nonnegative
-    /// and `ecr_charge >= 1` (a transfer cannot create energy).
-    pub fn validate(&self) {
-        assert!(
-            self.battery_cap.is_finite() && self.battery_cap > Joules::ZERO,
-            "battery capacity must be positive"
-        );
-        assert!(
-            self.ecr_move.is_finite() && self.ecr_move >= 0.0,
-            "ecr_move must be nonnegative"
-        );
-        assert!(
-            self.ecr_charge.is_finite() && self.ecr_charge >= 1.0,
-            "ecr_charge must be >= 1"
-        );
+    /// The first parameter out of range, as a one-line message.
+    pub fn validate(&self) -> Result<(), String> {
+        let checks = [
+            (
+                self.battery_cap.is_finite() && self.battery_cap > Joules::ZERO,
+                "battery capacity must be positive",
+            ),
+            (
+                self.ecr_move.is_finite() && self.ecr_move >= 0.0,
+                "ecr_move must be nonnegative",
+            ),
+            (
+                self.ecr_charge.is_finite() && self.ecr_charge >= 1.0,
+                "ecr_charge must be >= 1",
+            ),
+        ];
+        checks
+            .into_iter()
+            .find(|(ok, _)| !ok)
+            .map_or(Ok(()), |(_, msg)| Err(msg.to_string()))
     }
 
     /// Tank energy one tour consumes: travel drain plus delivery drain.
@@ -101,7 +107,9 @@ impl MobileCharger {
     ///
     /// Panics if the model fails [`EnergyModel::validate`].
     pub fn new(depot: Point, model: EnergyModel) -> Self {
-        model.validate();
+        if let Err(msg) = model.validate() {
+            panic!("{msg}");
+        }
         MobileCharger {
             depot,
             position: depot,

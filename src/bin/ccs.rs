@@ -15,9 +15,8 @@
 //!            [--profile poisson|hotspot|burst] [--stream-seed N]
 //!            [--battery-cap J] [--ecr-move JPM] [--ecr-charge R] [--json true]
 //! ccs serve  [--socket PATH] [--workers N] [--queue-depth N] [--stats-every S]
-//!            [--stats-human true] [--metrics-file FILE] [--trace-requests FILE]
-//!            [--trace-max-bytes N] [--slow-ms MS] [--max-line-bytes N]
-//!            [--cache-mb MB]
+//!            [--metrics-file FILE] [--trace-requests FILE] [--trace-max-bytes N]
+//!            [--slow-ms MS] [--max-line-bytes N] [--cache-mb MB]
 //! ccs gateway [--addr HOST:PORT] [--shards N] [--workers-per-shard N]
 //!             [--queue-depth N] [--max-body-mb MB] [--batch-max N]
 //!             [--cache-mb MB] [--rate R] [--burst B] [--tenants-file FILE]
@@ -26,7 +25,10 @@
 //! ```
 //!
 //! Scenarios are plain JSON (the `ccs-wrsn` serde format), so workloads can
-//! be generated once and replayed across machines and algorithms.
+//! be generated once and replayed across machines and algorithms. `plan`,
+//! `replay` and `lifetime` run in process as requests to the daemon's
+//! command layer (`ccs_serve::engine`) and share its names, defaults and
+//! validation.
 //!
 //! `plan`, `replay`, and `lifetime` additionally accept `--report FILE`
 //! (write a `ccs-telemetry` [`RunReport`](ccs_repro::ccs_telemetry::RunReport)
@@ -42,7 +44,8 @@
 //! diagnostics only.
 
 use ccs_repro::prelude::*;
-use std::collections::HashMap;
+use serde_json::{Number, Value};
+use std::collections::{BTreeMap, HashMap};
 use std::fs;
 use std::process::ExitCode;
 
@@ -72,9 +75,7 @@ fn main() -> ExitCode {
             }
             match command.as_str() {
                 "gen" => cmd_gen(&opts),
-                "plan" => cmd_plan(&opts),
-                "replay" => cmd_replay(&opts),
-                "lifetime" => cmd_lifetime(&opts),
+                "plan" | "replay" | "lifetime" => cmd_served(command, &opts),
                 "online" => cmd_online(&opts),
                 "serve" => cmd_serve(&opts),
                 "gateway" => cmd_gateway(&opts),
@@ -140,7 +141,6 @@ fn validate_flags(command: &str, opts: &Flags) -> Result<(), String> {
             "workers",
             "queue-depth",
             "stats-every",
-            "stats-human",
             "metrics-file",
             "trace-requests",
             "trace-max-bytes",
@@ -219,7 +219,6 @@ gateway mode (gateway):
 
 observability (serve):
   --stats-every S       period of the stats line on stderr (JSON snapshot)
-  --stats-human BOOL    render the stats line as prose instead of JSON
   --metrics-file FILE   atomically rewrite FILE with Prometheus text metrics
                         every stats period and at drain
   --trace-requests FILE append one JSONL trace line per request (req_id,
@@ -274,13 +273,13 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
     Ok(flags)
 }
 
+fn parse<T: std::str::FromStr>(key: &str, raw: &str) -> Result<T, String> {
+    raw.parse()
+        .map_err(|_| format!("invalid value '{raw}' for --{key}"))
+}
+
 fn get<T: std::str::FromStr>(opts: &Flags, key: &str, default: T) -> Result<T, String> {
-    match opts.get(key) {
-        Some(raw) => raw
-            .parse()
-            .map_err(|_| format!("invalid value '{raw}' for --{key}")),
-        None => Ok(default),
-    }
+    opts.get(key).map_or(Ok(default), |raw| parse(key, raw))
 }
 
 fn load_scenario(opts: &Flags) -> Result<Scenario, String> {
@@ -326,15 +325,6 @@ fn write_report(path: &str) -> Result<(), String> {
     Ok(())
 }
 
-fn sharing_from(opts: &Flags) -> Result<Box<dyn CostSharing>, String> {
-    match opts.get("sharing").map(String::as_str).unwrap_or("equal") {
-        "equal" => Ok(Box::new(EqualShare)),
-        "proportional" => Ok(Box::new(ProportionalShare)),
-        "shapley" => Ok(Box::new(ShapleyShare)),
-        other => Err(format!("unknown sharing scheme '{other}'")),
-    }
-}
-
 fn cmd_gen(opts: &Flags) -> Result<(), String> {
     let seed: u64 = get(opts, "seed", 0)?;
     let devices: usize = get(opts, "devices", 20)?;
@@ -358,200 +348,158 @@ fn cmd_gen(opts: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_plan(opts: &Flags) -> Result<(), String> {
+/// `ccs plan|replay|lifetime` — one request through the daemon's command
+/// layer ([`execute`](ccs_repro::ccs_serve::engine::execute)); only its
+/// `result` is rendered here.
+fn cmd_served(command: &str, opts: &Flags) -> Result<(), String> {
+    use ccs_repro::ccs_serve::{engine, PlanCache, ServeObs};
+    let body = request_body(opts)?;
     let report_path = telemetry_setup(opts)?;
-    let scenario = load_scenario(opts)?;
-    let problem = CcsProblem::new(scenario);
-    let sharing = sharing_from(opts)?;
-    let algo = opts.get("algo").map(String::as_str).unwrap_or("ccsa");
-    let schedule = match algo {
-        "ccsa" => ccsa(&problem, sharing.as_ref(), CcsaOptions::default()),
-        "ccsga" => {
-            let out = ccsga(&problem, sharing.as_ref(), CcsgaOptions::default());
-            eprintln!(
-                "ccsga: {} switches, {} rounds, Nash-stable: {}",
-                out.switches, out.rounds, out.nash_stable
-            );
-            out.schedule
-        }
-        "ncp" => noncooperation(&problem, sharing.as_ref()),
-        "opt" => optimal(&problem, sharing.as_ref(), OptimalOptions::default())
-            .map_err(|e| e.to_string())?,
-        other => return Err(format!("unknown algorithm '{other}'")),
-    };
-    schedule.validate(&problem).map_err(|e| e.to_string())?;
-    println!("{schedule}");
+    let mut trace = ServeObs::new(None, None).start();
+    let handled =
+        engine::execute(&PlanCache::new(), command, &body, &mut trace).map_err(|e| e.message)?;
+    let result = &handled.result;
+    match command {
+        "plan" => render_plan(result, opts)?,
+        "replay" => render_replay(result),
+        _ => render_lifetime(result),
+    }
+    if let Some(path) = report_path {
+        write_report(&path)?;
+    }
+    Ok(())
+}
+
+/// The daemon request body the flags stand for: `--scenario` becomes
+/// `scenario_path`, every other request flag keeps its name, and numbers are
+/// parsed here so a typo names its flag. Absent flags take the daemon's
+/// defaults.
+fn request_body(opts: &Flags) -> Result<Value, String> {
+    let path = opts.get("scenario").ok_or("missing --scenario FILE")?;
+    let mut body = BTreeMap::from([("scenario_path".to_string(), Value::String(path.clone()))]);
+    let mut flags: Vec<_> = opts.iter().collect();
+    flags.sort();
+    for (key, raw) in flags {
+        let value = match key.as_str() {
+            "algo" | "sharing" | "noise" | "policy" => Value::String(raw.clone()),
+            "seed" | "rounds" | "recover" => Value::Number(Number::PosInt(parse(key, raw)?)),
+            "breakdown" | "noshow" => Value::Number(Number::Float(parse(key, raw)?)),
+            "degrade" => Value::Bool(parse(key, raw)?),
+            // The CLI's own: --scenario, -o, --report, --trace-json, --threads.
+            _ => continue,
+        };
+        body.insert(key.clone(), value);
+    }
+    Ok(Value::Object(body))
+}
+
+fn uint(v: &Value) -> u64 {
+    match v {
+        Value::Number(Number::PosInt(u)) => *u,
+        _ => 0,
+    }
+}
+
+/// A number field; `null` (e.g. the mean wait when nobody was served)
+/// reads as zero.
+fn float(v: &Value) -> f64 {
+    match v {
+        Value::Number(n) => n.as_f64(),
+        _ => 0.0,
+    }
+}
+
+fn text(v: &Value) -> &str {
+    match v {
+        Value::String(s) => s,
+        _ => "?",
+    }
+}
+
+fn render_plan(plan: &Value, opts: &Flags) -> Result<(), String> {
+    if let Value::Bool(stable) = plan.field("nash_stable") {
+        eprintln!(
+            "ccsga: {} switches, {} rounds, Nash-stable: {stable}",
+            uint(plan.field("switches")),
+            uint(plan.field("rounds")),
+        );
+    }
+    println!("{}", text(plan.field("text")));
     if let Some(path) = opts.get("o") {
-        let json = serde_json::to_string_pretty(&schedule).map_err(|e| e.to_string())?;
+        let json =
+            serde_json::to_string_pretty(plan.field("schedule")).map_err(|e| e.to_string())?;
         fs::write(path, json).map_err(|e| format!("writing {path}: {e}"))?;
         println!("wrote schedule to {path}");
     }
-    if let Some(path) = report_path {
-        write_report(&path)?;
-    }
     Ok(())
 }
 
-fn noise_from(opts: &Flags) -> Result<NoiseModel, String> {
-    match opts.get("noise").map(String::as_str).unwrap_or("field") {
-        "ideal" => Ok(NoiseModel::ideal()),
-        "field" => Ok(NoiseModel::field()),
-        other => Err(format!("unknown noise model '{other}'")),
-    }
-}
-
-fn failures_from(opts: &Flags) -> Result<FailureModel, String> {
-    Ok(FailureModel {
-        charger_breakdown_prob: get(opts, "breakdown", 0.0)?,
-        device_no_show_prob: get(opts, "noshow", 0.0)?,
-    })
-}
-
-/// `--recover R [--degrade BOOL]` → a recovery config, or `None` when off.
-fn recovery_from(opts: &Flags) -> Result<Option<RecoveryConfig>, String> {
-    let max_rounds: usize = get(opts, "recover", 0)?;
-    if max_rounds == 0 {
-        return Ok(None);
-    }
-    Ok(Some(RecoveryConfig {
-        max_rounds,
-        degrade: get(opts, "degrade", true)?,
-    }))
-}
-
-fn cmd_replay(opts: &Flags) -> Result<(), String> {
-    let report_path = telemetry_setup(opts)?;
-    let scenario = load_scenario(opts)?;
-    let problem = CcsProblem::new(scenario);
-    let sharing = sharing_from(opts)?;
-    let seed: u64 = get(opts, "seed", 0)?;
-    let noise = noise_from(opts)?;
-    let failures = failures_from(opts)?;
-    let plan = ccsa(&problem, sharing.as_ref(), CcsaOptions::default());
-    let run = execute_with_failures(&problem, &plan, sharing.as_ref(), &noise, &failures, seed);
+fn render_replay(replay: &Value) {
     println!(
         "planned {:.2} $, realized {:.2} $, served {}/{} devices, makespan {:.1} s, mean wait {:.1} s",
-        plan.total_cost().value(),
-        run.total_cost().value(),
-        run.served.iter().filter(|s| **s).count(),
-        run.served.len(),
-        run.makespan.value(),
-        run.average_wait().value(),
+        float(replay.field("planned_cost")),
+        float(replay.field("realized_cost")),
+        uint(replay.field("served")),
+        uint(replay.field("devices")),
+        float(replay.field("makespan_s")),
+        float(replay.field("mean_wait_s")),
     );
-    if let Some(config) = recovery_from(opts)? {
-        let out = recover(
-            &problem,
-            &plan,
-            Policy::Ccsa(CcsaOptions::default()),
-            sharing.as_ref(),
-            &noise,
-            &failures,
-            seed,
-            &config,
-        );
-        for round in &out.rounds[1..] {
-            println!(
-                "  recovery round {}: {} device(s) re-planned{}, {} now served",
-                round.round,
-                round.devices.len(),
-                if round.mode == RoundMode::Degraded {
-                    " (degraded to solo dispatches)"
-                } else {
-                    ""
-                },
-                round.execution.served.iter().filter(|s| **s).count(),
-            );
-        }
+    let recovery = replay.field("recovery");
+    let Value::Array(rounds) = recovery.field("rounds") else {
+        return;
+    };
+    for round in rounds {
         println!(
-            "recovered: served {:.0}% of devices in {} extra round(s), total {:.2} $",
-            out.served_fraction() * 100.0,
-            out.recovery_rounds(),
-            out.total_cost().value(),
+            "  recovery round {}: {} device(s) re-planned{}, {} now served",
+            uint(round.field("round")),
+            uint(round.field("devices")),
+            if round.field("degraded") == &Value::Bool(true) {
+                " (degraded to solo dispatches)"
+            } else {
+                ""
+            },
+            uint(round.field("served")),
         );
     }
-    if let Some(path) = report_path {
-        write_report(&path)?;
-    }
-    Ok(())
+    println!(
+        "recovered: served {:.0}% of devices in {} extra round(s), total {:.2} $",
+        float(recovery.field("served_fraction")) * 100.0,
+        uint(recovery.field("extra_rounds")),
+        float(recovery.field("total_cost")),
+    );
 }
 
-fn cmd_lifetime(opts: &Flags) -> Result<(), String> {
-    let report_path = telemetry_setup(opts)?;
-    let scenario = load_scenario(opts)?;
-    let sharing = sharing_from(opts)?;
-    let rounds: usize = get(opts, "rounds", 20)?;
-    let seed: u64 = get(opts, "seed", 0)?;
-    let policy = match opts.get("policy").map(String::as_str).unwrap_or("ccsa") {
-        "ccsa" => Policy::Ccsa(CcsaOptions::default()),
-        "ccsga" => Policy::Ccsga(CcsgaOptions::default()),
-        "ncp" => Policy::Noncooperative,
-        other => return Err(format!("unknown policy '{other}'")),
-    };
-    let config = LifetimeConfig {
-        rounds,
-        seed,
-        ..Default::default()
-    };
-    // With failure flags the rounds replay on the testbed (unserved devices
-    // re-request next round); otherwise planning is trusted verbatim.
-    let failures = failures_from(opts)?;
-    let recovery = recovery_from(opts)?;
-    let faulty =
-        failures != FailureModel::none() || recovery.is_some() || opts.contains_key("noise");
-    let report = if faulty {
-        let noise = noise_from(opts)?;
-        let mut driver =
-            TestbedDriver::new(&noise, &failures, sharing.as_ref(), policy, recovery, seed);
-        run_lifetime_with(
-            &scenario,
-            &CostParams::default(),
-            sharing.as_ref(),
-            policy,
-            &config,
-            &mut driver,
-        )
-    } else {
-        run_lifetime(
-            &scenario,
-            &CostParams::default(),
-            sharing.as_ref(),
-            policy,
-            &config,
-        )
-    };
+fn render_lifetime(lifetime: &Value) {
     println!(
-        "{} over {rounds} rounds: OPEX {:.2} $, {} hires, {:.1} kJ purchased, survival {:.1}%",
-        policy.name(),
-        report.total_cost.value(),
-        report.hires,
-        report.energy_purchased.value() / 1000.0,
-        report.survival_rate * 100.0,
+        "{} over {} rounds: OPEX {:.2} $, {} hires, {:.1} kJ purchased, survival {:.1}%",
+        text(lifetime.field("policy")),
+        uint(lifetime.field("rounds")),
+        float(lifetime.field("total_cost")),
+        uint(lifetime.field("hires")),
+        float(lifetime.field("energy_kj")),
+        float(lifetime.field("survival_rate")) * 100.0,
     );
-    if faulty {
+    // Rounds replay on the testbed when any failure, recovery or noise
+    // flag was given; unserved devices re-request next round.
+    if lifetime.field("testbed") == &Value::Bool(true) {
         println!(
             "  testbed delivery: {} refill request(s) went unserved",
-            report.unserved_requests
+            uint(lifetime.field("unserved_requests"))
         );
     }
-    if let Some(path) = report_path {
-        write_report(&path)?;
-    }
-    Ok(())
 }
 
 /// `ccs online` — the event-driven online mode (see `ccs_core::online`):
 /// replays a seeded arrival stream over the scenario's devices and prints
 /// the service metrics.
 fn cmd_online(opts: &Flags) -> Result<(), String> {
+    use ccs_repro::ccs_serve::handlers::{online_policy, sharing_scheme};
     let report_path = telemetry_setup(opts)?;
     let scenario = load_scenario(opts)?;
-    let sharing = sharing_from(opts)?;
-    let policy_name = opts.get("policy").map(String::as_str).unwrap_or("ccsga");
-    let policy = match policy_name {
-        "ccsga" => OnlinePolicy::Ccsga(CcsgaOptions::default()),
-        "fcfs" => OnlinePolicy::Fcfs,
-        other => return Err(format!("unknown online policy '{other}'")),
-    };
+    let sharing = sharing_scheme(opts.get("sharing").map_or("equal", String::as_str))
+        .map_err(|e| e.message)?;
+    let policy_name = opts.get("policy").map_or("ccsga", String::as_str);
+    let policy = online_policy(policy_name).map_err(|e| e.message)?;
     let profile = match opts.get("profile").map(String::as_str).unwrap_or("poisson") {
         "poisson" => ArrivalProfile::Poisson,
         "hotspot" => ArrivalProfile::Hotspot {
@@ -571,13 +519,14 @@ fn cmd_online(opts: &Flags) -> Result<(), String> {
         ecr_move: get(opts, "ecr-move", defaults.ecr_move)?,
         ecr_charge: get(opts, "ecr-charge", defaults.ecr_charge)?,
     };
-    energy.validate();
-    let stream = ArrivalGenerator::new(get(opts, "stream-seed", 0)?)
+    energy.validate()?;
+    let arrivals = ArrivalGenerator::new(get(opts, "stream-seed", 0)?)
         .rate(get(opts, "rate", 0.2)?)
         .horizon(get(opts, "horizon", 200.0)?)
         .slack(get(opts, "slack", 600.0)?)
-        .profile(profile)
-        .generate(scenario.devices().len());
+        .profile(profile);
+    arrivals.validate()?;
+    let stream = arrivals.generate(scenario.devices().len());
     let config = OnlineConfig { policy, energy };
     let problem = CcsProblem::new(scenario);
     let report = OnlineSim::new(problem, stream, sharing.as_ref(), config).run();
@@ -624,7 +573,6 @@ fn cmd_serve(opts: &Flags) -> Result<(), String> {
         workers: get(opts, "workers", 0)?,
         queue_depth: get(opts, "queue-depth", 64)?,
         stats_every: (stats_secs > 0).then(|| std::time::Duration::from_secs(stats_secs)),
-        stats_human: get(opts, "stats-human", false)?,
         metrics_file: opts.get("metrics-file").cloned(),
         trace_requests: opts.get("trace-requests").cloned(),
         trace_max_bytes: get(opts, "trace-max-bytes", 16 << 20)?,
@@ -685,7 +633,6 @@ fn cmd_gateway(opts: &Flags) -> Result<(), String> {
 /// over its Unix socket and pretty-prints it (`--json true` for the raw
 /// snapshot).
 fn cmd_stats(opts: &Flags) -> Result<(), String> {
-    use serde_json::{Number, Value};
     use std::io::{BufRead, BufReader, Write};
     use std::os::unix::net::UnixStream;
 
@@ -719,24 +666,9 @@ fn cmd_stats(opts: &Flags) -> Result<(), String> {
         return Ok(());
     }
 
-    let uint = |v: &Value| -> u64 {
-        match v {
-            Value::Number(Number::PosInt(u)) => *u,
-            _ => 0,
-        }
-    };
-    let float = |v: &Value| -> f64 {
-        match v {
-            Value::Number(n) => n.as_f64(),
-            _ => 0.0,
-        }
-    };
-    let schema = match snapshot.field("schema") {
-        Value::String(s) => s.as_str(),
-        _ => "?",
-    };
     println!(
-        "{schema} — uptime {:.1} s",
+        "{} — uptime {:.1} s",
+        text(snapshot.field("schema")),
         float(snapshot.field("uptime_s"))
     );
     let r = snapshot.field("requests");

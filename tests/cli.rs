@@ -174,6 +174,85 @@ fn gen_plan_replay_lifetime_pipeline() {
     let _ = std::fs::remove_file(&schedule);
 }
 
+/// Seeded runs keep their exact bytes: stdout, the `ccsga:` stderr line
+/// and the `-o` schedule file. The expected bytes were captured from the
+/// CLI as it was when `plan`, `replay` and `lifetime` still called the
+/// solvers directly, before they moved onto the daemon's command layer.
+#[test]
+fn seeded_runs_keep_their_exact_bytes() {
+    let scenario = temp_path("pinned_scenario.json");
+    let schedule = temp_path("pinned_schedule.json");
+    let (sc, sched) = (scenario.to_str().unwrap(), schedule.to_str().unwrap());
+    let gen = ["gen", "--seed", "7", "--devices", "12", "--chargers", "4"];
+    assert!(ccs(&[&gen[..], &["-o", sc]].concat()).status.success());
+
+    let out = ccs(&["plan", "--scenario", sc, "--algo", "ccsga", "-o", sched]);
+    assert!(out.status.success(), "{out:?}");
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        format!(
+            "ccsga schedule (equal sharing), 2 groups, total cost 284.70\n  \
+             group 0: charger c1 at (120.15, 232.30) members [d0 d3 d4 d6 d7 d11] bill 111.21\n  \
+             group 1: charger c0 at (128.72, 55.54) members [d1 d2 d5 d8 d9 d10] bill 127.29\n\n\
+             wrote schedule to {sched}\n"
+        )
+    );
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        "ccsga: 12 switches, 3 rounds, Nash-stable: true\n"
+    );
+    assert_eq!(
+        std::fs::read_to_string(&schedule).unwrap(),
+        include_str!("golden/ccsga_schedule.json")
+    );
+
+    let cases: [(&[&str], &str); 5] = [
+        (
+            &["plan", "--algo", "opt"],
+            "opt schedule (equal sharing), 2 groups, total cost 284.70\n  \
+             group 0: charger c0 at (128.72, 55.54) members [d1 d2 d5 d8 d9 d10] bill 127.29\n  \
+             group 1: charger c1 at (120.15, 232.30) members [d0 d3 d4 d6 d7 d11] bill 111.21\n\n",
+        ),
+        (
+            &["replay", "--breakdown", "0.3", "--noshow", "0.2", "--recover", "2", "--seed", "4"],
+            "planned 284.70 $, realized 180.47 $, served 5/12 devices, makespan 1944.2 s, \
+             mean wait 750.6 s\n  \
+             recovery round 1: 7 device(s) re-planned, 5 now served\n  \
+             recovery round 2: 2 device(s) re-planned, 1 now served\n  \
+             recovery round 3: 1 device(s) re-planned (degraded to solo dispatches), 1 now served\n\
+             recovered: served 100% of devices in 3 extra round(s), total 383.98 $\n",
+        ),
+        // Nobody served: the mean wait prints as zero.
+        (
+            &["replay", "--breakdown", "1", "--seed", "4"],
+            "planned 284.70 $, realized 57.07 $, served 0/12 devices, makespan 152.1 s, \
+             mean wait 0.0 s\n",
+        ),
+        (
+            &["replay", "--noshow", "1", "--recover", "1", "--seed", "4"],
+            "planned 284.70 $, realized 91.92 $, served 0/12 devices, makespan 147.4 s, \
+             mean wait 0.0 s\n  \
+             recovery round 1: 12 device(s) re-planned, 0 now served\n  \
+             recovery round 2: 12 device(s) re-planned (degraded to solo dispatches), 12 now served\n\
+             recovered: served 100% of devices in 2 extra round(s), total 702.15 $\n",
+        ),
+        (
+            &["lifetime", "--breakdown", "0.2", "--recover", "1", "--rounds", "6", "--seed", "4"],
+            "ccsa over 6 rounds: OPEX 548.16 $, 5 hires, 79.1 kJ purchased, survival 100.0%\n  \
+             testbed delivery: 0 refill request(s) went unserved\n",
+        ),
+    ];
+    for (args, expected) in cases {
+        let out = ccs(&[&args[..1], &["--scenario", sc], &args[1..]].concat());
+        assert!(out.status.success(), "{args:?}: {out:?}");
+        assert_eq!(String::from_utf8_lossy(&out.stdout), expected, "{args:?}");
+        assert!(out.stderr.is_empty(), "{args:?}: {out:?}");
+    }
+
+    let _ = std::fs::remove_file(&scenario);
+    let _ = std::fs::remove_file(&schedule);
+}
+
 #[test]
 fn bad_input_yields_clean_errors() {
     // Unknown command.
@@ -228,8 +307,9 @@ fn malformed_flags_fail_with_one_line_errors() {
     .status
     .success());
 
-    // Non-numeric values for numeric flags: clean error, nonzero exit, no
-    // panic, regardless of which command or flag carries the typo.
+    // Non-numeric or out-of-range values: clean error, exit 1, no panic,
+    // regardless of which command or flag carries the typo.
+    let online = |flag, value| vec!["online", "--scenario", scenario_str, flag, value];
     for (args, needle) in [
         (
             vec!["plan", "--scenario", scenario_str, "--threads", "abc"],
@@ -251,9 +331,31 @@ fn malformed_flags_fail_with_one_line_errors() {
             vec!["serve", "--queue-depth", "deep"],
             "invalid value 'deep' for --queue-depth",
         ),
+        (
+            vec!["replay", "--scenario", scenario_str, "--breakdown", "1.5"],
+            "field 'breakdown' must be a probability in [0, 1], got 1.5",
+        ),
+        (
+            vec!["lifetime", "--scenario", scenario_str, "--rounds", "0"],
+            "rounds must be >= 1",
+        ),
+        (
+            vec!["lifetime", "--scenario", scenario_str, "--breakdown", "2"],
+            "field 'breakdown' must be a probability in [0, 1], got 2",
+        ),
+        (online("--rate", "0"), "rate must be positive"),
+        (online("--rate", "nan"), "rate must be positive"),
+        (online("--horizon", "0"), "horizon must be positive"),
+        (online("--slack", "-1"), "slack must be positive"),
+        (
+            online("--battery-cap", "-5"),
+            "battery capacity must be positive",
+        ),
+        (online("--ecr-move", "-1"), "ecr_move must be nonnegative"),
+        (online("--ecr-charge", "0.5"), "ecr_charge must be >= 1"),
     ] {
         let out = ccs(&args);
-        assert!(!out.status.success(), "{args:?} must fail");
+        assert_eq!(out.status.code(), Some(1), "{args:?} must fail cleanly");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains(needle), "{args:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");

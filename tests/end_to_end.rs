@@ -207,8 +207,10 @@ fn ccsga_run_report_records_game_dynamics() {
         report.counters
     );
     // Phase wall-clock timings: the outer algorithm span and the nested
-    // engine span must both be present with real durations.
-    for span in ["ccsga", "ccsga/coalition_run"] {
+    // engine span must both be present with real durations. `ccs plan`
+    // runs through the daemon's command layer, so they nest under its
+    // `serve.plan` span.
+    for span in ["serve.plan/ccsga", "serve.plan/ccsga/coalition_run"] {
         let stats = report.spans.get(span).unwrap_or_else(|| {
             panic!(
                 "missing span {span:?} in {:?}",
@@ -239,7 +241,7 @@ fn ccsa_run_report_records_facility_pricing() {
     );
     assert!(report.counter("ccsa.rounds") > 0, "{:?}", report.counters);
     assert!(
-        report.spans.contains_key("ccsa/greedy"),
+        report.spans.contains_key("serve.plan/ccsa/greedy"),
         "{:?}",
         report.spans.keys().collect::<Vec<_>>()
     );
