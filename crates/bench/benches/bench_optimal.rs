@@ -16,7 +16,7 @@ fn bench_optimal(c: &mut Criterion) {
                 .generate(),
         );
         group.bench_with_input(BenchmarkId::from_parameter(n), &problem, |b, p| {
-            b.iter(|| optimal(p, &EqualShare, OptimalOptions::default()).unwrap())
+            b.iter(|| optimal(p, &EqualShare).unwrap())
         });
     }
     group.finish();
@@ -48,7 +48,7 @@ fn bench_clustering(c: &mut Criterion) {
                 .generate(),
         );
         group.bench_with_input(BenchmarkId::from_parameter(n), &problem, |b, p| {
-            b.iter(|| clustering(p, &EqualShare, ClusterOptions::default()))
+            b.iter(|| clustering(p, &EqualShare))
         });
     }
     group.finish();

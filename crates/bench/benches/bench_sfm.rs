@@ -4,7 +4,7 @@
 
 use ccs_submodular::density::{min_density_mnp, min_density_separable};
 use ccs_submodular::minimize::{separable_min, SeparableFn};
-use ccs_submodular::mnp::{minimize, MnpOptions};
+use ccs_submodular::mnp::minimize;
 use ccs_submodular::set_fn::{CardinalityCurve, CardinalityPenalized};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -21,7 +21,7 @@ fn bench_mnp(c: &mut Criterion) {
     for &n in &[10usize, 20, 40, 80] {
         let f = CardinalityPenalized::new(bill(n), 4.0);
         group.bench_with_input(BenchmarkId::from_parameter(n), &f, |b, f| {
-            b.iter(|| minimize(f, MnpOptions::default()))
+            b.iter(|| minimize(f))
         });
     }
     group.finish();
@@ -45,7 +45,7 @@ fn bench_density(c: &mut Criterion) {
         b.iter(|| min_density_separable(&f).unwrap())
     });
     group.bench_function("dinkelbach_mnp_40", |b| {
-        b.iter(|| min_density_mnp(&f, MnpOptions::default()).unwrap())
+        b.iter(|| min_density_mnp(&f).unwrap())
     });
     group.finish();
 }

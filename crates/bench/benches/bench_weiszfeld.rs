@@ -1,7 +1,7 @@
 //! Criterion micro-benchmark: Weiszfeld gathering-point optimization
 //! (supports experiment `abl_gathering`).
 
-use ccs_wrsn::geometry::{weighted_geometric_median, Point, WeiszfeldOptions};
+use ccs_wrsn::geometry::{weighted_geometric_median, Point};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn anchors(k: usize) -> (Vec<Point>, Vec<f64>) {
@@ -21,9 +21,7 @@ fn bench_weiszfeld(c: &mut Criterion) {
     for &k in &[5usize, 20, 100, 500] {
         let (pts, weights) = anchors(k);
         group.bench_with_input(BenchmarkId::from_parameter(k), &k, |b, _| {
-            b.iter(|| {
-                weighted_geometric_median(&pts, &weights, WeiszfeldOptions::default()).unwrap()
-            })
+            b.iter(|| weighted_geometric_median(&pts, &weights).unwrap())
         });
     }
     group.finish();

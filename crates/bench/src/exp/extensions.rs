@@ -279,8 +279,7 @@ pub fn fig15(out: &Path) -> io::Result<()> {
                 .chargers(3)
                 .generate(),
         );
-        let exact = optimal(&problem, &EqualShare, OptimalOptions::default())
-            .expect("n = 8 fits the exact solver");
+        let exact = optimal(&problem, &EqualShare).expect("n = 8 fits the exact solver");
         let game = ccsga(&problem, &EqualShare, CcsgaOptions::default());
         let poa = game.schedule.total_cost() / exact.total_cost();
         let ne_core_stable =

@@ -42,9 +42,7 @@ fn run_point(make: impl Fn(u64) -> ScenarioGenerator + Sync) -> PointStats {
             .schedule
             .average_cost()
             .value();
-        let clu_cost = clustering(&problem, &EqualShare, ClusterOptions::default())
-            .average_cost()
-            .value();
+        let clu_cost = clustering(&problem, &EqualShare).average_cost().value();
         let ncp_cost = noncooperation(&problem, &EqualShare).average_cost().value();
         (ccsa_cost, ccsga_cost, clu_cost, ncp_cost)
     });

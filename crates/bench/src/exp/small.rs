@@ -37,7 +37,7 @@ pub fn fig8(out: &Path) -> io::Result<(f64, f64)> {
                 .field_side(200.0)
                 .generate();
             let problem = CcsProblem::new(scenario);
-            let exact = optimal(&problem, &EqualShare, OptimalOptions::default())
+            let exact = optimal(&problem, &EqualShare)
                 .expect("n <= 12 is within the exact solver's budget");
             let approx = ccsa(&problem, &EqualShare, CcsaOptions::default());
             let game = ccsga(&problem, &EqualShare, CcsgaOptions::default());

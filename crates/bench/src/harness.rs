@@ -60,7 +60,7 @@ use ccs_core::prelude::*;
 use ccs_core::problem::CostParams;
 use ccs_serve::protocol::object;
 use ccs_submodular::minimize::SeparableFn;
-use ccs_submodular::mnp::{minimize, MnpOptions};
+use ccs_submodular::mnp::minimize;
 use ccs_submodular::set_fn::{CardinalityCurve, CardinalityPenalized};
 use ccs_wrsn::arrival::{ArrivalGenerator, ArrivalProfile, ChargeRequest};
 use ccs_wrsn::scenario::{scale_preset, Scenario, ScenarioGenerator};
@@ -460,7 +460,7 @@ fn sfm_run() -> Box<dyn Fn() -> Run> {
     let bill = SeparableFn::new(weights, 25.0, CardinalityCurve::Sqrt, 3.0);
     let f = CardinalityPenalized::new(bill, 4.0);
     Box::new(move || {
-        let sol = minimize(&f, MnpOptions::default());
+        let sol = minimize(&f);
         Run::solve(sol.value.to_bits() ^ sol.minimizer.len() as u64)
     })
 }

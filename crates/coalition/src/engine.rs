@@ -49,9 +49,7 @@
 //! evaluates candidates in the same order as the full scan, so the
 //! partition trajectory — and the final [`ConvergenceReport`] — is
 //! **bit-identical** to `worklist: false` at any thread count (pinned by
-//! the `worklist` proptests). Games with a global coalition-count cap
-//! ([`HedonicGame::max_coalitions`]) couple every probe to global state,
-//! so the engine transparently falls back to full scans for them.
+//! the `worklist` proptests).
 
 use crate::game::HedonicGame;
 use crate::partition::{CoalitionId, Partition};
@@ -70,6 +68,10 @@ pub enum SwitchRule {
     Utilitarian,
 }
 
+/// Strictness margin: an improvement must exceed this to count, in the
+/// dynamics and in the final stability audit alike.
+const EPSILON: f64 = 1e-9;
+
 /// Options for [`run`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EngineOptions {
@@ -77,8 +79,6 @@ pub struct EngineOptions {
     pub rule: SwitchRule,
     /// Maximum full player rounds before giving up. `0` means `100 * n`.
     pub max_rounds: usize,
-    /// Strictness margin: an improvement must exceed this to count.
-    pub epsilon: f64,
     /// Maximum join candidates per player scan, built from the game's
     /// spatial neighbor order ([`HedonicGame::neighbor_order`]). `0` (the
     /// default) scans every coalition, which is exact; a positive cap turns
@@ -103,7 +103,6 @@ impl Default for EngineOptions {
         EngineOptions {
             rule: SwitchRule::SelfishWithHistory,
             max_rounds: 0,
-            epsilon: 1e-9,
             shortlist_cap: 0,
             check_stability: true,
             worklist: true,
@@ -256,14 +255,12 @@ impl Worklist {
 
 /// Picks the worklist mode for this game and builds the supporting indexes.
 ///
-/// Games with a coalition-count cap tie singleton admissibility to global
-/// state no local marking can track, so they run with the worklist off.
 /// With a shortlist cap, the game's neighbor availability is probed for
 /// every player up front (the forward lists double as the probe-time
 /// shortlists); mixed availability would make the dirty marking unsound,
 /// so it also falls back to `Off`.
 fn build_worklist<G: HedonicGame>(game: &G, n: usize, options: &EngineOptions) -> Worklist {
-    if !options.worklist || game.max_coalitions().is_some() {
+    if !options.worklist {
         return Worklist::inactive(WorklistMode::Off, n);
     }
     if options.shortlist_cap == 0 {
@@ -355,7 +352,6 @@ pub fn run<G: HedonicGame>(
     } else {
         options.max_rounds
     };
-    let eps = options.epsilon;
 
     let mut partition = initial;
     // Per-player set of coalition compositions already visited
@@ -495,7 +491,7 @@ pub fn run<G: HedonicGame>(
     ccs_telemetry::counter!("coalition.rounds").add(rounds as u64);
     ccs_telemetry::counter!("coalition.switch_ops").add(switches as u64);
 
-    let nash_stable = options.check_stability && is_nash_stable(game, &partition, eps);
+    let nash_stable = options.check_stability && is_nash_stable(game, &partition, EPSILON);
     let final_social_cost = game.social_cost(partition.coalitions().map(|(_, members)| members));
     ConvergenceReport {
         partition,
@@ -568,7 +564,6 @@ fn best_move<G: HedonicGame>(
     scratch: &mut Scratch,
     probe: Probe<'_>,
 ) -> Option<(Move, f64)> {
-    let eps = options.epsilon;
     let prefs = ccs_telemetry::counter!("coalition.preference_evals");
     let attempts = ccs_telemetry::counter!("coalition.switch_ops_attempted");
     let from_id = partition.coalition_of(player);
@@ -700,16 +695,10 @@ fn best_move<G: HedonicGame>(
             }
         }
         // Candidate: split off into a singleton (only meaningful from a
-        // larger coalition, and only if the coalition budget allows one
-        // more). Going solo is the individual-rationality fallback: it is
-        // never blocked by history (see the module docs) and needs nobody's
-        // consent. The coalition count is an O(slots) scan, so it is only
-        // taken for games that set a cap.
-        if from_members.len() > 1
-            && game
-                .max_coalitions()
-                .is_none_or(|cap| partition.num_coalitions() < cap)
-        {
+        // larger coalition). Going solo is the individual-rationality
+        // fallback: it is never blocked by history (see the module docs) and
+        // needs nobody's consent.
+        if from_members.len() > 1 {
             let start = scratch.slab.len();
             scratch.slab.push(player);
             scratch.cands.push((Move::Singleton, start, start + 1));
@@ -742,7 +731,7 @@ fn best_move<G: HedonicGame>(
                     let harmed = members.iter().any(|&q| {
                         prefs.incr();
                         prefs.incr();
-                        game.player_cost(q, joined) > game.player_cost(q, members) + eps
+                        game.player_cost(q, joined) > game.player_cost(q, members) + EPSILON
                     });
                     if harmed {
                         None
@@ -785,7 +774,7 @@ fn best_move<G: HedonicGame>(
     for (&(mv, _, _), gain) in cands.iter().zip(gains.iter()) {
         let Some(gain) = *gain else { continue };
         attempts.incr();
-        if gain > eps {
+        if gain > EPSILON {
             match &best {
                 Some((_, g)) if *g >= gain => {}
                 _ => best = Some((mv, gain)),
@@ -897,33 +886,6 @@ mod tests {
         for (_, members) in report.partition.coalitions() {
             assert!(members.len() <= 2, "cap of 2 violated: {members:?}");
         }
-    }
-
-    #[test]
-    fn max_coalitions_blocks_singleton_splits() {
-        // Start from the grand coalition with a cap of 1 coalition: the only
-        // deviation (going solo) would create a second coalition, so the
-        // partition must stay put even though players might prefer leaving.
-        struct Capped(FeeSharingGame);
-        impl HedonicGame for Capped {
-            fn num_players(&self) -> usize {
-                self.0.num_players()
-            }
-            fn player_cost(&self, p: usize, c: &[usize]) -> f64 {
-                self.0.player_cost(p, c)
-            }
-            fn max_coalitions(&self) -> Option<usize> {
-                Some(1)
-            }
-        }
-        let game = Capped(line_game(0.1, 5));
-        let report = run(
-            &game,
-            Partition::grand_coalition(5),
-            EngineOptions::default(),
-        );
-        assert_eq!(report.partition.num_coalitions(), 1);
-        assert_eq!(report.switches, 0);
     }
 
     #[test]

@@ -39,12 +39,6 @@ pub trait HedonicGame: Sync {
         true
     }
 
-    /// Optional cap on the number of coalitions (e.g. available chargers).
-    /// `None` means unlimited.
-    fn max_coalitions(&self) -> Option<usize> {
-        None
-    }
-
     /// Optional spatial shortlist hook: append up to `limit` players to
     /// `out` in deterministic nearest-first order from `player` and return
     /// `true`. The default returns `false` ("no spatial structure"), which
@@ -78,9 +72,6 @@ impl<G: HedonicGame + ?Sized> HedonicGame for &G {
     }
     fn coalition_feasible(&self, coalition: &[usize]) -> bool {
         (**self).coalition_feasible(coalition)
-    }
-    fn max_coalitions(&self) -> Option<usize> {
-        (**self).max_coalitions()
     }
     fn neighbor_order(&self, player: usize, limit: usize, out: &mut Vec<usize>) -> bool {
         (**self).neighbor_order(player, limit, out)

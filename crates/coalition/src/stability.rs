@@ -32,7 +32,6 @@ pub fn find_blocking_move<G: HedonicGame>(
     epsilon: f64,
 ) -> Option<BlockingMove> {
     let n = game.num_players();
-    let coalition_count = partition.num_coalitions();
     let mut joined: Vec<usize> = Vec::new();
     for player in 0..n {
         let from_id = partition.coalition_of(player);
@@ -59,11 +58,7 @@ pub fn find_blocking_move<G: HedonicGame>(
             }
         }
 
-        if from_members.len() > 1
-            && game
-                .max_coalitions()
-                .is_none_or(|cap| coalition_count < cap)
-        {
+        if from_members.len() > 1 {
             let solo = [player];
             if game.coalition_feasible(&solo) {
                 let new_cost = game.player_cost(player, &solo);

@@ -37,7 +37,6 @@ use crate::schedule::{GroupPlan, Schedule};
 use crate::sharing::CostSharing;
 use ccs_submodular::density::{min_density_mnp, min_density_separable};
 use ccs_submodular::minimize::SeparableFn;
-use ccs_submodular::mnp::MnpOptions;
 use ccs_submodular::set_fn::{CardinalityCurve, SetFunction};
 use ccs_wrsn::entities::{ChargerId, DeviceId};
 use ccs_wrsn::geometry::Point;
@@ -65,9 +64,6 @@ pub enum InnerMinimizer {
 pub struct CcsaOptions {
     /// Inner density minimizer.
     pub minimizer: InnerMinimizer,
-    /// Side of the coarse candidate grid added to device/charger positions
-    /// (`0` disables grid candidates).
-    pub candidate_grid: usize,
     /// Re-optimize each committed group's gathering point with the
     /// problem's strategy.
     pub refine_gathering: bool,
@@ -84,7 +80,6 @@ impl Default for CcsaOptions {
     fn default() -> Self {
         CcsaOptions {
             minimizer: InnerMinimizer::PrefixScan,
-            candidate_grid: 4,
             refine_gathering: true,
             ir_repair: true,
             local_improvement: true,
@@ -157,6 +152,10 @@ pub fn ccsa(problem: &CcsProblem, sharing: &dyn CostSharing, options: CcsaOption
     debug_assert!(schedule.validate(problem).is_ok(), "n = {n}");
     schedule
 }
+
+/// Side of the coarse field grid whose points join the device positions and
+/// charger depots as candidate gathering points.
+const CANDIDATE_GRID: usize = 4;
 
 /// How many walked elements a cached density scan may record; scans that
 /// walk more are re-priced next round instead of cached. This bounds the
@@ -265,11 +264,9 @@ impl<'a> Sweep<'a> {
             candidates.push(c.position());
             anchors.push(None);
         }
-        if options.candidate_grid > 0 {
-            for p in problem.scenario().field().grid(options.candidate_grid) {
-                candidates.push(p);
-                anchors.push(None);
-            }
+        for p in problem.scenario().field().grid(CANDIDATE_GRID) {
+            candidates.push(p);
+            anchors.push(None);
         }
         let num_candidates = candidates.len() as u32;
         let facilities: Vec<(ChargerId, u32)> = problem
@@ -557,7 +554,7 @@ fn min_density(
             let result = if options.minimizer == InnerMinimizer::DinkelbachSeparable {
                 min_density_separable(f)
             } else {
-                min_density_mnp(f, MnpOptions::default())
+                min_density_mnp(f)
             }
             .expect("separable functions are normalized and nonempty here");
             let picked = result.minimizer.to_vec();
@@ -937,7 +934,7 @@ fn repair_individual_rationality(
 mod tests {
     use super::*;
     use crate::algo::noncoop::noncooperation;
-    use crate::algo::optimal::{optimal, OptimalOptions};
+    use crate::algo::optimal::optimal;
     use crate::problem::CostParams;
     use crate::sharing::{EqualShare, ProportionalShare};
     use ccs_wrsn::scenario::{ParamRange, Placement, ScenarioGenerator};
@@ -982,7 +979,7 @@ mod tests {
         for seed in 1..=6 {
             let p = problem(seed, 8, 3);
             let approx = ccsa(&p, &EqualShare, CcsaOptions::default());
-            let exact = optimal(&p, &EqualShare, OptimalOptions::default()).unwrap();
+            let exact = optimal(&p, &EqualShare).unwrap();
             let ratio = approx.total_cost() / exact.total_cost();
             assert!(ratio >= 1.0 - 1e-9, "approximation cannot beat optimal");
             worst_ratio = worst_ratio.max(ratio);
@@ -1150,7 +1147,7 @@ mod tests {
 mod budget_tests {
     use super::*;
     use crate::algo::ccsga;
-    use crate::algo::optimal::{optimal, OptimalOptions};
+    use crate::algo::optimal::optimal;
     use crate::algo::CcsgaOptions;
     use crate::sharing::EqualShare;
     use ccs_wrsn::scenario::{ParamRange, ScenarioGenerator};
@@ -1174,7 +1171,7 @@ mod budget_tests {
                 ccsa(&p, &EqualShare, CcsaOptions::default()),
                 ccsga::ccsga(&p, &EqualShare, CcsgaOptions::default()).schedule,
                 crate::algo::noncoop::noncooperation(&p, &EqualShare),
-                optimal(&p, &EqualShare, OptimalOptions::default()).unwrap(),
+                optimal(&p, &EqualShare).unwrap(),
             ] {
                 schedule
                     .validate(&p)
@@ -1207,7 +1204,7 @@ mod budget_tests {
     fn budgeted_optimal_still_bounds_heuristics() {
         for seed in [1, 2] {
             let p = budgeted_problem(seed, 8);
-            let opt = optimal(&p, &EqualShare, OptimalOptions::default()).unwrap();
+            let opt = optimal(&p, &EqualShare).unwrap();
             let greedy = ccsa(&p, &EqualShare, CcsaOptions::default());
             assert!(opt.total_cost() <= greedy.total_cost() + Cost::new(1e-6));
         }

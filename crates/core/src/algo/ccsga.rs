@@ -27,27 +27,13 @@ use ccs_coalition::partition::Partition;
 use ccs_wrsn::entities::DeviceId;
 use std::sync::Arc;
 
-/// Where the game dynamics start.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum InitialPartition {
-    /// Every device alone (the natural "before cooperation" state).
-    #[default]
-    Singletons,
-    /// Everyone in one coalition.
-    GrandCoalition,
-}
-
 /// Options for [`ccsga`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CcsgaOptions {
     /// The switch rule (default: the paper's selfish-with-history).
     pub rule: SwitchRule,
-    /// Initial coalition structure.
-    pub initial: InitialPartition,
     /// Round cap forwarded to the engine (`0` = engine default).
     pub max_rounds: usize,
-    /// Strict-improvement margin.
-    pub epsilon: f64,
     /// Scale mode: cap each device's candidate joins to the coalitions of
     /// its nearest neighbors (via the device spatial grid) instead of
     /// scanning every coalition. `0` (the default) keeps the exact full
@@ -66,9 +52,7 @@ impl Default for CcsgaOptions {
     fn default() -> Self {
         CcsgaOptions {
             rule: SwitchRule::SelfishWithHistory,
-            initial: InitialPartition::Singletons,
             max_rounds: 0,
-            epsilon: 1e-9,
             neighbor_cap: 0,
             check_stability: true,
         }
@@ -243,25 +227,15 @@ pub fn ccsga(
     options: CcsgaOptions,
 ) -> CcsgaOutcome {
     let _span = ccs_telemetry::span!("ccsga");
-    let n = problem.num_devices();
     let game = CcsGame::new(problem, sharing);
-    let initial = match options.initial {
-        InitialPartition::Singletons => Partition::singletons(n),
-        InitialPartition::GrandCoalition => {
-            if problem.group_size_ok(n) {
-                Partition::grand_coalition(n)
-            } else {
-                Partition::singletons(n)
-            }
-        }
-    };
+    // The dynamics start from the "before cooperation" state: every device
+    // alone.
     let report = run(
         &game,
-        initial,
+        Partition::singletons(problem.num_devices()),
         EngineOptions {
             rule: options.rule,
             max_rounds: options.max_rounds,
-            epsilon: options.epsilon,
             shortlist_cap: options.neighbor_cap,
             check_stability: options.check_stability,
             ..EngineOptions::default()
@@ -391,21 +365,6 @@ mod tests {
         out.schedule.validate(&p).unwrap();
         assert!(out.converged);
         assert_eq!(out.schedule.sharing(), "proportional");
-    }
-
-    #[test]
-    fn grand_coalition_start_converges() {
-        let p = problem(3, 10, 3);
-        let out = ccsga(
-            &p,
-            &EqualShare,
-            CcsgaOptions {
-                initial: InitialPartition::GrandCoalition,
-                ..Default::default()
-            },
-        );
-        out.schedule.validate(&p).unwrap();
-        assert!(out.converged);
     }
 
     #[test]

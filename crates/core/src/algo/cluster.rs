@@ -17,42 +17,19 @@ use crate::sharing::CostSharing;
 use ccs_wrsn::entities::DeviceId;
 use ccs_wrsn::geometry::{kmeans, Point};
 
-/// Options for [`clustering`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ClusterOptions {
-    /// Number of clusters; `0` means one per charger.
-    pub clusters: usize,
-    /// Lloyd iterations.
-    pub max_iterations: usize,
-}
+/// Lloyd iterations of the top-level k-means.
+const LLOYD_ITERATIONS: usize = 100;
 
-impl Default for ClusterOptions {
-    fn default() -> Self {
-        ClusterOptions {
-            clusters: 0,
-            max_iterations: 100,
-        }
-    }
-}
-
-/// Runs the clustering baseline.
-pub fn clustering(
-    problem: &CcsProblem,
-    sharing: &dyn CostSharing,
-    options: ClusterOptions,
-) -> Schedule {
-    let k = if options.clusters == 0 {
-        problem.num_chargers()
-    } else {
-        options.clusters
-    };
+/// Runs the clustering baseline: one k-means cluster per charger.
+pub fn clustering(problem: &CcsProblem, sharing: &dyn CostSharing) -> Schedule {
+    let k = problem.num_chargers();
     let positions: Vec<Point> = problem
         .scenario()
         .devices()
         .iter()
         .map(|d| d.position())
         .collect();
-    let assignment = kmeans(&positions, k, options.max_iterations);
+    let assignment = kmeans(&positions, k, LLOYD_ITERATIONS);
 
     // Collect nonempty clusters as sorted member lists.
     let mut clusters: Vec<Vec<DeviceId>> = vec![Vec::new(); k.min(positions.len())];
@@ -139,7 +116,7 @@ mod tests {
     fn produces_valid_schedules() {
         for seed in [1, 2, 3] {
             let p = problem(seed, 20, 5);
-            let s = clustering(&p, &EqualShare, ClusterOptions::default());
+            let s = clustering(&p, &EqualShare);
             s.validate(&p).unwrap();
             assert_eq!(s.algorithm(), "clu");
             assert!(s.groups().len() <= 20);
@@ -152,7 +129,7 @@ mod tests {
         let mut loses_to_ccsa = 0;
         for seed in 1..=6 {
             let p = problem(seed, 24, 6);
-            let clu = clustering(&p, &EqualShare, ClusterOptions::default());
+            let clu = clustering(&p, &EqualShare);
             let solo = noncooperation(&p, &EqualShare);
             let coop = ccsa(&p, &EqualShare, CcsaOptions::default());
             if clu.total_cost() < solo.total_cost() {
@@ -182,7 +159,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        let s = clustering(&p, &EqualShare, ClusterOptions::default());
+        let s = clustering(&p, &EqualShare);
         s.validate(&p).unwrap();
         assert!(s.groups().iter().all(|g| g.members.len() <= 3));
     }
@@ -195,25 +172,7 @@ mod tests {
             .charger_energy_budget_range(ParamRange::new(9_000.0, 12_000.0))
             .generate();
         let p = CcsProblem::new(scenario);
-        let s = clustering(&p, &EqualShare, ClusterOptions::default());
+        let s = clustering(&p, &EqualShare);
         s.validate(&p).unwrap();
-    }
-
-    #[test]
-    fn explicit_cluster_count_is_honored() {
-        let p = problem(6, 12, 4);
-        let s = clustering(
-            &p,
-            &EqualShare,
-            ClusterOptions {
-                clusters: 2,
-                max_iterations: 100,
-            },
-        );
-        s.validate(&p).unwrap();
-        assert!(
-            s.groups().len() <= 4,
-            "2 clusters, modulo feasibility splits"
-        );
     }
 }

@@ -20,7 +20,7 @@ pub mod noncoop;
 pub mod optimal;
 
 pub use ccsa::{ccsa, CcsaOptions, InnerMinimizer};
-pub use ccsga::{ccsga, CcsgaOptions, CcsgaOutcome, InitialPartition};
-pub use cluster::{clustering, ClusterOptions};
+pub use ccsga::{ccsga, CcsgaOptions, CcsgaOutcome};
+pub use cluster::clustering;
 pub use noncoop::noncooperation;
-pub use optimal::{optimal, OptimalError, OptimalOptions};
+pub use optimal::{optimal, OptimalError};

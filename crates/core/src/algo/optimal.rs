@@ -16,28 +16,18 @@ use crate::sharing::CostSharing;
 use ccs_wrsn::entities::DeviceId;
 use std::fmt;
 
-/// Options for [`optimal`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OptimalOptions {
-    /// Refuse instances with more devices than this (default 16; the DP is
-    /// `O(3^n)`).
-    pub max_devices: usize,
-}
-
-impl Default for OptimalOptions {
-    fn default() -> Self {
-        OptimalOptions { max_devices: 16 }
-    }
-}
+/// [`optimal`] refuses instances with more devices than this: the DP is
+/// `O(3^n)`.
+const MAX_DEVICES: usize = 16;
 
 /// Error from [`optimal`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum OptimalError {
-    /// The instance exceeds the configured size guard.
+    /// The instance exceeds the size guard.
     TooLarge {
         /// Devices in the instance.
         devices: usize,
-        /// The configured cap.
+        /// The cap (16 devices).
         cap: usize,
     },
 }
@@ -64,7 +54,7 @@ impl std::error::Error for OptimalError {}
 /// use ccs_wrsn::scenario::ScenarioGenerator;
 ///
 /// let problem = CcsProblem::new(ScenarioGenerator::new(1).devices(6).chargers(3).generate());
-/// let exact = optimal(&problem, &EqualShare, OptimalOptions::default())?;
+/// let exact = optimal(&problem, &EqualShare)?;
 /// let approx = ccsa(&problem, &EqualShare, CcsaOptions::default());
 /// assert!(exact.total_cost() <= approx.total_cost());
 /// # Ok::<(), ccs_core::algo::OptimalError>(())
@@ -72,17 +62,13 @@ impl std::error::Error for OptimalError {}
 ///
 /// # Errors
 ///
-/// Returns [`OptimalError::TooLarge`] beyond `options.max_devices`.
-pub fn optimal(
-    problem: &CcsProblem,
-    sharing: &dyn CostSharing,
-    options: OptimalOptions,
-) -> Result<Schedule, OptimalError> {
+/// Returns [`OptimalError::TooLarge`] beyond 16 devices.
+pub fn optimal(problem: &CcsProblem, sharing: &dyn CostSharing) -> Result<Schedule, OptimalError> {
     let n = problem.num_devices();
-    if n > options.max_devices {
+    if n > MAX_DEVICES {
         return Err(OptimalError::TooLarge {
             devices: n,
-            cap: options.max_devices,
+            cap: MAX_DEVICES,
         });
     }
 
@@ -179,7 +165,7 @@ mod tests {
     #[test]
     fn rejects_large_instances() {
         let p = problem(1, 20);
-        let err = optimal(&p, &EqualShare, OptimalOptions::default()).unwrap_err();
+        let err = optimal(&p, &EqualShare).unwrap_err();
         assert!(matches!(
             err,
             OptimalError::TooLarge {
@@ -194,7 +180,7 @@ mod tests {
     fn optimal_is_valid_and_beats_ncp() {
         for seed in [1, 2, 3, 4] {
             let p = problem(seed, 7);
-            let opt = optimal(&p, &EqualShare, OptimalOptions::default()).unwrap();
+            let opt = optimal(&p, &EqualShare).unwrap();
             opt.validate(&p).unwrap();
             let ncp = noncooperation(&p, &EqualShare);
             assert!(
@@ -211,7 +197,7 @@ mod tests {
         // Sanity: OPT at n=5 must beat 50 random partitions.
         use rand::{Rng, SeedableRng};
         let p = problem(8, 5);
-        let opt = optimal(&p, &EqualShare, OptimalOptions::default()).unwrap();
+        let opt = optimal(&p, &EqualShare).unwrap();
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0);
         for _ in 0..50 {
             // Random assignment of 5 devices to up to 3 groups.
@@ -239,7 +225,7 @@ mod tests {
                 ..Default::default()
             },
         );
-        let s = optimal(&p, &EqualShare, OptimalOptions::default()).unwrap();
+        let s = optimal(&p, &EqualShare).unwrap();
         s.validate(&p).unwrap();
         assert!(s.groups().iter().all(|g| g.members.len() <= 2));
     }
@@ -247,7 +233,7 @@ mod tests {
     #[test]
     fn single_device_instance() {
         let p = problem(4, 1);
-        let s = optimal(&p, &EqualShare, OptimalOptions::default()).unwrap();
+        let s = optimal(&p, &EqualShare).unwrap();
         assert_eq!(s.groups().len(), 1);
         let ncp = noncooperation(&p, &EqualShare);
         assert!((s.total_cost() - ncp.total_cost()).abs() < Cost::new(1e-9));
@@ -268,7 +254,7 @@ mod tests {
             .base_fee_range(ParamRange::fixed(50.0))
             .generate();
         let p = CcsProblem::new(scenario);
-        let opt = optimal(&p, &EqualShare, OptimalOptions::default()).unwrap();
+        let opt = optimal(&p, &EqualShare).unwrap();
         assert!(
             opt.groups().len() < 6,
             "expected merging, got {} singleton groups",

@@ -134,7 +134,7 @@ pub fn is_core_stable(problem: &CcsProblem, schedule: &Schedule, eps: Cost) -> b
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algo::{ccsa, noncooperation, optimal, CcsaOptions, OptimalOptions};
+    use crate::algo::{ccsa, noncooperation, optimal, CcsaOptions};
     use crate::sharing::{all_schemes, EqualShare};
     use ccs_wrsn::scenario::ScenarioGenerator;
 
@@ -191,7 +191,7 @@ mod tests {
         // exist, are small relative to the allocation.
         for seed in 1..=3 {
             let p = problem(seed, 8);
-            let s = optimal(&p, &EqualShare, OptimalOptions::default()).unwrap();
+            let s = optimal(&p, &EqualShare).unwrap();
             if let Some(b) = find_blocking_coalition(&p, &s, Cost::new(1e-6)) {
                 assert!(
                     b.relative_gain() < 0.5,

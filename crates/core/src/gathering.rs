@@ -15,7 +15,7 @@
 
 use crate::problem::CcsProblem;
 use ccs_wrsn::entities::{ChargerId, DeviceId};
-use ccs_wrsn::geometry::{weighted_geometric_median, Point, WeiszfeldOptions};
+use ccs_wrsn::geometry::{weighted_geometric_median, Point};
 
 /// How a group's gathering point is chosen.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -81,7 +81,7 @@ pub fn gathering_point(
             if weights.iter().sum::<f64>() <= 0.0 {
                 return field.clamp(Point::centroid(&anchors).expect("nonempty anchors"));
             }
-            let median = weighted_geometric_median(&anchors, &weights, WeiszfeldOptions::default())
+            let median = weighted_geometric_median(&anchors, &weights)
                 .expect("validated nonempty anchors and nonnegative weights");
             field.clamp(median.point)
         }

@@ -56,7 +56,7 @@ pub mod tables;
 pub mod prelude {
     pub use crate::algo::{
         ccsa, ccsga, clustering, noncooperation, optimal, CcsaOptions, CcsgaOptions, CcsgaOutcome,
-        ClusterOptions, InitialPartition, InnerMinimizer, OptimalError, OptimalOptions,
+        InnerMinimizer, OptimalError,
     };
     pub use crate::analysis::{
         find_blocking_coalition, individual_rationality_violations, is_core_stable,

@@ -73,10 +73,10 @@ use crate::schedule::{GroupPlan, Schedule};
 use crate::sharing::CostSharing;
 use ccs_wrsn::arrival::ChargeRequest;
 use ccs_wrsn::entities::{Charger, ChargerId, DeviceId};
+use ccs_wrsn::event::{EventQueue, SimTime};
 use ccs_wrsn::geometry::Point;
 use ccs_wrsn::mobile::{EnergyModel, MobileCharger};
 use ccs_wrsn::units::{Cost, Joules, Meters, Seconds};
-use std::collections::BinaryHeap;
 
 /// Dispatch policy of the online loop.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -227,35 +227,6 @@ enum ReqState {
     Missed,
 }
 
-/// A queue entry; the `Ord` impl inverts `(time, seq)` so the max-heap
-/// pops the earliest event, deterministically tie-broken by insertion.
-#[derive(Debug, Clone, Copy)]
-struct Event {
-    time: f64,
-    seq: u64,
-    kind: EventKind,
-}
-
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl Eq for Event {}
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other
-            .time
-            .total_cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
 /// The event-driven online simulator (see the module docs).
 #[derive(Debug)]
 pub struct OnlineSim<'a> {
@@ -269,9 +240,9 @@ pub struct OnlineSim<'a> {
     chargers: Vec<MobileCharger>,
     free_at: Vec<f64>,
     busy_s: Vec<f64>,
-    events: BinaryHeap<Event>,
-    seq: u64,
-    now: f64,
+    /// Earliest first, ties in insertion order; its clock is the virtual
+    /// time of the last processed event.
+    events: EventQueue<EventKind>,
     served: usize,
     missed: usize,
     replans: usize,
@@ -287,8 +258,9 @@ impl<'a> OnlineSim<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if a request names a device outside the scenario or the
-    /// energy model is invalid.
+    /// Panics if a request names a device outside the scenario, a request's
+    /// arrival or deadline is negative or not finite, or the energy model
+    /// is invalid.
     pub fn new(
         problem: CcsProblem,
         requests: Vec<ChargeRequest>,
@@ -319,9 +291,7 @@ impl<'a> OnlineSim<'a> {
             chargers,
             free_at: vec![0.0; fleet],
             busy_s: vec![0.0; fleet],
-            events: BinaryHeap::new(),
-            seq: 0,
-            now: 0.0,
+            events: EventQueue::new(),
             served: 0,
             missed: 0,
             replans: 0,
@@ -332,24 +302,23 @@ impl<'a> OnlineSim<'a> {
         };
         for i in 0..sim.requests.len() {
             let (arrival, deadline) = (sim.requests[i].arrival, sim.requests[i].deadline);
-            sim.push_event(arrival.value(), EventKind::Arrival(i));
-            sim.push_event(deadline.value(), EventKind::Expiry(i));
+            let events = &mut sim.events;
+            events.schedule(SimTime::new(arrival.value()), EventKind::Arrival(i));
+            events.schedule(SimTime::new(deadline.value()), EventKind::Expiry(i));
         }
         sim
     }
 
-    fn push_event(&mut self, time: f64, kind: EventKind) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.events.push(Event { time, seq, kind });
+    /// The virtual time of the last processed event.
+    fn now(&self) -> f64 {
+        self.events.now().seconds()
     }
 
     /// Processes the next event; `None` once the queue is drained.
     pub fn step(&mut self) -> Option<StepOutcome> {
-        let event = self.events.pop()?;
-        self.now = event.time;
+        let (_, kind) = self.events.pop()?;
         let mut replan_needed = false;
-        match event.kind {
+        match kind {
             EventKind::Arrival(i) => {
                 ccs_telemetry::counter!("online.arrivals").incr();
                 debug_assert_eq!(self.state[i], ReqState::Waiting);
@@ -374,8 +343,8 @@ impl<'a> OnlineSim<'a> {
             (None, Vec::new())
         };
         Some(StepOutcome {
-            time: Seconds::new(self.now),
-            kind: event.kind,
+            time: Seconds::new(self.now()),
+            kind,
             replan,
             committed,
         })
@@ -387,7 +356,7 @@ impl<'a> OnlineSim<'a> {
         let arrivals = self.requests.len();
         debug_assert_eq!(self.served + self.missed, arrivals);
         let fleet = self.chargers.len();
-        let makespan = self.now;
+        let makespan = self.now();
         let busy: f64 = self.busy_s.iter().sum();
         let depot_cycles: usize = self.chargers.iter().map(|c| c.depot_cycles()).sum();
         let metrics = OnlineMetrics {
@@ -427,14 +396,14 @@ impl<'a> OnlineSim<'a> {
         self.pending
             .iter()
             .copied()
-            .filter(|&i| self.requests[i].deadline.value() > self.now)
+            .filter(|&i| self.requests[i].deadline.value() > self.now())
             .collect()
     }
 
     /// Idle charger indices at the current virtual time.
     fn idle_chargers(&self) -> Vec<usize> {
         (0..self.chargers.len())
-            .filter(|&c| self.free_at[c] <= self.now)
+            .filter(|&c| self.free_at[c] <= self.now())
             .collect()
     }
 
@@ -626,7 +595,7 @@ impl<'a> OnlineSim<'a> {
             (true, (to_depot.value() + from_depot.value()) / speed)
         };
 
-        let start = self.now + charger_leg_s.max(member_travel);
+        let start = self.now() + charger_leg_s.max(member_travel);
         let done = start + charge_time.value();
         if stream
             .iter()
@@ -654,8 +623,9 @@ impl<'a> OnlineSim<'a> {
         consumed += mc.model().tour_energy(travel_used, delivered);
         mc.commit(gp, travel_used, delivered);
         self.free_at[fleet_index] = done;
-        self.busy_s[fleet_index] += done - self.now;
-        self.push_event(done, EventKind::ChargerFree(fleet_index));
+        self.busy_s[fleet_index] += done - self.now();
+        self.events
+            .schedule(SimTime::new(done), EventKind::ChargerFree(fleet_index));
         for &i in &stream {
             self.state[i] = ReqState::Committed;
         }
@@ -670,7 +640,7 @@ impl<'a> OnlineSim<'a> {
             requests: stream,
             devices,
             gathering_point: gp,
-            committed_at: Seconds::new(self.now),
+            committed_at: Seconds::new(self.now()),
             completes_at: Seconds::new(done),
             delivered,
             bill: group.bill.total(),

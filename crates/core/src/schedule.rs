@@ -7,7 +7,7 @@
 //! invariants against the problem; algorithms call it in debug builds and
 //! integration tests call it on every produced schedule.
 
-use crate::cost::{moving_costs, FacilityChoice, GroupBill};
+use crate::cost::{FacilityChoice, GroupBill};
 use crate::problem::CcsProblem;
 use crate::sharing::CostSharing;
 use ccs_wrsn::entities::{ChargerId, DeviceId};
@@ -277,15 +277,6 @@ impl Schedule {
             }
         }
         Ok(())
-    }
-
-    /// Recomputes every member's moving cost from the problem (used by the
-    /// testbed to diff planned vs realized costs).
-    pub fn recompute_moving(&self, problem: &CcsProblem) -> Vec<Vec<Cost>> {
-        self.groups
-            .iter()
-            .map(|g| moving_costs(problem, &g.members, &g.gathering_point))
-            .collect()
     }
 }
 

@@ -45,18 +45,11 @@
 //!
 //! Even a pooled dispatch costs a few microseconds — more than an entire
 //! small batch (e.g. the 48-element Lovász prefix chains of `sfm_mnp_n48`)
-//! takes to run serially. Batches shorter than the **minimum item count**
-//! therefore run inline even when multiple workers are configured; the
-//! result is bit-identical by construction (it is the same serial order).
-//! The cutoff is resolved in this order:
-//!
-//! 1. [`set_min_items`],
-//! 2. the `CCS_PAR_MIN_ITEMS` environment variable,
-//! 3. the built-in default of `64`.
-//!
-//! Callers whose per-item work is expensive (a full facility evaluation,
-//! say) can lower the bar per call site with [`par_eval_min`] /
-//! [`par_map_min`].
+//! takes to run serially. Batches shorter than [`MIN_ITEMS`] therefore run
+//! inline even when multiple workers are configured; the result is
+//! bit-identical by construction (it is the same serial order). Callers
+//! whose per-item work is expensive (a candidate-move scan, say) can lower
+//! the bar per call site with [`par_eval_min_into`].
 //!
 //! ## Zero-dependency design
 //!
@@ -111,42 +104,9 @@ pub fn set_threads(n: usize) {
     OVERRIDE.store(n, Ordering::Relaxed);
 }
 
-/// `0` means "no override": fall back to `CCS_PAR_MIN_ITEMS` or the default.
-static MIN_ITEMS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Batches below this size never pay thread-spawn overhead.
-const DEFAULT_MIN_ITEMS: usize = 64;
-
-/// The environment/default resolution of the cutoff, done once per process.
-fn default_min_items() -> usize {
-    static DEFAULT: OnceLock<usize> = OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        std::env::var("CCS_PAR_MIN_ITEMS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or(DEFAULT_MIN_ITEMS)
-    })
-}
-
-/// The process-wide minimum batch size below which [`par_eval`] and
-/// [`par_map`] run inline (always `>= 1`).
-pub fn min_items() -> usize {
-    let n = match MIN_ITEMS_OVERRIDE.load(Ordering::Relaxed) {
-        0 => default_min_items(),
-        n => n,
-    };
-    n.max(1)
-}
-
-/// Overrides the process-wide minimum-work cutoff. `0` clears the override,
-/// restoring the `CCS_PAR_MIN_ITEMS`-or-default resolution; `1` disables
-/// the cutoff entirely (every multi-item batch may go parallel).
-///
-/// Like [`set_threads`], this knob can only shift where work runs, never
-/// what it computes.
-pub fn set_min_items(n: usize) {
-    MIN_ITEMS_OVERRIDE.store(n, Ordering::Relaxed);
-}
+/// Batches below this many items run inline: they never pay the pool's
+/// dispatch overhead.
+pub const MIN_ITEMS: usize = 64;
 
 /// Evaluates `f(0), f(1), …, f(n-1)` and returns the results in index
 /// order, fanning the evaluations out over the persistent worker pool.
@@ -167,14 +127,12 @@ where
     U: Send,
     F: Fn(usize) -> U + Sync,
 {
-    par_eval_min(n, min_items(), f)
+    par_eval_min(n, MIN_ITEMS, f)
 }
 
-/// [`par_eval`] with an explicit per-call minimum batch size instead of the
-/// process-wide [`min_items`] cutoff. Call sites whose per-item work is
-/// heavy (full facility evaluations, candidate-move scans) pass a small
-/// `min` so they still parallelize below the global cutoff.
-pub fn par_eval_min<U, F>(n: usize, min: usize, f: F) -> Vec<U>
+/// [`par_eval`] with an explicit per-call minimum batch size instead of
+/// [`MIN_ITEMS`].
+pub(crate) fn par_eval_min<U, F>(n: usize, min: usize, f: F) -> Vec<U>
 where
     U: Send,
     F: Fn(usize) -> U + Sync,
@@ -189,9 +147,12 @@ where
     pool::run(n, workers, &f)
 }
 
-/// [`par_eval_min`] writing into a caller-owned buffer instead of returning
-/// a fresh `Vec`. `out` is cleared and refilled with `f(0), …, f(n-1)` in
-/// index order. On the serial path (one worker, small batch, or a nested
+/// [`par_eval`] with an explicit per-call minimum batch size instead of
+/// [`MIN_ITEMS`], writing into a caller-owned buffer instead of returning a
+/// fresh `Vec`. Call sites whose per-item work is heavy (candidate-move
+/// scans) pass a small `min` so they still parallelize below the global
+/// cutoff. `out` is cleared and refilled with `f(0), …, f(n-1)` in index
+/// order. On the serial path (one worker, small batch, or a nested
 /// call) this is **allocation-free** once `out` has grown to capacity —
 /// the property the coalition engine's per-probe gain batches rely on.
 /// The parallel path still allocates one scatter buffer inside the pool.
@@ -213,17 +174,6 @@ where
     out.append(&mut scattered);
 }
 
-/// [`par_map_min`] writing into a caller-owned buffer (see
-/// [`par_eval_min_into`]).
-pub fn par_map_min_into<T, U, F>(items: &[T], min: usize, out: &mut Vec<U>, f: F)
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &T) -> U + Sync,
-{
-    par_eval_min_into(items.len(), min, out, |i| f(i, &items[i]))
-}
-
 /// Maps `f` over `items`, returning results in item order. The closure also
 /// receives the item index so callers can carry positional context without
 /// allocating.
@@ -236,17 +186,6 @@ where
     F: Fn(usize, &T) -> U + Sync,
 {
     par_eval(items.len(), |i| f(i, &items[i]))
-}
-
-/// [`par_map`] with an explicit per-call minimum batch size (see
-/// [`par_eval_min`]).
-pub fn par_map_min<T, U, F>(items: &[T], min: usize, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &T) -> U + Sync,
-{
-    par_eval_min(items.len(), min, |i| f(i, &items[i]))
 }
 
 #[cfg(test)]
@@ -311,14 +250,6 @@ mod tests {
     }
 
     #[test]
-    fn min_items_override_takes_precedence_and_clears() {
-        set_min_items(5);
-        assert_eq!(min_items(), 5);
-        set_min_items(0);
-        assert!(min_items() >= 1);
-    }
-
-    #[test]
     fn below_cutoff_runs_on_the_calling_thread() {
         set_threads(8);
         let me = thread::current().id();
@@ -338,11 +269,6 @@ mod tests {
         let inline = par_eval_min(200, 1000, work);
         set_threads(0);
         assert_eq!(parallel, inline);
-        let items: Vec<u64> = (0..50).collect();
-        assert_eq!(
-            par_map_min(&items, 2, |i, &x| x + i as u64),
-            par_map(&items, |i, &x| x + i as u64)
-        );
     }
 
     #[test]
@@ -354,12 +280,8 @@ mod tests {
         assert_eq!(buf, par_eval_min(300, 1, work));
         // Refilling the same buffer must fully replace its contents.
         par_eval_min_into(5, 1000, &mut buf, work);
-        assert_eq!(buf, (0..5).map(work).collect::<Vec<_>>());
-        let items: Vec<u64> = (0..80).collect();
-        let mut mapped = Vec::new();
-        par_map_min_into(&items, 1, &mut mapped, |i, &x| x * 2 + i as u64);
         set_threads(0);
-        assert_eq!(mapped, par_map_min(&items, 1, |i, &x| x * 2 + i as u64));
+        assert_eq!(buf, (0..5).map(work).collect::<Vec<_>>());
     }
 
     #[test]

@@ -215,8 +215,7 @@ const ALGORITHMS: [(&str, Planner); 4] = [
     }),
     ("ncp", |p, s| Ok((noncooperation(p, s), Vec::new()))),
     ("opt", |p, s| {
-        let schedule = optimal(p, s, OptimalOptions::default())
-            .map_err(|e| ServeError::failed(e.to_string()))?;
+        let schedule = optimal(p, s).map_err(|e| ServeError::failed(e.to_string()))?;
         Ok((schedule, Vec::new()))
     }),
 ];

@@ -59,11 +59,6 @@ pub fn is_monotone_nondecreasing<F: SetFunction>(f: &F, tol: f64) -> bool {
     true
 }
 
-/// Checks that the function is normalized (`f(∅) = 0`) within tolerance.
-pub fn is_normalized<F: SetFunction>(f: &F, tol: f64) -> bool {
-    f.at_empty().abs() <= tol
-}
-
 /// Exhaustively finds the global minimizer; ground truth for SFM tests.
 ///
 /// Returns `(argmin, min)`. Ties break toward the lexicographically first
@@ -118,7 +113,6 @@ mod tests {
         let f = Modular::new(vec![1.0, 2.0, 0.0]);
         assert!(is_submodular(&f, 1e-12));
         assert!(is_monotone_nondecreasing(&f, 1e-12));
-        assert!(is_normalized(&f, 1e-12));
     }
 
     #[test]

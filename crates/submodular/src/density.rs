@@ -11,7 +11,7 @@
 //! `O(n log n)` exact path for [`SeparableFn`] objectives.
 
 use crate::minimize::{separable_min, SeparableFn};
-use crate::mnp::{minimize_warm, MnpOptions};
+use crate::mnp::minimize_warm;
 use crate::set_fn::{CardinalityPenalized, CountingFn, SetFunction};
 use crate::subset::Subset;
 use std::fmt;
@@ -129,14 +129,11 @@ where
 ///
 /// Returns [`DensityError::EmptyGroundSet`] for `n = 0` and
 /// [`DensityError::NotNormalized`] when `f(∅) ≠ 0`.
-pub fn min_density_mnp<F: SetFunction>(
-    f: &F,
-    options: MnpOptions,
-) -> Result<DensityResult, DensityError> {
+pub fn min_density_mnp<F: SetFunction>(f: &F) -> Result<DensityResult, DensityError> {
     let mut prev: Option<Subset> = None;
     dinkelbach(f, move |lambda| {
         let penalized = CardinalityPenalized::new(f, lambda);
-        let r = minimize_warm(&penalized, options, prev.as_ref());
+        let r = minimize_warm(&penalized, prev.as_ref());
         prev = Some(r.minimizer.clone());
         (r.minimizer, r.value)
     })
@@ -174,7 +171,7 @@ mod tests {
     fn unnormalized_function_is_an_error() {
         let f = FnSetFunction::new(3, |_| 7.0);
         assert_eq!(
-            min_density_mnp(&f, MnpOptions::default()).unwrap_err(),
+            min_density_mnp(&f).unwrap_err(),
             DensityError::NotNormalized
         );
     }
@@ -227,7 +224,7 @@ mod tests {
             let fee = rng.gen_range(0.0..6.0);
             let f = SeparableFn::new(weights, fee, CardinalityCurve::Log1p, 1.0);
             let fast = min_density_separable(&f).unwrap();
-            let general = min_density_mnp(&f, MnpOptions::default()).unwrap();
+            let general = min_density_mnp(&f).unwrap();
             assert!(
                 (fast.density - general.density).abs() < 1e-7,
                 "fast {} vs mnp {}",

@@ -6,12 +6,10 @@
 //! * [`subset`] — compact bitset subsets of a ground set;
 //! * [`set_fn`] — set-function trait and provably submodular combinators
 //!   (modular + concave-of-cardinality, sums, cardinality penalties);
-//! * [`lovasz`] — Edmonds' greedy base-polytope vertex oracle and the
-//!   Lovász extension;
+//! * [`lovasz`] — Edmonds' greedy base-polytope vertex oracle;
 //! * [`mnp`] — exact submodular function minimization via the
 //!   Fujishige–Wolfe minimum-norm-point algorithm;
-//! * [`minimize`] — the fast exact path for separable objectives and a
-//!   local-search baseline;
+//! * [`minimize`] — the fast exact path for separable objectives;
 //! * [`density`] — Dinkelbach minimum-density search
 //!   `min_{S≠∅} f(S)/|S|`;
 //! * [`check`] — exponential brute-force verifiers used as ground truth in
@@ -48,7 +46,7 @@ pub mod subset;
 pub mod prelude {
     pub use crate::density::{min_density_mnp, min_density_separable, DensityResult};
     pub use crate::minimize::{separable_min, SeparableFn};
-    pub use crate::mnp::{minimize, MnpOptions, SfmResult};
+    pub use crate::mnp::{minimize, SfmResult};
     pub use crate::set_fn::{
         CardinalityCurve, CardinalityPenalized, ConcaveCardinality, FnSetFunction, Modular,
         SetFunction, SumFn,

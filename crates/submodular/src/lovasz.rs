@@ -1,5 +1,5 @@
-//! The Lovász extension and Edmonds' greedy vertex oracle for the base
-//! polytope of a submodular function.
+//! Edmonds' greedy vertex oracle for the base polytope of a submodular
+//! function (the vertex that evaluates the Lovász extension).
 //!
 //! For a *normalized* submodular `f` (`f(∅) = 0`), the base polytope is
 //!
@@ -10,7 +10,7 @@
 //! Edmonds' greedy algorithm solves `min_{v ∈ B(f)} <w, v>` exactly: sort the
 //! ground set by increasing `w` and hand out marginals along that order.
 //! This is the linear-minimization oracle inside the Fujishige–Wolfe
-//! minimum-norm-point algorithm, and also evaluates the Lovász extension.
+//! minimum-norm-point algorithm.
 
 use crate::set_fn::SetFunction;
 use crate::subset::Subset;
@@ -23,22 +23,17 @@ fn order_by(w: &[f64]) -> Vec<usize> {
     idx
 }
 
-/// Ground-set size below which the prefix chain is evaluated inline: for
-/// tiny instances the scoped-thread fan-out costs more than the chain.
-/// `ccs_par::min_items()` (the batch-wide minimum-work cutoff) dominates
-/// this floor, so chains that `ccs-par` would run serially anyway skip the
-/// prefix-clone staging entirely.
-const PAR_PREFIX_MIN: usize = 16;
-
 /// Evaluates `f` on every prefix of `order`, fanning the evaluations out
 /// over `ccs-par` when the chain is long enough to amortize the threads.
+/// Chains that `ccs-par` would run serially anyway skip the prefix-clone
+/// staging entirely.
 ///
 /// The prefixes are independent subsets once the order is fixed, so the
 /// batched values are identical to the serial ones; callers diff adjacent
 /// values to recover marginals.
 pub(crate) fn prefix_values<F: SetFunction>(f: &F, order: &[usize]) -> Vec<f64> {
     let n = order.len();
-    if ccs_par::threads() == 1 || n < PAR_PREFIX_MIN.max(ccs_par::min_items()) {
+    if ccs_par::threads() == 1 || n < ccs_par::MIN_ITEMS {
         let mut values = Vec::with_capacity(n);
         let mut prefix = Subset::empty(f.ground_size());
         for &i in order {
@@ -85,30 +80,10 @@ pub fn greedy_vertex<F: SetFunction>(f: &F, w: &[f64]) -> Vec<f64> {
     vertex
 }
 
-/// Evaluates the Lovász extension `f^L(z)` of the normalized `f` at
-/// `z ∈ R^n`.
-///
-/// `f^L(z) = <z, v>` where `v` is the greedy vertex for weights `−z`
-/// (equivalently, sort by *decreasing* `z`). For `z` the indicator vector of
-/// `S`, `f^L(z) = f(S) − f(∅)`.
-///
-/// # Panics
-///
-/// Panics if `z.len() != f.ground_size()`.
-pub fn lovasz_extension<F: SetFunction>(f: &F, z: &[f64]) -> f64 {
-    let n = f.ground_size();
-    assert_eq!(z.len(), n, "argument length mismatch");
-    ccs_telemetry::counter!("sfm.lovasz_evals").incr();
-    let counted = crate::set_fn::CountingFn::new(f);
-    let neg: Vec<f64> = z.iter().map(|v| -v).collect();
-    let vertex = greedy_vertex(&counted, &neg);
-    z.iter().zip(&vertex).map(|(zi, vi)| zi * vi).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::set_fn::{CardinalityCurve, ConcaveCardinality, FnSetFunction, Modular};
+    use crate::set_fn::{CardinalityCurve, ConcaveCardinality, Modular};
     use crate::subset::all_subsets;
 
     #[test]
@@ -170,39 +145,6 @@ mod tests {
             let other: f64 = w.iter().zip(&vertex).map(|(a, b)| a * b).sum();
             assert!(obj <= other + 1e-9);
         }
-    }
-
-    #[test]
-    fn lovasz_extension_agrees_on_indicator_vectors() {
-        let f = FnSetFunction::new(4, |s| {
-            // fixed fee + modular + sqrt congestion
-            if s.is_empty() {
-                0.0
-            } else {
-                5.0 + s.iter().map(|i| i as f64 + 1.0).sum::<f64>() + (s.len() as f64).sqrt()
-            }
-        });
-        for s in all_subsets(4) {
-            let z: Vec<f64> = (0..4)
-                .map(|i| if s.contains(i) { 1.0 } else { 0.0 })
-                .collect();
-            let ext = lovasz_extension(&f, &z);
-            assert!(
-                (ext - f.eval(&s)).abs() < 1e-9,
-                "extension {ext} vs f {} at {s}",
-                f.eval(&s)
-            );
-        }
-    }
-
-    #[test]
-    fn lovasz_extension_is_positively_homogeneous() {
-        let f = ConcaveCardinality::new(3, CardinalityCurve::Sqrt, 2.0);
-        let z = [0.2, 0.9, 0.4];
-        let a = lovasz_extension(&f, &z);
-        let scaled: Vec<f64> = z.iter().map(|v| v * 3.0).collect();
-        let b = lovasz_extension(&f, &scaled);
-        assert!((b - 3.0 * a).abs() < 1e-9);
     }
 
     fn permutations(n: usize) -> Vec<Vec<usize>> {

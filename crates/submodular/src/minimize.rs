@@ -1,11 +1,9 @@
-//! Specialized and heuristic minimizers complementing the general
-//! min-norm-point algorithm.
+//! The specialized minimizer complementing the general min-norm-point
+//! algorithm.
 //!
-//! * [`SeparableFn`] — the `fee·1[S≠∅] + Σ w_i + scale·g(|S|)` family the CCS
-//!   group bill lives in, with an exact `O(n log n)` minimizer
-//!   ([`separable_min`]): sort weights ascending, scan prefixes.
-//! * [`local_search_min`] — greedy add/remove descent; used as the cheap
-//!   baseline in the `abl_sfm` ablation.
+//! [`SeparableFn`] is the `fee·1[S≠∅] + Σ w_i + scale·g(|S|)` family the
+//! CCS group bill lives in, with an exact `O(n log n)` minimizer
+//! ([`separable_min`]): sort weights ascending, scan prefixes.
 
 use crate::set_fn::{CardinalityCurve, SetFunction};
 use crate::subset::Subset;
@@ -120,45 +118,6 @@ pub fn separable_min(f: &SeparableFn, lambda: f64) -> (Subset, f64) {
     (set, best_val)
 }
 
-/// Greedy local-search descent for set-function minimization: repeatedly
-/// apply the single-element add/remove with the largest decrease until no
-/// move improves. Exact for modular functions, heuristic otherwise.
-///
-/// Returns `(local_min_set, value)`.
-pub fn local_search_min<F: SetFunction>(f: &F) -> (Subset, f64) {
-    let n = f.ground_size();
-    let mut current = Subset::empty(n);
-    let mut value = f.eval(&current);
-    loop {
-        let mut best_move: Option<(usize, f64)> = None;
-        for i in 0..n {
-            let candidate = if current.contains(i) {
-                current.without(i)
-            } else {
-                current.with(i)
-            };
-            let v = f.eval(&candidate);
-            if v < value - 1e-12 {
-                match best_move {
-                    Some((_, bv)) if bv <= v => {}
-                    _ => best_move = Some((i, v)),
-                }
-            }
-        }
-        match best_move {
-            Some((i, v)) => {
-                if current.contains(i) {
-                    current.remove(i);
-                } else {
-                    current.insert(i);
-                }
-                value = v;
-            }
-            None => return (current, value),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -225,20 +184,5 @@ mod tests {
         let f = SeparableFn::new(vec![1.0, 2.0, 3.0], 5.0, CardinalityCurve::Sqrt, 1.0);
         let (set, _) = separable_min(&f, 100.0);
         assert_eq!(set.len(), 3);
-    }
-
-    #[test]
-    fn local_search_exact_on_modular() {
-        let f = crate::set_fn::Modular::new(vec![3.0, -1.0, -2.0, 4.0]);
-        let (set, val) = local_search_min(&f);
-        assert_eq!(set.to_vec(), vec![1, 2]);
-        assert_eq!(val, -3.0);
-    }
-
-    #[test]
-    fn local_search_never_worse_than_empty_set() {
-        let f = SeparableFn::new(vec![2.0, 2.0], 1.0, CardinalityCurve::Sqrt, 1.0);
-        let (_, val) = local_search_min(&f);
-        assert!(val <= 0.0 + 1e-12);
     }
 }

@@ -18,11 +18,11 @@
 //!
 //! ```
 //! use ccs_submodular::set_fn::Modular;
-//! use ccs_submodular::mnp::{minimize, MnpOptions};
+//! use ccs_submodular::mnp::minimize;
 //!
 //! // min over S of sum of weights: take exactly the negative elements.
 //! let f = Modular::new(vec![2.0, -3.0, 1.0, -1.0]);
-//! let result = minimize(&f, MnpOptions::default());
+//! let result = minimize(&f);
 //! assert_eq!(result.minimizer.to_vec(), vec![1, 3]);
 //! assert_eq!(result.value, -4.0);
 //! ```
@@ -31,24 +31,8 @@ use crate::lovasz::greedy_vertex;
 use crate::set_fn::{MemoFn, SetFunction};
 use crate::subset::Subset;
 
-/// Options for [`minimize`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MnpOptions {
-    /// Relative duality-gap tolerance of the Wolfe loop.
-    pub tolerance: f64,
-    /// Hard cap on major iterations (vertex additions). `0` means
-    /// `10 * n + 100`.
-    pub max_major_iterations: usize,
-}
-
-impl Default for MnpOptions {
-    fn default() -> Self {
-        MnpOptions {
-            tolerance: 1e-10,
-            max_major_iterations: 0,
-        }
-    }
-}
+/// Relative duality-gap tolerance of the Wolfe loop.
+const TOLERANCE: f64 = 1e-10;
 
 /// Result of a submodular function minimization.
 #[derive(Debug, Clone)]
@@ -170,8 +154,8 @@ fn combine(points: &[Vec<f64>], coeffs: &[f64], n: usize) -> Vec<f64> {
 ///
 /// The caller is responsible for actually passing a *submodular* function;
 /// on non-submodular input the result is a heuristic local answer.
-pub fn minimize<F: SetFunction>(f: &F, options: MnpOptions) -> SfmResult {
-    minimize_warm(f, options, None)
+pub fn minimize<F: SetFunction>(f: &F) -> SfmResult {
+    minimize_warm(f, None)
 }
 
 /// [`minimize`] with an optional warm-start set.
@@ -189,11 +173,7 @@ pub fn minimize<F: SetFunction>(f: &F, options: MnpOptions) -> SfmResult {
 /// chains shared between consecutive major iterations (and the final
 /// extraction sweep) are evaluated once, and `sfm.oracle_evals` counts
 /// exactly the distinct subsets evaluated.
-pub fn minimize_warm<F: SetFunction>(
-    f: &F,
-    options: MnpOptions,
-    warm: Option<&Subset>,
-) -> SfmResult {
+pub fn minimize_warm<F: SetFunction>(f: &F, warm: Option<&Subset>) -> SfmResult {
     ccs_telemetry::counter!("sfm.mnp_calls").incr();
     let f = MemoFn::new(f);
     let f = &f;
@@ -207,11 +187,8 @@ pub fn minimize_warm<F: SetFunction>(
         };
     }
 
-    let max_major = if options.max_major_iterations == 0 {
-        10 * n + 100
-    } else {
-        options.max_major_iterations
-    };
+    // Hard cap on major iterations (vertex additions).
+    let max_major = 10 * n + 100;
 
     // Initial vertex: warm-started toward the previous minimizer, or from
     // an arbitrary direction.
@@ -237,7 +214,7 @@ pub fn minimize_warm<F: SetFunction>(
         let q = greedy_vertex(f, &x);
         let xx = dot(&x, &x);
         let xq = dot(&x, &q);
-        if xx - xq <= options.tolerance * (1.0 + xx.abs()) {
+        if xx - xq <= TOLERANCE * (1.0 + xx.abs()) {
             break; // x is (numerically) the min-norm point.
         }
         // Guard against re-adding an existing vertex (numerical stall).
@@ -355,7 +332,7 @@ mod tests {
 
     fn assert_matches_brute_force<F: SetFunction>(f: &F) {
         let (_, expected) = brute_force_min(f);
-        let got = minimize(f, MnpOptions::default());
+        let got = minimize(f);
         assert!(
             (got.value - expected).abs() < 1e-8,
             "mnp found {} but brute force found {}",
@@ -372,7 +349,7 @@ mod tests {
     #[test]
     fn empty_ground_set() {
         let f = Modular::new(vec![]);
-        let r = minimize(&f, MnpOptions::default());
+        let r = minimize(&f);
         assert_eq!(r.minimizer.ground_size(), 0);
         assert_eq!(r.value, 0.0);
     }
@@ -380,7 +357,7 @@ mod tests {
     #[test]
     fn modular_minimization_selects_negatives() {
         let f = Modular::new(vec![2.0, -3.0, 1.0, -1.0, 0.5]);
-        let r = minimize(&f, MnpOptions::default());
+        let r = minimize(&f);
         assert_eq!(r.minimizer.to_vec(), vec![1, 3]);
         assert_eq!(r.value, -4.0);
     }
@@ -388,7 +365,7 @@ mod tests {
     #[test]
     fn nonnegative_function_minimized_by_empty_set() {
         let f = ConcaveCardinality::new(6, CardinalityCurve::Sqrt, 3.0);
-        let r = minimize(&f, MnpOptions::default());
+        let r = minimize(&f);
         assert!(r.minimizer.is_empty());
         assert_eq!(r.value, 0.0);
     }
@@ -396,7 +373,7 @@ mod tests {
     #[test]
     fn offset_does_not_change_minimizer() {
         let f = Modular::with_offset(vec![1.0, -2.0], 50.0);
-        let r = minimize(&f, MnpOptions::default());
+        let r = minimize(&f);
         assert_eq!(r.minimizer.to_vec(), vec![1]);
         assert!((r.value - 48.0).abs() < 1e-9);
     }
@@ -454,7 +431,7 @@ mod tests {
                 .count() as f64
         });
         assert!(is_submodular(&f, 1e-12));
-        let r = minimize(&f, MnpOptions::default());
+        let r = minimize(&f);
         assert_eq!(r.value, 0.0);
     }
 
@@ -486,7 +463,7 @@ mod tests {
                 Box::new(ConcaveCardinality::new(n, CardinalityCurve::Sqrt, 1.5)),
             ])
             .unwrap();
-            let cold = minimize(&f, MnpOptions::default());
+            let cold = minimize(&f);
             // Warm-start from the answer itself, from the empty set, and
             // from the full set: all must land on the same minimum.
             for warm in [
@@ -494,7 +471,7 @@ mod tests {
                 Subset::empty(n),
                 Subset::universe(n),
             ] {
-                let warmed = minimize_warm(&f, MnpOptions::default(), Some(&warm));
+                let warmed = minimize_warm(&f, Some(&warm));
                 assert!(
                     (warmed.value - cold.value).abs() < 1e-8,
                     "warm {} vs cold {}",
@@ -514,7 +491,7 @@ mod tests {
             Box::new(ConcaveCardinality::new(n, CardinalityCurve::Sqrt, 4.0)),
         ])
         .unwrap();
-        let r = minimize(&f, MnpOptions::default());
+        let r = minimize(&f);
         assert!(r.major_iterations <= 10 * n + 100);
         // Verify against the fast exact answer for this separable form:
         // choosing the k most negative weights and comparing all k.

@@ -3,9 +3,9 @@
 
 use ccs_submodular::check::{brute_force_min, brute_force_min_density, is_submodular};
 use ccs_submodular::density::min_density_separable;
-use ccs_submodular::lovasz::{greedy_vertex, lovasz_extension};
-use ccs_submodular::minimize::{local_search_min, separable_min, SeparableFn};
-use ccs_submodular::mnp::{minimize, MnpOptions};
+use ccs_submodular::lovasz::greedy_vertex;
+use ccs_submodular::minimize::{separable_min, SeparableFn};
+use ccs_submodular::mnp::minimize;
 use ccs_submodular::set_fn::{
     CardinalityCurve, CardinalityPenalized, ConcaveCardinality, FnSetFunction, Modular,
     SetFunction, SumFn,
@@ -51,7 +51,7 @@ proptest! {
             Box::new(Modular::new(weights)) as Box<dyn SetFunction>,
             Box::new(ConcaveCardinality::new(n, curve, scale)),
         ]).unwrap();
-        let got = minimize(&f, MnpOptions::default());
+        let got = minimize(&f);
         let (_, expected) = brute_force_min(&f);
         prop_assert!((got.value - expected).abs() < 1e-7,
             "mnp {} vs brute {}", got.value, expected);
@@ -111,31 +111,6 @@ proptest! {
     }
 
     #[test]
-    fn lovasz_extension_interpolates_indicators(
-        weights in proptest::collection::vec(-3.0f64..3.0, 1..6),
-        mask in 0u64..64,
-    ) {
-        let n = weights.len();
-        let f = Modular::new(weights);
-        let s = Subset::from_mask(n, mask);
-        let z: Vec<f64> = (0..n).map(|i| if s.contains(i) { 1.0 } else { 0.0 }).collect();
-        prop_assert!((lovasz_extension(&f, &z) - f.eval(&s)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn local_search_never_exceeds_empty_set(
-        weights in proptest::collection::vec(-4.0f64..4.0, 1..8),
-        fee in 0.0f64..5.0,
-    ) {
-        let f = SeparableFn::new(weights, fee, CardinalityCurve::Sqrt, 1.0);
-        let (_, val) = local_search_min(&f);
-        prop_assert!(val <= 1e-12, "local search can always stop at the empty set");
-        // And never below the global minimum.
-        let (_, global) = brute_force_min(&f);
-        prop_assert!(val >= global - 1e-9);
-    }
-
-    #[test]
     fn subset_algebra_laws(a_mask in 0u64..1024, b_mask in 0u64..1024) {
         let n = 10;
         let a = Subset::from_mask(n, a_mask);
@@ -167,7 +142,7 @@ proptest! {
                 .count() as f64
         });
         prop_assert!(is_submodular(&f, 1e-12));
-        let r = minimize(&f, MnpOptions::default());
+        let r = minimize(&f);
         prop_assert!(r.value.abs() < 1e-9, "empty/full cut is always zero");
     }
 }

@@ -26,7 +26,6 @@
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
 
-pub mod event;
 pub mod field;
 pub mod noise;
 pub mod recover;
@@ -35,7 +34,6 @@ pub mod trace;
 
 /// Convenient glob import of the most commonly used items.
 pub mod prelude {
-    pub use crate::event::{EventQueue, SimTime};
     pub use crate::field::{field_noise, field_problem, field_scenario};
     pub use crate::noise::{FailureModel, NoiseModel};
     pub use crate::recover::{recover, FieldExecutor, FieldRun, TestbedDriver};

@@ -20,13 +20,13 @@
 //! comprehensive costs are directly comparable — and coincide exactly under
 //! [`NoiseModel::ideal`] (pinned by a test).
 
-use crate::event::{EventQueue, SimTime};
 use crate::noise::{FailureModel, NoiseModel};
 use crate::trace::{Trace, TraceKind};
 use ccs_core::problem::CcsProblem;
 use ccs_core::schedule::Schedule;
 use ccs_core::sharing::CostSharing;
 use ccs_wrsn::entities::ChargerId;
+use ccs_wrsn::event::{EventQueue, SimTime};
 use ccs_wrsn::geometry::Point;
 use ccs_wrsn::units::{Cost, Joules, Meters, Seconds};
 use rand::SeedableRng;

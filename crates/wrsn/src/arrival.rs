@@ -159,7 +159,8 @@ impl ArrivalGenerator {
     }
 
     /// Generates the stream for a fleet of `num_devices` devices, sorted
-    /// by arrival time. Deterministic in `(seed, parameters)`.
+    /// by arrival time. Deterministic in `(seed, parameters)`. A fleet of
+    /// zero devices requests nothing.
     ///
     /// Uses Lewis–Shedler thinning against the profile's peak rate, so
     /// the burst profile is an exact inhomogeneous Poisson process, not
@@ -167,12 +168,13 @@ impl ArrivalGenerator {
     ///
     /// # Panics
     ///
-    /// Panics if `num_devices` is zero or a parameter fails
-    /// [`ArrivalGenerator::validate`].
+    /// Panics if a parameter fails [`ArrivalGenerator::validate`].
     pub fn generate(&self, num_devices: usize) -> Vec<ChargeRequest> {
-        assert!(num_devices > 0, "a stream needs at least one device");
         if let Err(msg) = self.validate() {
             panic!("{msg}");
+        }
+        if num_devices == 0 {
+            return Vec::new();
         }
         let peak = match self.profile {
             ArrivalProfile::Poisson | ArrivalProfile::Hotspot { .. } => self.rate,

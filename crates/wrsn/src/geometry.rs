@@ -9,12 +9,11 @@
 //! # Examples
 //!
 //! ```
-//! use ccs_wrsn::geometry::{Point, weighted_geometric_median, WeiszfeldOptions};
+//! use ccs_wrsn::geometry::{Point, weighted_geometric_median};
 //!
 //! let anchors = [Point::new(0.0, 0.0), Point::new(2.0, 0.0), Point::new(1.0, 2.0)];
 //! let weights = [1.0, 1.0, 1.0];
-//! let median = weighted_geometric_median(&anchors, &weights, WeiszfeldOptions::default())
-//!     .expect("non-degenerate input");
+//! let median = weighted_geometric_median(&anchors, &weights).expect("non-degenerate input");
 //! assert!(median.point.x > 0.5 && median.point.x < 1.5);
 //! ```
 
@@ -122,15 +121,19 @@ impl Rect {
     /// Panics if `min` is not coordinate-wise `<= max` or if any coordinate
     /// is non-finite.
     pub fn new(min: Point, max: Point) -> Self {
-        assert!(
-            min.is_finite() && max.is_finite(),
-            "rect corners must be finite"
-        );
-        assert!(
-            min.x <= max.x && min.y <= max.y,
-            "rect min must be <= max: min={min}, max={max}"
-        );
-        Rect { min, max }
+        Rect::try_new(min, max).unwrap_or_else(|msg| panic!("{msg}"))
+    }
+
+    /// [`Rect::new`] returning the violated condition as a one-line message
+    /// instead of panicking.
+    pub(crate) fn try_new(min: Point, max: Point) -> Result<Self, String> {
+        if !(min.is_finite() && max.is_finite()) {
+            return Err("rect corners must be finite".to_string());
+        }
+        if !(min.x <= max.x && min.y <= max.y) {
+            return Err(format!("rect min must be <= max: min={min}, max={max}"));
+        }
+        Ok(Rect { min, max })
     }
 
     /// A square field `[0, side] x [0, side]`.
@@ -250,23 +253,12 @@ impl fmt::Display for GeometricMedianError {
 
 impl std::error::Error for GeometricMedianError {}
 
-/// Options controlling Weiszfeld iteration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct WeiszfeldOptions {
-    /// Stop when the iterate moves less than this distance (meters).
-    pub tolerance: f64,
-    /// Hard cap on iterations.
-    pub max_iterations: usize,
-}
+/// Weiszfeld iteration stops when the iterate moves less than this
+/// distance (meters).
+const WEISZFELD_TOLERANCE: f64 = 1e-7;
 
-impl Default for WeiszfeldOptions {
-    fn default() -> Self {
-        WeiszfeldOptions {
-            tolerance: 1e-7,
-            max_iterations: 200,
-        }
-    }
-}
+/// Hard cap on Weiszfeld iterations.
+const WEISZFELD_MAX_ITERATIONS: usize = 200;
 
 /// Result of a geometric-median computation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -302,7 +294,6 @@ pub fn weighted_distance_sum(p: &Point, anchors: &[Point], weights: &[f64]) -> f
 pub fn weighted_geometric_median(
     anchors: &[Point],
     weights: &[f64],
-    options: WeiszfeldOptions,
 ) -> Result<GeometricMedian, GeometricMedianError> {
     if anchors.is_empty() {
         return Err(GeometricMedianError::EmptyAnchors);
@@ -335,7 +326,7 @@ pub fn weighted_geometric_median(
     );
 
     let mut iterations = 0;
-    while iterations < options.max_iterations {
+    while iterations < WEISZFELD_MAX_ITERATIONS {
         iterations += 1;
         let mut num_x = 0.0;
         let mut num_y = 0.0;
@@ -374,7 +365,7 @@ pub fn weighted_geometric_median(
 
         let step = current.distance(&next).value();
         current = next;
-        if step < options.tolerance {
+        if step < WEISZFELD_TOLERANCE {
             break;
         }
     }
@@ -444,8 +435,7 @@ mod tests {
     #[test]
     fn median_of_two_points_lies_between() {
         let anchors = [Point::new(0.0, 0.0), Point::new(10.0, 0.0)];
-        let m =
-            weighted_geometric_median(&anchors, &[1.0, 1.0], WeiszfeldOptions::default()).unwrap();
+        let m = weighted_geometric_median(&anchors, &[1.0, 1.0]).unwrap();
         // Any point on the segment is optimal; objective must be 10.
         assert_close(m.objective, 10.0, 1e-6);
         assert!(m.point.y.abs() < 1e-6);
@@ -461,8 +451,7 @@ mod tests {
             Point::new(1.0, 0.0),
             Point::new(0.5, h),
         ];
-        let m =
-            weighted_geometric_median(&anchors, &[1.0; 3], WeiszfeldOptions::default()).unwrap();
+        let m = weighted_geometric_median(&anchors, &[1.0; 3]).unwrap();
         let centroid = Point::centroid(&anchors).unwrap();
         assert!(m.point.distance(&centroid).value() < 1e-5);
         assert_close(m.objective, (3.0f64).sqrt(), 1e-6);
@@ -471,8 +460,7 @@ mod tests {
     #[test]
     fn heavy_weight_pulls_median_to_anchor() {
         let anchors = [Point::new(0.0, 0.0), Point::new(10.0, 0.0)];
-        let m = weighted_geometric_median(&anchors, &[100.0, 1.0], WeiszfeldOptions::default())
-            .unwrap();
+        let m = weighted_geometric_median(&anchors, &[100.0, 1.0]).unwrap();
         // Weight 100 vs 1: optimum is exactly the heavy anchor.
         assert!(m.point.distance(&anchors[0]).value() < 1e-6);
     }
@@ -487,8 +475,7 @@ mod tests {
             Point::new(10.0, 0.0),
             Point::new(5.0, 0.0),
         ];
-        let m = weighted_geometric_median(&anchors, &[1.0, 1.0, 2.0], WeiszfeldOptions::default())
-            .unwrap();
+        let m = weighted_geometric_median(&anchors, &[1.0, 1.0, 2.0]).unwrap();
         assert!(m.point.distance(&Point::new(5.0, 0.0)).value() < 1e-9);
     }
 
@@ -503,8 +490,7 @@ mod tests {
             Point::new(9.0, 0.0),
             Point::new(10.0, 0.0),
         ];
-        let m = weighted_geometric_median(&anchors, &[1.0, 0.5, 9.0], WeiszfeldOptions::default())
-            .unwrap();
+        let m = weighted_geometric_median(&anchors, &[1.0, 0.5, 9.0]).unwrap();
         assert!(m.point.is_finite());
         assert!(
             m.point.distance(&Point::new(10.0, 0.0)).value() < 1e-3,
@@ -515,34 +501,30 @@ mod tests {
 
     #[test]
     fn median_single_anchor_is_that_anchor() {
-        let m =
-            weighted_geometric_median(&[Point::new(3.0, 4.0)], &[2.0], WeiszfeldOptions::default())
-                .unwrap();
+        let m = weighted_geometric_median(&[Point::new(3.0, 4.0)], &[2.0]).unwrap();
         assert!(m.point.distance(&Point::new(3.0, 4.0)).value() < 1e-9);
         assert_close(m.objective, 0.0, 1e-9);
     }
 
     #[test]
     fn median_error_cases() {
-        let opts = WeiszfeldOptions::default();
         assert_eq!(
-            weighted_geometric_median(&[], &[], opts).unwrap_err(),
+            weighted_geometric_median(&[], &[]).unwrap_err(),
             GeometricMedianError::EmptyAnchors
         );
         assert_eq!(
-            weighted_geometric_median(&[Point::ORIGIN], &[1.0, 2.0], opts).unwrap_err(),
+            weighted_geometric_median(&[Point::ORIGIN], &[1.0, 2.0]).unwrap_err(),
             GeometricMedianError::LengthMismatch {
                 anchors: 1,
                 weights: 2
             }
         );
         assert_eq!(
-            weighted_geometric_median(&[Point::ORIGIN], &[-1.0], opts).unwrap_err(),
+            weighted_geometric_median(&[Point::ORIGIN], &[-1.0]).unwrap_err(),
             GeometricMedianError::InvalidWeights
         );
         assert_eq!(
-            weighted_geometric_median(&[Point::ORIGIN, Point::ORIGIN], &[0.0, 0.0], opts)
-                .unwrap_err(),
+            weighted_geometric_median(&[Point::ORIGIN, Point::ORIGIN], &[0.0, 0.0]).unwrap_err(),
             GeometricMedianError::InvalidWeights
         );
     }
@@ -557,7 +539,7 @@ mod tests {
             Point::new(6.0, 5.0),
         ];
         let weights = [1.0, 2.0, 1.5, 0.5];
-        let m = weighted_geometric_median(&anchors, &weights, WeiszfeldOptions::default()).unwrap();
+        let m = weighted_geometric_median(&anchors, &weights).unwrap();
         let best_grid = Rect::square(10.0)
             .grid(60)
             .iter()

@@ -3,9 +3,10 @@
 //! World model underneath the Cooperative Charging as Service (CCS)
 //! reproduction: strongly-typed units, planar geometry (including the
 //! weighted geometric median used for gathering-point optimization), battery
-//! and WPT power-transfer physics, device/charger entities, movement
-//! modeling, and a deterministic seeded scenario generator that produces the
-//! workloads behind every simulation figure.
+//! and WPT power-transfer physics, device/charger entities, the
+//! discrete-event queue that simulations run on, and a deterministic seeded
+//! scenario generator that produces the workloads behind every simulation
+//! figure.
 //!
 //! # Example
 //!
@@ -26,9 +27,9 @@
 pub mod arrival;
 pub mod energy;
 pub mod entities;
+pub mod event;
 pub mod geometry;
 pub mod mobile;
-pub mod mobility;
 pub mod scenario;
 pub mod units;
 pub mod wpt;
@@ -38,9 +39,9 @@ pub mod prelude {
     pub use crate::arrival::{ArrivalGenerator, ArrivalProfile, ChargeRequest};
     pub use crate::energy::{Battery, EnergyDemand};
     pub use crate::entities::{Charger, ChargerId, Device, DeviceId};
+    pub use crate::event::{EventQueue, SimTime};
     pub use crate::geometry::{Point, Rect};
     pub use crate::mobile::{EnergyModel, MobileCharger};
-    pub use crate::mobility::Trip;
     pub use crate::scenario::{ParamRange, Placement, Scenario, ScenarioGenerator};
     pub use crate::units::{
         Cost, CostPerJoule, CostPerMeter, Joules, Meters, MetersPerSecond, Seconds, Watts,

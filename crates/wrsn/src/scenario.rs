@@ -279,23 +279,25 @@ impl ScenarioGenerator {
         }
     }
 
-    /// Number of devices to generate.
+    /// Number of devices to generate (at least one; see
+    /// [`ScenarioGenerator::validate`]).
     pub fn devices(mut self, n: usize) -> Self {
-        assert!(n > 0, "need at least one device");
         self.n_devices = n;
         self
     }
 
-    /// Number of chargers to generate.
+    /// Number of chargers to generate (at least one).
     pub fn chargers(mut self, m: usize) -> Self {
-        assert!(m > 0, "need at least one charger");
         self.n_chargers = m;
         self
     }
 
-    /// Square field of side `side` meters.
+    /// Square field of side `side` meters (finite and nonnegative).
     pub fn field_side(mut self, side: f64) -> Self {
-        self.field = Rect::square(side);
+        self.field = Rect {
+            min: Point::ORIGIN,
+            max: Point::new(side, side),
+        };
         self
     }
 
@@ -370,9 +372,32 @@ impl ScenarioGenerator {
         self.seed
     }
 
+    /// Checks the parameters: at least one device and one charger, and a
+    /// field with finite corners, `min` coordinate-wise `<= max`.
+    ///
+    /// # Errors
+    ///
+    /// The first parameter out of range, as a one-line message.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.n_devices == 0 {
+            return Err("need at least one device".to_string());
+        }
+        if self.n_chargers == 0 {
+            return Err("need at least one charger".to_string());
+        }
+        Rect::try_new(self.field.min, self.field.max).map(|_| ())
+    }
+
     /// Generates the scenario. Deterministic: equal generators (including
     /// seed) produce equal scenarios.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a parameter fails [`ScenarioGenerator::validate`].
     pub fn generate(&self) -> Scenario {
+        if let Err(msg) = self.validate() {
+            panic!("{msg}");
+        }
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed);
         let device_positions =
             place_points(&mut rng, self.n_devices, self.field, self.device_placement);

@@ -173,15 +173,17 @@ macro_rules! quantity {
             }
         }
 
+        // Folds from +0.0: std's `f64` sum starts from -0.0, which makes an
+        // empty sum print as "-0.00".
         impl Sum for $name {
             fn sum<I: Iterator<Item = Self>>(iter: I) -> Self {
-                Self(iter.map(|q| q.0).sum())
+                Self(iter.fold(0.0, |acc, q| acc + q.0))
             }
         }
 
         impl<'a> Sum<&'a $name> for $name {
             fn sum<I: Iterator<Item = &'a Self>>(iter: I) -> Self {
-                Self(iter.map(|q| q.0).sum())
+                Self(iter.fold(0.0, |acc, q| acc + q.0))
             }
         }
 
@@ -370,6 +372,11 @@ mod tests {
         let v = [Cost::new(1.0), Cost::new(2.5)];
         let borrowed: Cost = v.iter().sum();
         assert_eq!(borrowed, Cost::new(3.5));
+        // An empty sum is positive zero, owned or borrowed.
+        let empty: Cost = Vec::<Cost>::new().into_iter().sum();
+        assert_eq!(empty.value().to_bits(), 0.0f64.to_bits());
+        let empty: Cost = [].iter().sum();
+        assert_eq!(empty.value().to_bits(), 0.0f64.to_bits());
     }
 
     #[test]

@@ -26,11 +26,11 @@ fn main() {
     // sharing scheme.
     let sharing = EqualShare;
     let solo = noncooperation(&problem, &sharing);
-    let clu = clustering(&problem, &sharing, ClusterOptions::default());
+    let clu = clustering(&problem, &sharing);
     let greedy = ccsa(&problem, &sharing, CcsaOptions::default());
     let game = ccsga(&problem, &sharing, CcsgaOptions::default());
-    let exact = optimal(&problem, &sharing, OptimalOptions::default())
-        .expect("12 devices is within the exact solver's budget");
+    let exact =
+        optimal(&problem, &sharing).expect("12 devices is within the exact solver's budget");
 
     println!(
         "{:<8} {:>12} {:>10} {:>8} {:>14} {:>12}",

@@ -330,11 +330,12 @@ fn cmd_gen(opts: &Flags) -> Result<(), String> {
     let devices: usize = get(opts, "devices", 20)?;
     let chargers: usize = get(opts, "chargers", 5)?;
     let field: f64 = get(opts, "field", 300.0)?;
-    let scenario = ScenarioGenerator::new(seed)
+    let generator = ScenarioGenerator::new(seed)
         .devices(devices)
         .chargers(chargers)
-        .field_side(field)
-        .generate();
+        .field_side(field);
+    generator.validate()?;
+    let scenario = generator.generate();
     let json = serde_json::to_string_pretty(&scenario).map_err(|e| e.to_string())?;
     match opts.get("o") {
         Some(path) => {

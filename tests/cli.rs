@@ -254,6 +254,39 @@ fn seeded_runs_keep_their_exact_bytes() {
 }
 
 #[test]
+fn zero_device_scenarios_plan_and_stream_nothing() {
+    let scenario = temp_path("zero_devices.json");
+    let sc = scenario.to_str().unwrap();
+    assert!(ccs(&["gen", "--devices", "3", "--chargers", "2", "-o", sc])
+        .status
+        .success());
+    let mut json: serde_json::Value =
+        serde_json::from_str(&std::fs::read_to_string(&scenario).unwrap()).unwrap();
+    if let serde_json::Value::Object(fields) = &mut json {
+        fields.insert("devices".to_string(), serde_json::Value::Array(Vec::new()));
+    }
+    std::fs::write(&scenario, serde_json::to_string(&json).unwrap()).unwrap();
+
+    // An empty sum is +0.0, so the total prints without a sign.
+    let out = ccs(&["plan", "--scenario", sc]);
+    assert!(out.status.success(), "{out:?}");
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        "ccsa schedule (equal sharing), 0 groups, total cost 0.00\n\n"
+    );
+
+    // A fleet of no devices requests nothing.
+    let out = ccs(&["online", "--scenario", sc]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    assert!(
+        String::from_utf8_lossy(&out.stdout).starts_with("online ccsga: 0 arrival(s), 0 served"),
+        "{out:?}"
+    );
+
+    let _ = std::fs::remove_file(&scenario);
+}
+
+#[test]
 fn bad_input_yields_clean_errors() {
     // Unknown command.
     let out = ccs(&["frobnicate"]);
@@ -323,6 +356,11 @@ fn malformed_flags_fail_with_one_line_errors() {
             vec!["gen", "--devices", "-3"],
             "invalid value '-3' for --devices",
         ),
+        (vec!["gen", "--devices", "0"], "need at least one device"),
+        (vec!["gen", "--chargers", "0"], "need at least one charger"),
+        (vec!["gen", "--field", "-5"], "rect min must be <= max"),
+        (vec!["gen", "--field", "nan"], "rect corners must be finite"),
+        (vec!["gen", "--field", "inf"], "rect corners must be finite"),
         (
             vec!["replay", "--scenario", scenario_str, "--noshow", "lots"],
             "invalid value 'lots' for --noshow",

@@ -44,8 +44,8 @@ fn all_schedulers_are_deterministic() {
     assert_eq!(g1.schedule, g2.schedule);
     assert_eq!(g1.switches, g2.switches);
     assert_eq!(g1.rounds, g2.rounds);
-    let o1 = optimal(&p1, &EqualShare, OptimalOptions::default()).unwrap();
-    let o2 = optimal(&p2, &EqualShare, OptimalOptions::default()).unwrap();
+    let o1 = optimal(&p1, &EqualShare).unwrap();
+    let o2 = optimal(&p2, &EqualShare).unwrap();
     assert_eq!(o1, o2);
 }
 
@@ -91,8 +91,8 @@ fn submodular_minimizer_is_deterministic() {
     let weights: Vec<f64> = (0..30).map(|i| ((i * 13) % 7) as f64 - 3.0).collect();
     let f = SeparableFn::new(weights, 8.0, CardinalityCurve::Sqrt, 2.0);
     let pen = CardinalityPenalized::new(f.clone(), 1.5);
-    let a = minimize(&pen, MnpOptions::default());
-    let b = minimize(&pen, MnpOptions::default());
+    let a = minimize(&pen);
+    let b = minimize(&pen);
     assert_eq!(a.minimizer, b.minimizer);
     assert_eq!(a.value, b.value);
     let da = min_density_separable(&f).unwrap();

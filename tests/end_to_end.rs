@@ -17,7 +17,7 @@ fn problem(seed: u64, n: usize, m: usize) -> CcsProblem {
 fn cost_ordering_opt_le_heuristics_le_ncp() {
     for seed in 1..=10 {
         let p = problem(seed, 9, 3);
-        let opt = optimal(&p, &EqualShare, OptimalOptions::default()).unwrap();
+        let opt = optimal(&p, &EqualShare).unwrap();
         let greedy = ccsa(&p, &EqualShare, CcsaOptions::default());
         let game = ccsga(&p, &EqualShare, CcsgaOptions::default());
         let solo = noncooperation(&p, &EqualShare);
@@ -65,7 +65,7 @@ fn headline_shape_simulation() {
     let mut gaps = Vec::new();
     for seed in 1..=15 {
         let p = problem(seed, 10, 4);
-        let opt = optimal(&p, &EqualShare, OptimalOptions::default()).unwrap();
+        let opt = optimal(&p, &EqualShare).unwrap();
         let greedy = ccsa(&p, &EqualShare, CcsaOptions::default());
         let solo = noncooperation(&p, &EqualShare);
         savings.push(saving_percent(greedy.total_cost(), solo.total_cost()));

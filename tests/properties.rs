@@ -4,7 +4,7 @@
 use ccs_repro::prelude::*;
 use ccs_submodular::check::{brute_force_min, brute_force_min_density, is_submodular};
 use ccs_submodular::set_fn::SetFunction;
-use ccs_wrsn::geometry::{weighted_distance_sum, weighted_geometric_median, WeiszfeldOptions};
+use ccs_wrsn::geometry::{weighted_distance_sum, weighted_geometric_median};
 use proptest::prelude::*;
 
 /// A small random CCS problem described by plain values proptest can shrink.
@@ -50,7 +50,7 @@ proptest! {
         let n = weights.len();
         let bill = SeparableFn::new(weights, fee, CardinalityCurve::Sqrt, scale);
         let f = CardinalityPenalized::new(bill, lambda);
-        let got = minimize(&f, MnpOptions::default());
+        let got = minimize(&f);
         let (_, expected) = brute_force_min(&f);
         prop_assert!((got.value - expected).abs() < 1e-7,
             "mnp {} vs brute {} (n={n})", got.value, expected);
@@ -123,7 +123,7 @@ proptest! {
             .map(|d| d.move_cost_rate().value())
             .collect();
         let median =
-            weighted_geometric_median(&anchors, &weights, WeiszfeldOptions::default()).unwrap();
+            weighted_geometric_median(&anchors, &weights).unwrap();
         let best_grid = scenario
             .field()
             .grid(40)
