@@ -272,6 +272,49 @@ fn group_cost_at(
     ((group_level + energy) + moving).value()
 }
 
+/// The memoized gathering point for serving `members` with `charger`, or
+/// `None` when its Weiszfeld solve, or a bound an earlier solve of this
+/// key left in the memo, proves that this facility's group cost (as the
+/// scans compute it) strictly exceeds `incumbent` (`f64::INFINITY` never
+/// abandons). A returned point is bitwise the unbounded solve's.
+///
+/// The solve is abandoned once `(fixed + max(bound, 0))·(1 − 1e-9) >
+/// incumbent`, where `fixed = b_j + η_j·g(k) + Σ_i π_j·w_i` is the
+/// point-independent bill and `bound` (see [`ccs_wrsn::geometry::weiszfeld`])
+/// is at most the exact minimum of the spatial term `τ_j·d(q_j,p) +
+/// Σ κ_i·d(p_i,p)`, itself at most its value at any gathering point; the
+/// minimum is nonnegative, so clamping `bound` at `0` keeps it a bound.
+/// Every term the scans' `group_cost_at` sums is a nonnegative product
+/// (entity validation keeps prices, rates and demands finite and
+/// nonnegative), so its float total is within `(k + 7)·ε` of the exact
+/// cost, `fixed` is within `(k + 2)·ε` of its exact sum of the same
+/// products, and the test's own two roundings add `3·ε`. The `1 − 1e-9`
+/// factor dominates their sum for any `k < 10⁶`, as it does in
+/// `cheap_charger_bound`, so an abandoned charger can be neither the
+/// argmin nor an id tie-break winner.
+#[doc(hidden)]
+pub fn bounded_gathering_point(
+    problem: &CcsProblem,
+    charger: ChargerId,
+    members: &[DeviceId],
+    incumbent: f64,
+) -> Option<Point> {
+    let t = problem.tables();
+    if incumbent == f64::INFINITY {
+        // Nothing to beat: a constant test lets the solve skip the bound.
+        return t.cached_gathering_point(problem, charger, members, |_| false);
+    }
+    let fixed = (t.base_fee(charger) + t.congestion(charger, members.len())).value()
+        + members
+            .iter()
+            .map(|&d| t.energy(charger, d))
+            .sum::<Cost>()
+            .value();
+    t.cached_gathering_point(problem, charger, members, |bound| {
+        (fixed + bound.max(0.0)) * (1.0 - 1e-9) > incumbent
+    })
+}
+
 /// Evaluates one candidate charger against the incumbent, updating
 /// `best`/`best_cost`/`threshold` under the exact `(group_cost, charger
 /// id)` total order shared by both scan strategies.
@@ -280,7 +323,9 @@ fn group_cost_at(
 /// the `FacilityChoice` (with its itemized-bill and moving-cost `Vec`s) is
 /// materialized only when the candidate actually wins. `best_cost` carries
 /// the incumbent's group cost (`f64::INFINITY` while `best` is `None`), so
-/// losing candidates never touch the incumbent either.
+/// losing candidates never touch the incumbent either, and a candidate
+/// whose gathering solve proves it cannot beat the incumbent is dropped
+/// mid-solve ([`bounded_gathering_point`]).
 fn consider_charger(
     problem: &CcsProblem,
     members: &[DeviceId],
@@ -289,7 +334,9 @@ fn consider_charger(
     best_cost: &mut f64,
     threshold: &mut f64,
 ) {
-    let point = problem.tables().cached_gathering_point(problem, c, members);
+    let Some(point) = bounded_gathering_point(problem, c, members, *best_cost) else {
+        return;
+    };
     let cost = group_cost_at(problem, c, members, &point);
     let better = match &best {
         None => true,
@@ -317,16 +364,18 @@ pub fn facility_scan_full(
     members: &[DeviceId],
     threshold: f64,
 ) -> Option<FacilityChoice> {
-    facility_scan_full_from(problem, members, None, f64::INFINITY, threshold)
+    facility_scan_full_from(problem, members, None, None, f64::INFINITY, threshold)
 }
 
 /// [`facility_scan_full`] continued from an already-evaluated incumbent
-/// (`best` at `threshold`). Visit order never affects the result — the
+/// (`best` at `threshold`), never visiting `skip` (the charger the caller
+/// already evaluated). Visit order never affects the result — the
 /// `(group_cost, charger id)` comparison in [`consider_charger`] is a
 /// total order — so starting from an incumbent only tightens pruning.
 fn facility_scan_full_from(
     problem: &CcsProblem,
     members: &[DeviceId],
+    skip: Option<ChargerId>,
     mut best: Option<FacilityChoice>,
     mut best_cost: f64,
     mut threshold: f64,
@@ -345,7 +394,9 @@ fn facility_scan_full_from(
         .scenario()
         .charger_ids()
         .filter(|&c| {
-            cheap_charger_bound(problem, c, k, total_demand, dd_lb, ref_dev, kappa_ref) <= threshold
+            Some(c) != skip
+                && cheap_charger_bound(problem, c, k, total_demand, dd_lb, ref_dev, kappa_ref)
+                    <= threshold
                 && problem.charger(c).can_deliver(demand)
         })
         .map(|c| (facility_lower_bound(problem, c, members, dd_lb), c))
@@ -386,14 +437,16 @@ pub fn facility_scan_grid(
     members: &[DeviceId],
     threshold: f64,
 ) -> Option<FacilityChoice> {
-    facility_scan_grid_from(problem, members, None, f64::INFINITY, threshold)
+    facility_scan_grid_from(problem, members, None, None, f64::INFINITY, threshold)
 }
 
-/// [`facility_scan_grid`] continued from an already-evaluated incumbent —
-/// see [`facility_scan_full_from`] for why that cannot change the result.
+/// [`facility_scan_grid`] continued from an already-evaluated incumbent,
+/// never visiting `skip` — see [`facility_scan_full_from`] for why that
+/// cannot change the result.
 fn facility_scan_grid_from(
     problem: &CcsProblem,
     members: &[DeviceId],
+    skip: Option<ChargerId>,
     mut best: Option<FacilityChoice>,
     mut best_cost: f64,
     mut threshold: f64,
@@ -429,8 +482,9 @@ fn facility_scan_grid_from(
         candidates.clear();
         for &raw in &ring {
             let c = ChargerId::new(raw);
-            if cheap_charger_bound(problem, c, k, total_demand, dd_lb, ref_dev, kappa_ref)
-                > threshold
+            if Some(c) == skip
+                || cheap_charger_bound(problem, c, k, total_demand, dd_lb, ref_dev, kappa_ref)
+                    > threshold
                 || !problem.charger(c).can_deliver(demand)
             {
                 continue;
@@ -463,19 +517,20 @@ const GRID_MIN_CHARGERS: usize = 64;
 /// Strategy dispatch behind [`try_best_facility`] and
 /// [`try_best_facility_anchored`], continuing from an incumbent `best` at
 /// `best_cost` (`None` at infinity), which also seeds the pruning
-/// threshold. Both strategies return the bitwise-identical argmin (pinned
-/// by the `fastpath_grid` proptests), so the cutoff is purely a
-/// performance choice.
+/// threshold, and never visiting `skip`. Both strategies return the
+/// bitwise-identical argmin (pinned by the `fastpath_grid` proptests), so
+/// the cutoff is purely a performance choice.
 fn pruned_facility_scan(
     problem: &CcsProblem,
     members: &[DeviceId],
+    skip: Option<ChargerId>,
     best: Option<FacilityChoice>,
     best_cost: f64,
 ) -> Option<FacilityChoice> {
     if problem.tables().num_chargers() >= GRID_MIN_CHARGERS {
-        facility_scan_grid_from(problem, members, best, best_cost, best_cost)
+        facility_scan_grid_from(problem, members, skip, best, best_cost, best_cost)
     } else {
-        facility_scan_full_from(problem, members, best, best_cost, best_cost)
+        facility_scan_full_from(problem, members, skip, best, best_cost, best_cost)
     }
 }
 
@@ -492,7 +547,7 @@ fn pruned_facility_scan(
 /// singletons: problem construction validates them).
 pub fn try_best_facility(problem: &CcsProblem, members: &[DeviceId]) -> Option<FacilityChoice> {
     assert!(!members.is_empty(), "a group needs at least one member");
-    pruned_facility_scan(problem, members, None, f64::INFINITY)
+    pruned_facility_scan(problem, members, None, None, f64::INFINITY)
 }
 
 /// [`try_best_facility`] that evaluates `anchor` — a charger a caller has
@@ -502,9 +557,12 @@ pub fn try_best_facility(problem: &CcsProblem, members: &[DeviceId]) -> Option<F
 /// local-improvement moves both take it. The anchor's *achieved* cost is a
 /// valid threshold from the first ring, so the scan prunes as hard as
 /// possible; an anchor whose budget cannot cover the group is skipped.
-/// Bitwise identical to [`try_best_facility`] for every anchor (pinned by
-/// the `fastpath` proptests): pruning compares against an achieved cost
-/// and the `(group_cost, charger id)` order is visit-order independent.
+/// The scan never visits the anchor again: a second visit would re-price
+/// it through a memo hit, and an equal cost at the same id is never
+/// better. Bitwise identical to [`try_best_facility`] for every anchor
+/// (pinned by the `fastpath` proptests): pruning compares against an
+/// achieved cost and the `(group_cost, charger id)` order is visit-order
+/// independent.
 pub fn try_best_facility_anchored(
     problem: &CcsProblem,
     members: &[DeviceId],
@@ -524,7 +582,7 @@ pub fn try_best_facility_anchored(
             &mut threshold,
         );
     }
-    pruned_facility_scan(problem, members, best, best_cost)
+    pruned_facility_scan(problem, members, Some(anchor), best, best_cost)
 }
 
 /// Like [`try_best_facility`], for callers that have already established

@@ -9,13 +9,16 @@
 //!
 //! a weighted Fermat-point objective over the members (weights: their
 //! movement cost rates) and the charger (weight: its travel cost rate).
-//! [`GatheringStrategy::Weiszfeld`] solves it near-exactly; the cheaper
-//! strategies exist for the `abl_gathering` ablation and for CCSA's
-//! fixed-point facility enumeration.
+//! [`GatheringStrategy::Weiszfeld`] solves it near-exactly with the one
+//! Weiszfeld loop, [`ccs_wrsn::geometry::weiszfeld`], reading the anchors
+//! straight from the [`ProblemTables`](crate::tables::ProblemTables)
+//! columns; the cheaper strategies exist only for the `abl_gathering`
+//! ablation.
 
 use crate::problem::CcsProblem;
 use ccs_wrsn::entities::{ChargerId, DeviceId};
-use ccs_wrsn::geometry::{weighted_geometric_median, Point};
+use ccs_wrsn::geometry::{weiszfeld, Point, WeiszfeldStop};
+use std::cell::RefCell;
 
 /// How a group's gathering point is chosen.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -65,26 +68,8 @@ pub fn gathering_point(
     assert!(!members.is_empty(), "a group needs at least one member");
     let field = problem.scenario().field();
     match strategy {
-        GatheringStrategy::Weiszfeld => {
-            let mut anchors: Vec<Point> = members
-                .iter()
-                .map(|&d| problem.device(d).position())
-                .collect();
-            let mut weights: Vec<f64> = members
-                .iter()
-                .map(|&d| problem.device(d).move_cost_rate().value())
-                .collect();
-            let c = problem.charger(charger);
-            anchors.push(c.position());
-            weights.push(c.travel_cost_rate().value());
-            // All-zero weights (free movement): any point works; use centroid.
-            if weights.iter().sum::<f64>() <= 0.0 {
-                return field.clamp(Point::centroid(&anchors).expect("nonempty anchors"));
-            }
-            let median = weighted_geometric_median(&anchors, &weights)
-                .expect("validated nonempty anchors and nonnegative weights");
-            field.clamp(median.point)
-        }
+        GatheringStrategy::Weiszfeld => weiszfeld_point(problem, charger, members, |_| false)
+            .expect("a solve without a cutoff is never abandoned"),
         GatheringStrategy::Centroid => {
             let anchors: Vec<Point> = members
                 .iter()
@@ -110,6 +95,72 @@ pub fn gathering_point(
                         .total_cmp(&spatial_cost(problem, charger, members, b))
                 })
                 .expect("grid is nonempty")
+        }
+    }
+}
+
+/// The [`GatheringStrategy::Weiszfeld`] point for `(charger, members)`, or
+/// `None` when `abandon` accepted a lower bound on the spatial objective's
+/// minimum (see [`weiszfeld`] for the bound and its float margin).
+///
+/// The anchors are the members' positions weighted by their movement
+/// rates, then the charger's position weighted by its travel rate, read
+/// from the tables' columns (bitwise the entities' values) into a
+/// thread-local buffer once per solve, so the loop walks contiguous memory
+/// and allocates nothing once the buffer has grown. When every weight is
+/// zero any point is optimal and the anchors' centroid is used.
+/// Each solve counts once in `gathering.solves`, its iterations in
+/// `gathering.iterations`, and a cap or abandonment in `gathering.capped`
+/// or `gathering.abandoned`.
+///
+/// # Panics
+///
+/// Panics if `members` is empty.
+pub(crate) fn weiszfeld_point(
+    problem: &CcsProblem,
+    charger: ChargerId,
+    members: &[DeviceId],
+    abandon: impl FnMut(f64) -> bool,
+) -> Option<Point> {
+    thread_local! {
+        /// The solve's `(anchor, weight)` pairs.
+        static PAIRS: RefCell<Vec<(Point, f64)>> = const { RefCell::new(Vec::new()) };
+    }
+    assert!(!members.is_empty(), "a group needs at least one member");
+    let t = problem.tables();
+    let field = problem.scenario().field();
+    let run = PAIRS.with(|cell| {
+        let mut pairs = cell.borrow_mut();
+        pairs.clear();
+        pairs.extend(
+            members
+                .iter()
+                .map(|&d| (t.device_position(d), t.move_rate(d))),
+        );
+        pairs.push((t.charger_position(charger), t.travel_rate(charger)));
+        let positive = pairs.iter().map(|&(_, w)| w).sum::<f64>() > 0.0;
+        positive.then(|| weiszfeld(pairs.iter().copied(), abandon))
+    });
+    let Some(run) = run else {
+        // Every weight is zero (free movement): any point is optimal.
+        let points: Vec<Point> = members
+            .iter()
+            .map(|&d| t.device_position(d))
+            .chain(std::iter::once(t.charger_position(charger)))
+            .collect();
+        return Some(field.clamp(Point::centroid(&points).expect("nonempty anchors")));
+    };
+    ccs_telemetry::counter!("gathering.solves").incr();
+    ccs_telemetry::counter!("gathering.iterations").add(run.iterations as u64);
+    match run.stop {
+        WeiszfeldStop::Converged => Some(field.clamp(run.point)),
+        WeiszfeldStop::Capped => {
+            ccs_telemetry::counter!("gathering.capped").incr();
+            Some(field.clamp(run.point))
+        }
+        WeiszfeldStop::Abandoned => {
+            ccs_telemetry::counter!("gathering.abandoned").incr();
+            None
         }
     }
 }

@@ -26,15 +26,20 @@
 //!   instance-wide rate/price floors those bounds need;
 //! * a memo of gathering points keyed by flat `[charger, member ids…]`
 //!   slices (probed allocation-free from thread-local scratch), so a
-//!   coalition re-evaluated with the same membership (the common case in
-//!   best-response scans) never re-runs Weiszfeld.
+//!   `(charger, group)` pair priced again on the same problem reuses its
+//!   solve.
+//!   Re-evaluating the same membership in best-response scans is absorbed
+//!   earlier, by the ccsga coalition cache. When a facility scan's cutoff
+//!   abandons a losing solve, the memo keeps the lower bound that proved
+//!   it, so a repeated solve of the same problem re-abandons without
+//!   solving.
 //!
 //! The tables are **read-only shared state** (the gathering memo is a pure
 //! function cache), so they cannot perturb determinism: every value read
 //! from a table is bitwise the value the direct computation produces, which
 //! `cost::group_bill_direct` and the `fastpath` proptests pin down.
 
-use crate::gathering::gathering_point;
+use crate::gathering::{gathering_point, weiszfeld_point, GatheringStrategy};
 use crate::grid::UniformGrid;
 use crate::problem::CcsProblem;
 use ccs_coalition::fasthash::FastBuildHasher;
@@ -55,11 +60,21 @@ const GATHER_SHARDS: usize = 16;
 pub const DENSE_DIST_LIMIT: usize = 16_000_000;
 
 /// One shard of the gathering-point memo: a flat `[charger, member ids…]`
-/// key to the memoized point. The flat key lets the hit path probe with a
+/// key to the memoized solve. The flat key lets the hit path probe with a
 /// borrowed `&[u32]` built in thread-local scratch — no allocation at all;
 /// an owned boxed key is only materialized alongside a miss's Weiszfeld
 /// solve.
-type GatherShard = Mutex<HashMap<Box<[u32]>, Point, FastBuildHasher>>;
+type GatherShard = Mutex<HashMap<Box<[u32]>, Gathered, FastBuildHasher>>;
+
+/// What the gathering memo knows about one `(charger, members)` key.
+#[derive(Debug, Clone, Copy)]
+enum Gathered {
+    /// The solve completed at this point.
+    Point(Point),
+    /// The solve was abandoned; the spatial objective's minimum is at
+    /// least this bound.
+    Above(f64),
+}
 
 /// One shard of the neighbor-order memo: `(device, limit)` to the nearest
 /// device ids in ascending `(distance, id)` order.
@@ -348,12 +363,22 @@ impl ProblemTables {
     /// The gathering point for `(charger, members)` under the problem's
     /// strategy, memoized. The memo is a pure-function cache — a hit returns
     /// bitwise the point a fresh [`gathering_point`] call would compute.
+    ///
+    /// Under [`GatheringStrategy::Weiszfeld`] the solve hands `abandon` a
+    /// lower bound on the spatial objective's minimum after every ordinary
+    /// iteration; `None` means `abandon` accepted one. An abandoned solve
+    /// is memoized as the best bound it proved: a later probe of the key
+    /// first offers `abandon` that bound, and solves again only when it
+    /// is refused. A probe answered from the memo counts in
+    /// `tables.gather_hits`, one that solves in `tables.gather_misses`.
+    /// The cheaper strategies never consult `abandon`.
     pub fn cached_gathering_point(
         &self,
         problem: &CcsProblem,
         charger: ChargerId,
         members: &[DeviceId],
-    ) -> Point {
+        mut abandon: impl FnMut(f64) -> bool,
+    ) -> Option<Point> {
         thread_local! {
             /// Scratch for the flat `[charger, member ids…]` probe key.
             static KEY: std::cell::RefCell<Vec<u32>> = const { std::cell::RefCell::new(Vec::new()) };
@@ -371,19 +396,34 @@ impl ProblemTables {
                 .copied();
             (shard_idx, hit)
         });
-        if let Some(point) = hit {
-            ccs_telemetry::counter!("tables.gather_hits").incr();
-            return point;
+        let mut proven = f64::NEG_INFINITY;
+        match hit {
+            Some(Gathered::Point(point)) => {
+                ccs_telemetry::counter!("tables.gather_hits").incr();
+                return Some(point);
+            }
+            Some(Gathered::Above(bound)) if abandon(bound) => {
+                ccs_telemetry::counter!("tables.gather_hits").incr();
+                return None;
+            }
+            Some(Gathered::Above(bound)) => proven = bound,
+            None => {}
         }
         ccs_telemetry::counter!("tables.gather_misses").incr();
-        let point = gathering_point(problem, charger, members, problem.params().gathering);
+        let point = match problem.params().gathering {
+            GatheringStrategy::Weiszfeld => weiszfeld_point(problem, charger, members, |bound| {
+                proven = proven.max(bound);
+                abandon(bound)
+            }),
+            strategy => Some(gathering_point(problem, charger, members, strategy)),
+        };
         let key: Box<[u32]> = std::iter::once(charger.value())
             .chain(members.iter().map(|d| d.value()))
             .collect();
         self.gather[shard_idx]
             .lock()
             .expect("gathering memo poisoned")
-            .insert(key, point);
+            .insert(key, point.map_or(Gathered::Above(proven), Gathered::Point));
         point
     }
 
@@ -417,7 +457,8 @@ impl ProblemTables {
             .insert((device, limit), boxed);
     }
 
-    /// Number of memoized gathering points (for tests and diagnostics).
+    /// Number of memoized gathering solves, points and abandonment bounds
+    /// alike (for tests and diagnostics).
     pub fn gather_cache_len(&self) -> usize {
         self.gather
             .iter()
@@ -504,10 +545,29 @@ mod tests {
         let members: Vec<DeviceId> = [0u32, 2, 5].iter().map(|&i| DeviceId::new(i)).collect();
         let c = ChargerId::new(1);
         let fresh = gathering_point(&p, c, &members, p.params().gathering);
-        let first = t.cached_gathering_point(&p, c, &members);
-        let second = t.cached_gathering_point(&p, c, &members);
-        assert_eq!(first, fresh);
-        assert_eq!(second, fresh);
+        // An abandoned solve leaves the bound it proved: a later probe is
+        // offered exactly that bound first.
+        let mut first_bound = None;
+        let abandoned = t.cached_gathering_point(&p, c, &members, |bound| {
+            first_bound = Some(bound);
+            true
+        });
+        assert_eq!(abandoned, None);
+        assert_eq!(t.gather_cache_len(), 1);
+        let mut offered = Vec::new();
+        let refused = t.cached_gathering_point(&p, c, &members, |bound| {
+            offered.push(bound);
+            false
+        });
+        assert_eq!(offered[0], first_bound.unwrap());
+        // Refusing the stored bound runs the full solve, which replaces it.
+        assert_eq!(refused, Some(fresh));
+        let hit = t.cached_gathering_point(&p, c, &members, |_| true);
+        assert_eq!(
+            hit,
+            Some(fresh),
+            "a completed point never consults the cutoff"
+        );
         assert_eq!(t.gather_cache_len(), 1);
     }
 

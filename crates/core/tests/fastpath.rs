@@ -6,13 +6,14 @@
 //! on the raw `f64` payloads (via `PartialEq` on `Cost`/`Point`).
 
 use ccs_core::cost::{
-    evaluate_facility, evaluate_facility_direct, group_bill, group_bill_direct, try_best_facility,
-    try_best_facility_anchored, FacilityChoice,
+    bounded_gathering_point, evaluate_facility, evaluate_facility_direct, group_bill,
+    group_bill_direct, try_best_facility, try_best_facility_anchored, FacilityChoice,
 };
-use ccs_core::gathering::gathering_point;
+use ccs_core::gathering::{gathering_point, GatheringStrategy};
 use ccs_core::prelude::*;
-use ccs_wrsn::entities::DeviceId;
-use ccs_wrsn::scenario::{ParamRange, ScenarioGenerator};
+use ccs_wrsn::entities::{Charger, ChargerId, DeviceId};
+use ccs_wrsn::geometry::{weighted_geometric_median, Point};
+use ccs_wrsn::scenario::{ParamRange, Placement, Scenario, ScenarioGenerator};
 use proptest::prelude::*;
 
 fn problem(seed: u64, devices: usize, chargers: usize, budgeted: bool) -> CcsProblem {
@@ -65,8 +66,161 @@ fn reference_best_facility(p: &CcsProblem, members: &[DeviceId]) -> Option<Facil
     best
 }
 
+/// The gathering point as computed before the kernel read the tables:
+/// anchor and weight `Vec`s from the entities, the checked
+/// `weighted_geometric_median`, and the centroid when every weight is zero.
+fn reference_gathering_point(p: &CcsProblem, charger: ChargerId, members: &[DeviceId]) -> Point {
+    let c = p.charger(charger);
+    let mut anchors: Vec<Point> = members.iter().map(|&d| p.device(d).position()).collect();
+    let mut weights: Vec<f64> = members
+        .iter()
+        .map(|&d| p.device(d).move_cost_rate().value())
+        .collect();
+    anchors.push(c.position());
+    weights.push(c.travel_cost_rate().value());
+    let field = p.scenario().field();
+    if weights.iter().sum::<f64>() <= 0.0 {
+        return field.clamp(Point::centroid(&anchors).expect("nonempty anchors"));
+    }
+    field.clamp(weighted_geometric_median(&anchors, &weights).unwrap().point)
+}
+
+/// A scenario whose movement and travel rates may be zero (so all weights
+/// can vanish) and whose devices may all stand on one spot (coincident
+/// anchors).
+fn degenerate_problem(seed: u64, devices: usize, zero_moves: bool, stacked: bool) -> CcsProblem {
+    let mut generator = ScenarioGenerator::new(seed).devices(devices).chargers(3);
+    if zero_moves {
+        generator = generator
+            .device_move_cost_range(ParamRange::fixed(0.0))
+            .charger_travel_cost_range(ParamRange::new(0.0, 0.2));
+    }
+    if stacked {
+        generator = generator.device_placement(Placement::Clustered {
+            count: 1,
+            sigma: 0.0,
+        });
+    }
+    CcsProblem::new(generator.generate())
+}
+
+/// `scenario` with every charger followed, after the originals, by a twin
+/// at the same position with the same prices and budget: equal group costs
+/// bit for bit, told apart only by id.
+fn with_twin_chargers(scenario: &Scenario) -> CcsProblem {
+    let originals = scenario.chargers();
+    let chargers = originals
+        .iter()
+        .chain(originals)
+        .enumerate()
+        .map(|(j, c)| {
+            let twin = Charger::builder(ChargerId::new(j as u32), c.position())
+                .base_fee(c.base_fee())
+                .travel_cost_rate(c.travel_cost_rate())
+                .energy_price(c.energy_price())
+                .occupancy_rate(c.occupancy_rate())
+                .speed(c.speed())
+                .wpt(*c.wpt());
+            match c.energy_budget() {
+                Some(budget) => twin.energy_budget(budget),
+                None => twin,
+            }
+            .build()
+        })
+        .collect();
+    let scenario = Scenario::new(scenario.field(), scenario.devices().to_vec(), chargers)
+        .expect("twins keep ids dense and positions in the field");
+    CcsProblem::new(scenario)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The Weiszfeld gathering point read from the tables' columns is
+    /// bitwise the entity-built reference, through zero weights (all of
+    /// them, in which case the centroid is used), coincident member
+    /// positions, and singletons.
+    #[test]
+    fn table_backed_gathering_is_bitwise_the_reference(
+        seed in 0u64..1_000,
+        devices in 1usize..9,
+        mask in 1u64..(1 << 9),
+        zero_moves in any::<bool>(),
+        stacked in any::<bool>(),
+    ) {
+        let p = degenerate_problem(seed, devices, zero_moves, stacked);
+        let members = members_from_mask(devices, mask);
+        for c in p.scenario().charger_ids() {
+            let fast = gathering_point(&p, c, &members, GatheringStrategy::Weiszfeld);
+            let reference = reference_gathering_point(&p, c, &members);
+            prop_assert_eq!(fast.x.to_bits(), reference.x.to_bits());
+            prop_assert_eq!(fast.y.to_bits(), reference.y.to_bits());
+        }
+    }
+
+    /// A solve abandoned against an incumbent cost `T` belongs to a
+    /// facility whose completed group cost strictly exceeds `T`, and a
+    /// solve that completes returns the unbounded point. Each `T` probes a
+    /// fresh problem, so no memo entry hides the solve. After an
+    /// abandonment the memo holds the bound it proved: asking about `T`
+    /// again still abandons, while an exact tie with the completed cost,
+    /// and then no incumbent at all, get the unbounded point.
+    #[test]
+    fn abandoned_solves_cost_more_than_the_incumbent(
+        seed in 0u64..1_000,
+        devices in 2usize..12,
+        chargers in 1usize..5,
+        mask in 1u64..(1 << 12),
+        factor in 0.5f64..1.5,
+    ) {
+        let scenario = ScenarioGenerator::new(seed).devices(devices).chargers(chargers).generate();
+        let reference = CcsProblem::new(scenario.clone());
+        let members = members_from_mask(devices, mask);
+        for c in reference.scenario().charger_ids() {
+            let point = gathering_point(&reference, c, &members, GatheringStrategy::Weiszfeld);
+            let cost = evaluate_facility(&reference, c, &members, point).group_cost().value();
+            for incumbent in [0.0, cost * factor, cost, f64::from_bits(cost.to_bits() - 1)] {
+                let fresh = CcsProblem::new(scenario.clone());
+                match bounded_gathering_point(&fresh, c, &members, incumbent) {
+                    None => {
+                        prop_assert!(
+                            cost > incumbent,
+                            "abandoned {c} at incumbent {incumbent}, completed cost {cost}"
+                        );
+                        prop_assert_eq!(bounded_gathering_point(&fresh, c, &members, incumbent), None);
+                        prop_assert_eq!(bounded_gathering_point(&fresh, c, &members, cost), Some(point));
+                        prop_assert_eq!(
+                            bounded_gathering_point(&fresh, c, &members, f64::INFINITY),
+                            Some(point)
+                        );
+                    }
+                    Some(bounded) => prop_assert_eq!(bounded, point),
+                }
+            }
+        }
+    }
+
+    /// Exact ties: with every charger twinned (same position, prices and
+    /// budget, different id) the pruned scan and every anchored scan return
+    /// bitwise the exhaustive reference, lower twin winning, on both sides
+    /// of the scan-strategy cutoff. An anchored scan's incumbent is often
+    /// the higher twin, whose equal-cost sibling must not be abandoned.
+    #[test]
+    fn twin_chargers_tie_break_like_the_reference(
+        seed in 0u64..1_000,
+        devices in 2usize..10,
+        originals in prop_oneof![Just(2usize), Just(32usize)],
+        mask in 1u64..(1 << 10),
+        budgeted in any::<bool>(),
+    ) {
+        let p = with_twin_chargers(problem(seed, devices, originals, budgeted).scenario());
+        let members = members_from_mask(devices, mask);
+        let reference = reference_best_facility(&p, &members);
+        prop_assert_eq!(&try_best_facility(&p, &members), &reference);
+        for anchor in p.scenario().charger_ids() {
+            prop_assert_eq!(&try_best_facility_anchored(&p, &members, anchor), &reference);
+        }
+    }
 
     /// Table-backed bills and facility evaluations are bitwise the direct
     /// entity-recomputing ones, at arbitrary gathering points.

@@ -114,7 +114,8 @@ impl PlanCache {
     ///
     /// # Errors
     ///
-    /// `bad_request` when `value` does not deserialize as a scenario.
+    /// `bad_request` when `value` does not deserialize as a scenario or an
+    /// entity breaks its invariants ([`Scenario::validate`]).
     pub fn problem(&self, value: &Value) -> Result<(u64, Arc<CcsProblem>, bool), ServeError> {
         let canonical = canonical_json(value);
         let hash = hash_canonical(&canonical);
@@ -122,6 +123,8 @@ impl PlanCache {
             return Ok((hash, problem, true));
         }
         let scenario = Scenario::from_value(value)
+            .map_err(|e| e.to_string())
+            .and_then(|scenario| scenario.validate().map(|()| scenario))
             .map_err(|e| ServeError::bad_request(format!("invalid scenario: {e}")))?;
         let problem = Arc::new(CcsProblem::new(scenario));
         let bytes = problem_bytes(canonical.len(), &problem);

@@ -364,6 +364,51 @@ fn online_step_plans_pending_requests_and_validates_input() {
 }
 
 #[test]
+fn scenario_breaking_an_entity_invariant_is_a_bad_request() {
+    // A deserialized scenario skips the entity builders; a negative price
+    // must be refused before planning (unchecked, it plans a negative
+    // total cost), for `plan` and for every command that takes a scenario.
+    let mut value = ScenarioGenerator::new(5)
+        .devices(6)
+        .chargers(3)
+        .generate()
+        .to_value();
+    let Value::Object(top) = &mut value else {
+        panic!("a scenario is a JSON object")
+    };
+    let Some(Value::Array(chargers)) = top.get_mut("chargers") else {
+        panic!("a scenario lists its chargers")
+    };
+    let Some(Value::Object(first)) = chargers.first_mut() else {
+        panic!("the scenario has chargers")
+    };
+    first.insert(
+        "energy_price".to_string(),
+        Value::Number(serde::value::Number::Float(-3.0)),
+    );
+    let hostile = serde_json::to_string(&value).expect("scenario serializes");
+    let lines = vec![
+        format!(r#"{{"id":1,"cmd":"plan","scenario":{hostile}}}"#),
+        format!(r#"{{"id":2,"cmd":"replay","scenario":{hostile}}}"#),
+        r#"{"cmd":"shutdown"}"#.to_string(),
+    ];
+    let (responses, summary) = run_server(&lines, 1, 8);
+    for id in [1, 2] {
+        let response = response_with_id(&responses, id);
+        assert_eq!(error_kind(&response), "bad_request");
+        let Value::String(message) = response.field("error").field("message") else {
+            panic!("bad_request carries no message");
+        };
+        assert!(
+            message.contains("c0: energy price must be finite and nonnegative"),
+            "{message}"
+        );
+    }
+    assert_eq!(summary.panics, 0);
+    assert_eq!(summary.bad_request, 2);
+}
+
+#[test]
 fn lifetime_with_zero_rounds_is_a_bad_request() {
     // Zero rounds would trip `run_lifetime`'s assert; the handler must
     // answer `bad_request`, not a caught panic (`internal`).

@@ -169,6 +169,40 @@ impl Device {
     pub fn set_position(&mut self, p: Point) {
         self.position = p;
     }
+
+    /// Checks the invariants [`DeviceBuilder`] and [`Battery::new`] enforce:
+    /// demand and move cost rate finite and nonnegative, speed finite and
+    /// positive, battery level within `[0, capacity]`. A deserialized device
+    /// skips both, so code that reads devices from outside the program runs
+    /// this.
+    ///
+    /// # Errors
+    ///
+    /// The first broken invariant, as a one-line message.
+    pub fn validate(&self) -> Result<(), String> {
+        Battery::new(self.battery.capacity(), self.battery.level()).map_err(|e| e.to_string())?;
+        nonnegative(self.demand.value(), "demand")?;
+        nonnegative(self.move_cost_rate.value(), "move cost rate")?;
+        positive(self.speed.value(), "speed")
+    }
+}
+
+/// `Ok` when `value` is finite and nonnegative.
+fn nonnegative(value: f64, what: &str) -> Result<(), String> {
+    if value.is_finite() && value >= 0.0 {
+        Ok(())
+    } else {
+        Err(format!("{what} must be finite and nonnegative"))
+    }
+}
+
+/// `Ok` when `value` is finite and positive.
+fn positive(value: f64, what: &str) -> Result<(), String> {
+    if value.is_finite() && value > 0.0 {
+        Ok(())
+    } else {
+        Err(format!("{what} must be finite and positive"))
+    }
 }
 
 /// Builder for [`Device`].
@@ -195,30 +229,21 @@ impl DeviceBuilder {
     ///
     /// Panics if negative or non-finite.
     pub fn demand(mut self, demand: Joules) -> Self {
-        assert!(
-            demand.is_finite() && demand >= Joules::ZERO,
-            "demand must be finite and nonnegative"
-        );
+        nonnegative(demand.value(), "demand").unwrap_or_else(|e| panic!("{e}"));
         self.demand = demand;
         self
     }
 
     /// Sets the per-meter movement cost rate.
     pub fn move_cost_rate(mut self, rate: CostPerMeter) -> Self {
-        assert!(
-            rate.is_finite() && rate >= CostPerMeter::ZERO,
-            "move cost rate must be finite and nonnegative"
-        );
+        nonnegative(rate.value(), "move cost rate").unwrap_or_else(|e| panic!("{e}"));
         self.move_cost_rate = rate;
         self
     }
 
     /// Sets the travel speed.
     pub fn speed(mut self, speed: MetersPerSecond) -> Self {
-        assert!(
-            speed.is_finite() && speed > MetersPerSecond::ZERO,
-            "speed must be positive"
-        );
+        positive(speed.value(), "speed").unwrap_or_else(|e| panic!("{e}"));
         self.speed = speed;
         self
     }
@@ -332,6 +357,27 @@ impl Charger {
     pub fn can_deliver(&self, total_demand: Joules) -> bool {
         self.energy_budget.is_none_or(|b| total_demand <= b)
     }
+
+    /// Checks the invariants [`ChargerBuilder`] and [`WptModel::new`]
+    /// enforce: fee, rates and price finite and nonnegative, speed finite
+    /// and positive, any energy budget finite and positive, and the WPT
+    /// model's parameters ([`WptModel::validate`]). A deserialized charger
+    /// skips both, so code that reads chargers from outside the program
+    /// runs this.
+    ///
+    /// # Errors
+    ///
+    /// The first broken invariant, as a one-line message.
+    pub fn validate(&self) -> Result<(), String> {
+        nonnegative(self.base_fee.value(), "base fee")?;
+        nonnegative(self.travel_cost_rate.value(), "travel cost rate")?;
+        nonnegative(self.energy_price.value(), "energy price")?;
+        nonnegative(self.occupancy_rate.value(), "occupancy rate")?;
+        positive(self.speed.value(), "speed")?;
+        self.energy_budget
+            .map_or(Ok(()), |budget| positive(budget.value(), "energy budget"))?;
+        self.wpt.validate().map_err(|e| format!("wpt {e}"))
+    }
 }
 
 /// Builder for [`Charger`].
@@ -351,50 +397,35 @@ pub struct ChargerBuilder {
 impl ChargerBuilder {
     /// Sets the per-hire base service fee.
     pub fn base_fee(mut self, fee: Cost) -> Self {
-        assert!(
-            fee.is_finite() && fee >= Cost::ZERO,
-            "base fee must be finite and nonnegative"
-        );
+        nonnegative(fee.value(), "base fee").unwrap_or_else(|e| panic!("{e}"));
         self.base_fee = fee;
         self
     }
 
     /// Sets the per-meter travel cost rate.
     pub fn travel_cost_rate(mut self, rate: CostPerMeter) -> Self {
-        assert!(
-            rate.is_finite() && rate >= CostPerMeter::ZERO,
-            "travel cost rate must be finite and nonnegative"
-        );
+        nonnegative(rate.value(), "travel cost rate").unwrap_or_else(|e| panic!("{e}"));
         self.travel_cost_rate = rate;
         self
     }
 
     /// Sets the energy price per Joule.
     pub fn energy_price(mut self, price: CostPerJoule) -> Self {
-        assert!(
-            price.is_finite() && price >= CostPerJoule::ZERO,
-            "energy price must be finite and nonnegative"
-        );
+        nonnegative(price.value(), "energy price").unwrap_or_else(|e| panic!("{e}"));
         self.energy_price = price;
         self
     }
 
     /// Sets the congestion (occupancy) rate.
     pub fn occupancy_rate(mut self, rate: Cost) -> Self {
-        assert!(
-            rate.is_finite() && rate >= Cost::ZERO,
-            "occupancy rate must be finite and nonnegative"
-        );
+        nonnegative(rate.value(), "occupancy rate").unwrap_or_else(|e| panic!("{e}"));
         self.occupancy_rate = rate;
         self
     }
 
     /// Sets the driving speed.
     pub fn speed(mut self, speed: MetersPerSecond) -> Self {
-        assert!(
-            speed.is_finite() && speed > MetersPerSecond::ZERO,
-            "speed must be positive"
-        );
+        positive(speed.value(), "speed").unwrap_or_else(|e| panic!("{e}"));
         self.speed = speed;
         self
     }
@@ -411,10 +442,7 @@ impl ChargerBuilder {
     ///
     /// Panics if the budget is non-positive or non-finite.
     pub fn energy_budget(mut self, budget: Joules) -> Self {
-        assert!(
-            budget.is_finite() && budget > Joules::ZERO,
-            "energy budget must be finite and positive"
-        );
+        positive(budget.value(), "energy budget").unwrap_or_else(|e| panic!("{e}"));
         self.energy_budget = Some(budget);
         self
     }
@@ -508,6 +536,32 @@ mod tests {
         let json = serde_json::to_string(&c).unwrap();
         let back: Charger = serde_json::from_str(&json).unwrap();
         assert_eq!(c, back);
+    }
+
+    #[test]
+    fn validate_catches_what_deserialization_lets_through() {
+        let d = Device::builder(DeviceId::new(4), Point::new(2.0, 3.0)).build();
+        assert_eq!(d.validate(), Ok(()));
+        let json = serde_json::to_string(&d).unwrap();
+        let overfull = json.replace("\"level\":3000.0", "\"level\":25000.0");
+        assert_ne!(overfull, json);
+        let back: Device = serde_json::from_str(&overfull).unwrap();
+        assert!(back.validate().unwrap_err().contains("battery level"));
+
+        let c = Charger::builder(ChargerId::new(1), Point::new(9.0, 9.0)).build();
+        assert_eq!(c.validate(), Ok(()));
+        let json = serde_json::to_string(&c).unwrap();
+        let free_energy = json.replace("\"energy_price\":0.002", "\"energy_price\":-3.0");
+        assert_ne!(free_energy, json);
+        let back: Charger = serde_json::from_str(&free_energy).unwrap();
+        assert_eq!(
+            back.validate(),
+            Err("energy price must be finite and nonnegative".to_string())
+        );
+        let dead_coil = json.replace("\"alpha\":4.32", "\"alpha\":-4.32");
+        assert_ne!(dead_coil, json);
+        let back: Charger = serde_json::from_str(&dead_coil).unwrap();
+        assert_eq!(back.validate(), Err("wpt alpha must be > 0".to_string()));
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! weighted Fermat point problem: minimize the weighted sum of Euclidean
 //! distances from a set of anchors. [`weighted_geometric_median`] solves it
 //! with Weiszfeld's algorithm, with the standard fix for iterates that land
-//! exactly on an anchor.
+//! exactly on an anchor. [`weiszfeld`] is the loop itself; a caller can
+//! abandon a solve once a lower bound on the minimum settles its question.
 //!
 //! # Examples
 //!
@@ -281,7 +282,8 @@ pub fn weighted_distance_sum(p: &Point, anchors: &[Point], weights: &[f64]) -> f
 }
 
 /// Computes the weighted geometric median (Fermat point) of `anchors` with
-/// the given nonnegative `weights` using Weiszfeld's algorithm.
+/// the given nonnegative `weights` using Weiszfeld's algorithm (see
+/// [`weiszfeld`] for the iteration itself).
 ///
 /// Anchors with zero weight are ignored. If the iterate lands exactly on an
 /// anchor, the standard Vardi–Zhang correction is applied; if that anchor is
@@ -307,74 +309,147 @@ pub fn weighted_geometric_median(
     if weights.iter().any(|w| !w.is_finite() || *w < 0.0) || weights.iter().sum::<f64>() <= 0.0 {
         return Err(GeometricMedianError::InvalidWeights);
     }
+    let pairs = anchors.iter().copied().zip(weights.iter().copied());
+    let run = weiszfeld(pairs, |_| false);
+    Ok(GeometricMedian {
+        point: run.point,
+        objective: weighted_distance_sum(&run.point, anchors, weights),
+        iterations: run.iterations,
+    })
+}
 
+/// Why a [`weiszfeld`] solve stopped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WeiszfeldStop {
+    /// The iterate moved less than the tolerance, or sits on an anchor
+    /// that is itself the minimizer.
+    Converged,
+    /// The iteration cap was reached before convergence; the point is the
+    /// last, unconverged iterate.
+    Capped,
+    /// The caller's `abandon` test accepted a lower bound on the minimum;
+    /// the point is the iterate the bound was taken at.
+    Abandoned,
+}
+
+/// The state a [`weiszfeld`] solve stopped in.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct WeiszfeldRun {
+    /// The last iterate.
+    pub point: Point,
+    /// Number of Weiszfeld iterations performed.
+    pub iterations: usize,
+    /// Why the solve stopped.
+    pub stop: WeiszfeldStop,
+}
+
+/// Weiszfeld's iteration for `f(p) = Σ w_i·‖p − a_i‖` over the `(a_i, w_i)`
+/// pairs `anchors` yields — the one loop behind
+/// [`weighted_geometric_median`] and every gathering-point solve.
+///
+/// It starts at the weighted centroid, skips zero weights, applies the
+/// Vardi–Zhang step when the iterate sits on an anchor, and stops once a
+/// step is shorter than `1e-7` m or after 200 iterations. The caller
+/// guarantees finite nonnegative weights with a positive sum (see
+/// [`weighted_geometric_median`] for the checked entry point).
+///
+/// # Abandoning a solve
+///
+/// After the weights of each ordinary (non-Vardi–Zhang) iteration are
+/// summed at iterate `x`, `abandon` receives a lower bound on `min_p f(p)`;
+/// if it returns `true` the solve stops with [`WeiszfeldStop::Abandoned`].
+/// Pass `|_| false` to run to completion. The bound is convexity's
+/// `f* ≥ f(x) − ‖∇f(x)‖·R`, where `R = max_i ‖x − a_i‖` over the weighted
+/// anchors: some minimizer lies in their convex hull (projecting onto the
+/// hull shortens every anchor distance), and every hull point is within `R`
+/// of `x`. The loop already holds `S = Σ w_i/d_i` and `N = Σ w_i·a_i/d_i`,
+/// so `∇f(x) = x·S − N` costs one square root.
+///
+/// The reported bound subtracts `1e-9·(f + ‖∇f‖·R + R·(2·(|x.x| + |x.y|)·S
+/// + 2·W))` (`W = Σ w_i`) from `f − ‖∇f‖·R` to cover rounding: over `K`
+/// anchors `f` and `R` are within `(K + 4)·u` of their exact values
+/// (`u = 2⁻⁵³`; every term is a nonnegative product of a weight and a
+/// `hypot`), `x·S − N` is within `(K + 6)·u·(2·|x|·S + W)` per coordinate,
+/// since `|a_i| ≤ |x| + d_i` bounds `|N|` by `|x|·S + W`, and its norm adds
+/// `3·u` (a component whose square underflows moves the bound by under
+/// `1e-150·R`). Every such error is below `1e-9` of the subtracted term
+/// while `K < 10⁶`, so the bound never exceeds the true minimum.
+pub fn weiszfeld<I>(anchors: I, mut abandon: impl FnMut(f64) -> bool) -> WeiszfeldRun
+where
+    I: Iterator<Item = (Point, f64)> + Clone,
+{
     // Weighted centroid is the classic starting iterate.
-    let wsum: f64 = weights.iter().sum();
+    let wsum: f64 = anchors.clone().map(|(_, w)| w).sum();
     let mut current = Point::new(
-        anchors
-            .iter()
-            .zip(weights)
-            .map(|(a, w)| a.x * w)
-            .sum::<f64>()
-            / wsum,
-        anchors
-            .iter()
-            .zip(weights)
-            .map(|(a, w)| a.y * w)
-            .sum::<f64>()
-            / wsum,
+        anchors.clone().map(|(a, w)| a.x * w).sum::<f64>() / wsum,
+        anchors.clone().map(|(a, w)| a.y * w).sum::<f64>() / wsum,
     );
 
     let mut iterations = 0;
+    let mut stop = WeiszfeldStop::Capped;
     while iterations < WEISZFELD_MAX_ITERATIONS {
         iterations += 1;
         let mut num_x = 0.0;
         let mut num_y = 0.0;
         let mut denom = 0.0;
-        let mut at_anchor: Option<usize> = None;
-        for (idx, (a, &w)) in anchors.iter().zip(weights).enumerate() {
+        let mut objective = 0.0;
+        let mut radius = 0.0f64;
+        // Weight of the anchor the iterate sits on (the last one, if several).
+        let mut at_anchor: Option<f64> = None;
+        anchors.clone().for_each(|(a, w)| {
             if w == 0.0 {
-                continue;
+                return;
             }
-            let d = current.distance(a).value();
+            let d = current.distance_value(&a);
             if d < 1e-12 {
-                at_anchor = Some(idx);
-                continue;
+                at_anchor = Some(w);
+                return;
             }
             let inv = w / d;
             num_x += a.x * inv;
             num_y += a.y * inv;
             denom += inv;
-        }
+            objective += w * d;
+            radius = radius.max(d);
+        });
 
-        let next = if let Some(idx) = at_anchor {
+        let next = if let Some(w_at) = at_anchor {
             // Vardi–Zhang: check whether the anchor itself is the minimizer.
             // r is the norm of the subgradient contribution of the others.
             let r = (num_x - current.x * denom).hypot(num_y - current.y * denom);
-            let w_at = weights[idx];
             if r <= w_at || denom == 0.0 {
                 // Anchor dominates: it is the optimum.
+                stop = WeiszfeldStop::Converged;
                 break;
             }
             let t = (1.0 - w_at / r).max(0.0);
             let pull = Point::new(num_x / denom, num_y / denom);
             current.lerp(&pull, t)
         } else {
+            // ‖∇f(x)‖ by `sqrt`, not `hypot`: it only feeds the bound.
+            let (gx, gy) = (current.x * denom - num_x, current.y * denom - num_y);
+            let spread = (gx * gx + gy * gy).sqrt() * radius;
+            let slack = radius * (2.0 * (current.x.abs() + current.y.abs()) * denom + 2.0 * wsum);
+            if abandon((objective - spread) - 1e-9 * (objective + spread + slack)) {
+                stop = WeiszfeldStop::Abandoned;
+                break;
+            }
             Point::new(num_x / denom, num_y / denom)
         };
 
-        let step = current.distance(&next).value();
+        let step = current.distance_value(&next);
         current = next;
         if step < WEISZFELD_TOLERANCE {
+            stop = WeiszfeldStop::Converged;
             break;
         }
     }
 
-    Ok(GeometricMedian {
+    WeiszfeldRun {
         point: current,
-        objective: weighted_distance_sum(&current, anchors, weights),
         iterations,
-    })
+        stop,
+    }
 }
 
 #[cfg(test)]

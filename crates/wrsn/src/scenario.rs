@@ -177,6 +177,27 @@ impl Scenario {
     pub fn total_demand(&self) -> Joules {
         self.devices.iter().map(|d| d.demand()).sum()
     }
+
+    /// Checks the field's corners ([`Rect::new`]) and every entity's
+    /// invariants ([`Device::validate`], [`Charger::validate`]), which a
+    /// deserialized scenario skips; run it on every scenario read from
+    /// outside the program. The cost model and the gathering solver's
+    /// bounds need finite, nonnegative prices and rates.
+    ///
+    /// # Errors
+    ///
+    /// The first broken invariant, prefixed with its owner (`field: …`,
+    /// `d3: …`).
+    pub fn validate(&self) -> Result<(), String> {
+        Rect::try_new(self.field.min, self.field.max).map_err(|e| format!("field: {e}"))?;
+        for d in &self.devices {
+            d.validate().map_err(|e| format!("{}: {e}", d.id()))?;
+        }
+        for c in &self.chargers {
+            c.validate().map_err(|e| format!("{}: {e}", c.id()))?;
+        }
+        Ok(())
+    }
 }
 
 /// An inclusive range `[lo, hi]` a parameter is sampled from uniformly.
@@ -595,6 +616,29 @@ mod tests {
         let json = serde_json::to_string(&s).unwrap();
         let back: Scenario = serde_json::from_str(&json).unwrap();
         assert_eq!(s, back);
+    }
+
+    #[test]
+    fn validate_checks_the_field_and_every_entity() {
+        let s = ScenarioGenerator::new(11).devices(3).chargers(2).generate();
+        assert_eq!(s.validate(), Ok(()));
+        let json = serde_json::to_string(&s).unwrap();
+        let inverted = json.replace("\"min\":{\"x\":0.0", "\"min\":{\"x\":400.0");
+        assert_ne!(inverted, json);
+        let back: Scenario = serde_json::from_str(&inverted).unwrap();
+        assert!(back.validate().unwrap_err().starts_with("field: rect min"));
+        let mut last = s.clone();
+        last.chargers[1] = Charger::builder(ChargerId::new(1), Point::ORIGIN)
+            .travel_cost_rate(CostPerMeter::new(0.123456))
+            .build();
+        let json = serde_json::to_string(&last).unwrap();
+        let broken = json.replace("\"travel_cost_rate\":0.123456", "\"travel_cost_rate\":-1.0");
+        assert_ne!(broken, json);
+        let back: Scenario = serde_json::from_str(&broken).unwrap();
+        assert_eq!(
+            back.validate(),
+            Err("c1: travel cost rate must be finite and nonnegative".to_string())
+        );
     }
 
     #[test]

@@ -76,25 +76,46 @@ impl WptModel {
     ///
     /// # Panics
     ///
-    /// Panics if `alpha <= 0`, `beta < 0`, `efficiency` outside `(0, 1]`,
-    /// or `range <= 0` (construction-time programming errors).
+    /// Panics if a parameter fails [`WptModel::validate`]
+    /// (construction-time programming errors).
     pub fn new(alpha: f64, beta: f64, efficiency: f64, range: Meters) -> Self {
-        assert!(alpha > 0.0 && alpha.is_finite(), "alpha must be > 0");
-        assert!(beta >= 0.0 && beta.is_finite(), "beta must be >= 0");
-        assert!(
-            efficiency > 0.0 && efficiency <= 1.0,
-            "efficiency must be in (0, 1], got {efficiency}"
-        );
-        assert!(
-            range.is_finite() && range > Meters::ZERO,
-            "range must be positive"
-        );
-        WptModel {
+        let model = WptModel {
             alpha,
             beta,
             efficiency,
             range,
+        };
+        if let Err(msg) = model.validate() {
+            panic!("{msg}");
         }
+        model
+    }
+
+    /// Checks the parameters: finite `alpha > 0` and `beta >= 0`,
+    /// `efficiency` in `(0, 1]`, and a finite positive `range`. The fields
+    /// are public and a deserialized model skips [`WptModel::new`], so code
+    /// that reads models from outside the program runs this.
+    ///
+    /// # Errors
+    ///
+    /// The first parameter out of range, as a one-line message.
+    pub fn validate(&self) -> Result<(), String> {
+        if !(self.alpha > 0.0 && self.alpha.is_finite()) {
+            return Err("alpha must be > 0".to_string());
+        }
+        if !(self.beta >= 0.0 && self.beta.is_finite()) {
+            return Err("beta must be >= 0".to_string());
+        }
+        if !(self.efficiency > 0.0 && self.efficiency <= 1.0) {
+            return Err(format!(
+                "efficiency must be in (0, 1], got {}",
+                self.efficiency
+            ));
+        }
+        if !(self.range.is_finite() && self.range > Meters::ZERO) {
+            return Err("range must be positive".to_string());
+        }
+        Ok(())
     }
 
     /// Received RF power at link distance `d`, zero beyond range.

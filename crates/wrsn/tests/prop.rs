@@ -1,13 +1,93 @@
 //! Property-based tests of the WRSN substrate.
 
 use ccs_wrsn::energy::Battery;
-use ccs_wrsn::geometry::{weighted_distance_sum, weighted_geometric_median, Point, Rect};
+use ccs_wrsn::geometry::{
+    weighted_distance_sum, weighted_geometric_median, weiszfeld, Point, Rect, WeiszfeldStop,
+};
 use ccs_wrsn::scenario::{ParamRange, ScenarioGenerator};
 use ccs_wrsn::units::*;
 use proptest::prelude::*;
 
 fn arb_point() -> impl Strategy<Value = Point> {
     (-1e3f64..1e3, -1e3f64..1e3).prop_map(|(x, y)| Point::new(x, y))
+}
+
+/// Anchors on a coarse integer lattice, so duplicates are common and the
+/// weighted centroid often lands exactly on an anchor (the Vardi–Zhang
+/// branch), with weights that are often exactly zero.
+fn arb_weighted_anchors() -> impl Strategy<Value = (Vec<Point>, Vec<f64>)> {
+    proptest::collection::vec(
+        (
+            (0u8..5, 0u8..5).prop_map(|(x, y)| Point::new(f64::from(x), f64::from(y))),
+            prop_oneof![Just(0.0), Just(1.0), Just(2.0), 0.01f64..5.0],
+        ),
+        1..8,
+    )
+    .prop_map(|pairs| pairs.into_iter().unzip())
+}
+
+/// The stand-alone Weiszfeld loop the shared [`weiszfeld`] kernel replaced,
+/// kept verbatim as the bitwise reference: `(point, iterations)`, or `None`
+/// where `weighted_geometric_median` rejects the weights.
+fn reference_weiszfeld(anchors: &[Point], weights: &[f64]) -> Option<(Point, usize)> {
+    if weights.iter().any(|w| !w.is_finite() || *w < 0.0) || weights.iter().sum::<f64>() <= 0.0 {
+        return None;
+    }
+    let wsum: f64 = weights.iter().sum();
+    let mut current = Point::new(
+        anchors
+            .iter()
+            .zip(weights)
+            .map(|(a, w)| a.x * w)
+            .sum::<f64>()
+            / wsum,
+        anchors
+            .iter()
+            .zip(weights)
+            .map(|(a, w)| a.y * w)
+            .sum::<f64>()
+            / wsum,
+    );
+    let mut iterations = 0;
+    while iterations < 200 {
+        iterations += 1;
+        let mut num_x = 0.0;
+        let mut num_y = 0.0;
+        let mut denom = 0.0;
+        let mut at_anchor: Option<usize> = None;
+        for (idx, (a, &w)) in anchors.iter().zip(weights).enumerate() {
+            if w == 0.0 {
+                continue;
+            }
+            let d = current.distance(a).value();
+            if d < 1e-12 {
+                at_anchor = Some(idx);
+                continue;
+            }
+            let inv = w / d;
+            num_x += a.x * inv;
+            num_y += a.y * inv;
+            denom += inv;
+        }
+        let next = if let Some(idx) = at_anchor {
+            let r = (num_x - current.x * denom).hypot(num_y - current.y * denom);
+            let w_at = weights[idx];
+            if r <= w_at || denom == 0.0 {
+                break;
+            }
+            let t = (1.0 - w_at / r).max(0.0);
+            let pull = Point::new(num_x / denom, num_y / denom);
+            current.lerp(&pull, t)
+        } else {
+            Point::new(num_x / denom, num_y / denom)
+        };
+        let step = current.distance(&next).value();
+        current = next;
+        if step < 1e-7 {
+            break;
+        }
+    }
+    Some((current, iterations))
 }
 
 proptest! {
@@ -64,6 +144,53 @@ proptest! {
         prop_assert!(m.objective <= best_anchor * 1.01 + 1e-9);
     }
 
+    /// Run without a cutoff, the shared kernel is bitwise the loop it
+    /// replaced — point bits and iteration count — through zero weights,
+    /// coincident anchors, starts on an anchor, and single anchors; all-zero
+    /// weights stay rejected.
+    #[test]
+    fn weiszfeld_kernel_is_bitwise_the_reference_loop(
+        (anchors, weights) in arb_weighted_anchors(),
+    ) {
+        let reference = reference_weiszfeld(&anchors, &weights);
+        match weighted_geometric_median(&anchors, &weights) {
+            Ok(median) => {
+                let (point, iterations) = reference.expect("the reference accepts these weights");
+                prop_assert_eq!(median.point.x.to_bits(), point.x.to_bits());
+                prop_assert_eq!(median.point.y.to_bits(), point.y.to_bits());
+                prop_assert_eq!(median.iterations, iterations);
+                let run = weiszfeld(anchors.iter().copied().zip(weights.iter().copied()), |_| false);
+                prop_assert_eq!(run.point, median.point);
+                prop_assert_eq!(run.iterations, iterations);
+                prop_assert!(run.stop != WeiszfeldStop::Abandoned);
+            }
+            Err(_) => prop_assert!(reference.is_none()),
+        }
+    }
+
+    /// Every bound the kernel reports is at most the objective at the point
+    /// the full solve reaches — an upper bound on the minimum — so a bound
+    /// never claims more than the objective can deliver.
+    #[test]
+    fn weiszfeld_bounds_never_exceed_the_reached_objective(
+        pts in proptest::collection::vec(arb_point(), 1..8),
+        raw_weights in proptest::collection::vec(prop_oneof![Just(0.0), 0.01f64..5.0], 8),
+    ) {
+        let mut weights = raw_weights[..pts.len()].to_vec();
+        if weights.iter().sum::<f64>() <= 0.0 {
+            weights[0] = 1.0;
+        }
+        let mut bounds = Vec::new();
+        let run = weiszfeld(pts.iter().copied().zip(weights.iter().copied()), |bound| {
+            bounds.push(bound);
+            false
+        });
+        let reached = weighted_distance_sum(&run.point, &pts, &weights);
+        for bound in bounds {
+            prop_assert!(bound <= reached, "bound {bound} above reached objective {reached}");
+        }
+    }
+
     #[test]
     fn battery_never_leaves_bounds(
         capacity in 1.0f64..10_000.0,
@@ -107,6 +234,7 @@ proptest! {
             prop_assert!(d.demand() >= Joules::ZERO);
         }
         prop_assert!(s.total_demand() >= Joules::ZERO);
+        prop_assert_eq!(s.validate(), Ok(()));
     }
 
     #[test]

@@ -287,7 +287,12 @@ fn load_scenario(opts: &Flags) -> Result<Scenario, String> {
         .get("scenario")
         .ok_or("missing --scenario FILE".to_string())?;
     let json = fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    serde_json::from_str(&json).map_err(|e| format!("parsing {path}: {e}"))
+    let scenario: Scenario =
+        serde_json::from_str(&json).map_err(|e| format!("parsing {path}: {e}"))?;
+    scenario
+        .validate()
+        .map_err(|e| format!("{path}: invalid scenario: {e}"))?;
+    Ok(scenario)
 }
 
 /// Arms the global telemetry registry when `--report` or `--trace-json` is

@@ -17,6 +17,27 @@ fn temp_path(name: &str) -> PathBuf {
     p
 }
 
+/// Writes a copy of the scenario file `src` to the temp file `name`, with
+/// `field` of the first entity in `list` (`devices` or `chargers`) set to
+/// `value`.
+fn edited_scenario(src: &str, name: &str, list: &str, field: &str, value: f64) -> PathBuf {
+    use serde_json::{Number, Value};
+    let mut json: Value = serde_json::from_str(&std::fs::read_to_string(src).unwrap()).unwrap();
+    let Value::Object(top) = &mut json else {
+        panic!("a scenario is a JSON object")
+    };
+    let Some(Value::Array(entities)) = top.get_mut(list) else {
+        panic!("a scenario lists its {list}")
+    };
+    let Some(Value::Object(first)) = entities.first_mut() else {
+        panic!("the scenario has {list}")
+    };
+    first.insert(field.to_string(), Value::Number(Number::Float(value)));
+    let path = temp_path(name);
+    std::fs::write(&path, serde_json::to_string(&json).unwrap()).unwrap();
+    path
+}
+
 #[test]
 fn gen_plan_replay_lifetime_pipeline() {
     let scenario = temp_path("scenario.json");
@@ -404,6 +425,66 @@ fn malformed_flags_fail_with_one_line_errors() {
         );
     }
 
+    // Scenario files skip the entity builders, so both commands that read
+    // one check every entity's invariants before planning.
+    let mut hostile = Vec::new();
+    for (list, field, value, needle) in [
+        (
+            "chargers",
+            "energy_price",
+            -3.0,
+            "c0: energy price must be finite and nonnegative",
+        ),
+        (
+            "chargers",
+            "travel_cost_rate",
+            -0.5,
+            "c0: travel cost rate must be finite and nonnegative",
+        ),
+        (
+            "devices",
+            "move_cost_rate",
+            -1.0,
+            "d0: move cost rate must be finite and nonnegative",
+        ),
+        (
+            "devices",
+            "speed",
+            0.0,
+            "d0: speed must be finite and positive",
+        ),
+        (
+            "devices",
+            "demand",
+            -50.0,
+            "d0: demand must be finite and nonnegative",
+        ),
+    ] {
+        let path = edited_scenario(
+            scenario_str,
+            &format!("hostile_{field}.json"),
+            list,
+            field,
+            value,
+        );
+        let path_str = path.to_str().unwrap().to_string();
+        for command in ["plan", "online"] {
+            let out = ccs(&[command, "--scenario", &path_str]);
+            assert_eq!(
+                out.status.code(),
+                Some(1),
+                "{command} with {field} = {value}"
+            );
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(stderr.contains(needle), "{command}: {stderr}");
+            assert_eq!(stderr.lines().count(), 1, "{command}: {stderr}");
+        }
+        hostile.push(path);
+    }
+    for path in hostile {
+        let _ = std::fs::remove_file(path);
+    }
+
     let _ = std::fs::remove_file(&scenario);
 
     // Unknown flags are rejected per command instead of silently ignored.
@@ -569,6 +650,52 @@ fn report_and_trace_flags_emit_telemetry_files() {
     let _ = std::fs::remove_file(&scenario);
     let _ = std::fs::remove_file(&report);
     let _ = std::fs::remove_file(&trace);
+}
+
+/// `--report` counts the gathering kernel: every memo miss runs exactly one
+/// Weiszfeld solve (a CCSGA plan makes no unmemoized one), and on a
+/// 40-device, 6-charger instance some solves lose to an incumbent charger
+/// and are abandoned.
+#[test]
+fn report_counts_the_gathering_kernel() {
+    let scenario = temp_path("kernel_scenario.json");
+    let report = temp_path("kernel_report.json");
+    let scenario_str = scenario.to_str().unwrap();
+    let gen = [
+        "gen",
+        "--seed",
+        "3",
+        "--devices",
+        "40",
+        "--chargers",
+        "6",
+        "-o",
+        scenario_str,
+    ];
+    assert!(ccs(&gen).status.success());
+    let out = ccs(&[
+        "plan",
+        "--scenario",
+        scenario_str,
+        "--algo",
+        "ccsga",
+        "--report",
+        report.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "{out:?}");
+    let parsed: serde_json::Value =
+        serde_json::from_str(&std::fs::read_to_string(&report).unwrap()).unwrap();
+    let counter = |name: &str| match parsed.field("counters").field(name) {
+        serde_json::Value::Number(n) => n.as_f64() as u64,
+        other => panic!("counter {name} missing: {other:?}"),
+    };
+    let solves = counter("gathering.solves");
+    assert_eq!(solves, counter("tables.gather_misses"));
+    assert!(counter("gathering.abandoned") > 0);
+    assert!(counter("gathering.iterations") >= solves);
+
+    let _ = std::fs::remove_file(&scenario);
+    let _ = std::fs::remove_file(&report);
 }
 
 #[test]
