@@ -130,8 +130,10 @@ pub struct ConvergenceReport {
     pub final_social_cost: f64,
 }
 
-/// One candidate deviation of a player.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// One candidate deviation of a player. The derived order — joins by
+/// ascending slot, then `Singleton` — is the exact scan's visiting order
+/// and the tie-break among equal gains.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Move {
     Join(CoalitionId),
     Singleton,
@@ -547,9 +549,12 @@ pub(crate) fn push_joined(slab: &mut Vec<usize>, members: &[usize], player: usiz
 /// Candidates are materialized in the serial scan order into the flat
 /// scratch arena, their gains are evaluated as one `ccs-par` batch (each
 /// gain is a pure function of the candidate, so the batch is
-/// deterministic), and a serial reduce applies the original first-wins
-/// tie-break by candidate index — making the chosen move, and therefore
-/// the whole partition trajectory, bit-identical at any thread count.
+/// deterministic), and a serial reduce picks the largest gain, breaking
+/// ties toward the lower target slot with `Singleton` last — making the
+/// chosen move, and therefore the whole partition trajectory, bit-identical
+/// at any thread count. That order is the exact scan's visiting order, so
+/// the shortlist, which visits coalitions nearest-first, breaks a tie the
+/// way the exact scan does.
 ///
 /// A [`Probe::Changed`] probe evaluates only the coalitions in
 /// `scratch.pending` and omits the singleton candidate: every omitted
@@ -768,15 +773,16 @@ fn best_move<G: HedonicGame>(
         }
     });
 
-    // Deterministic serial reduce: strictly larger gain wins, first
-    // candidate wins ties — exactly the serial scan's behaviour.
+    // Deterministic serial reduce: strictly larger gain wins, and an equal
+    // gain goes to the lower move (lower slot, `Singleton` last) whatever
+    // order the candidates came in.
     let mut best: Option<(Move, f64)> = None;
     for (&(mv, _, _), gain) in cands.iter().zip(gains.iter()) {
         let Some(gain) = *gain else { continue };
         attempts.incr();
         if gain > EPSILON {
             match &best {
-                Some((_, g)) if *g >= gain => {}
+                Some((b, g)) if *g > gain || (*g == gain && *b < mv) => {}
                 _ => best = Some((mv, gain)),
             }
         }
@@ -1004,6 +1010,32 @@ mod tests {
         assert_eq!(short.partition.canonical(), full.partition.canonical());
         assert_eq!(short.switches, full.switches);
         assert!(short.converged);
+    }
+
+    #[test]
+    fn equal_gains_go_to_the_lower_slot_in_either_candidate_order() {
+        // Player 0 saves the same half fee by joining {1} or {2}: it is the
+        // center of either pair. The full scan visits slot 1 first, the
+        // shortlist visits the nearer player 2 first; both must join slot 1,
+        // so the trajectories agree.
+        let pos: &[f64] = &[0.0, 3.0, -2.0];
+        let distance = pos
+            .iter()
+            .map(|a| pos.iter().map(|b| (a - b).abs()).collect())
+            .collect();
+        let game = FeeSharingGame::new(6.0, distance, 2);
+        let full = run(&game, Partition::singletons(3), EngineOptions::default());
+        let short = run(
+            &Spatial(game),
+            Partition::singletons(3),
+            EngineOptions {
+                shortlist_cap: 8,
+                ..EngineOptions::default()
+            },
+        );
+        assert_eq!(full.switches, 3, "0 joins 1, 1 joins 2, 2 joins 0");
+        assert_eq!(short.switches, full.switches);
+        assert_eq!(short.partition.canonical(), full.partition.canonical());
     }
 
     #[test]

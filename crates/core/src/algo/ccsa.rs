@@ -30,7 +30,6 @@
 
 use crate::algo::noncoop::solo_cost;
 use crate::cost::{best_facility, evaluate_facility, try_best_facility_anchored, FacilityChoice};
-use crate::gathering::gathering_point;
 use crate::grid::UniformGrid;
 use crate::problem::CcsProblem;
 use crate::schedule::{GroupPlan, Schedule};
@@ -733,7 +732,10 @@ fn refine(
     if !options.refine_gathering {
         return (charger, point, members);
     }
-    let refined = gathering_point(problem, charger, &members, problem.params().gathering);
+    let refined = problem
+        .tables()
+        .cached_gathering_point(problem, charger, &members, |_| false)
+        .expect("a solve without a cutoff is never abandoned");
     let old = evaluate_facility(problem, charger, &members, point).group_cost();
     let new = evaluate_facility(problem, charger, &members, refined).group_cost();
     if new < old {

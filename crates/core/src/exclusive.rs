@@ -10,7 +10,6 @@
 //! The `abl_exclusive` experiment quantifies the price of exclusivity.
 
 use crate::cost::evaluate_facility;
-use crate::gathering::gathering_point;
 use crate::problem::CcsProblem;
 use crate::schedule::{GroupPlan, Schedule};
 use crate::sharing::CostSharing;
@@ -166,7 +165,7 @@ pub fn enforce_exclusivity(
     }
 
     // Price every (group, charger) pair at that charger's best point.
-    let strategy = problem.params().gathering;
+    let tables = problem.tables();
     let facilities: Vec<Vec<_>> = groups
         .iter()
         .map(|g| {
@@ -174,7 +173,9 @@ pub fn enforce_exclusivity(
                 .scenario()
                 .charger_ids()
                 .map(|c| {
-                    let point = gathering_point(problem, c, &g.members, strategy);
+                    let point = tables
+                        .cached_gathering_point(problem, c, &g.members, |_| false)
+                        .expect("a solve without a cutoff is never abandoned");
                     evaluate_facility(problem, c, &g.members, point)
                 })
                 .collect()

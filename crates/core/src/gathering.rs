@@ -12,8 +12,11 @@
 //! [`GatheringStrategy::Weiszfeld`] solves it near-exactly with the one
 //! Weiszfeld loop, [`ccs_wrsn::geometry::weiszfeld`], reading the anchors
 //! straight from the [`ProblemTables`](crate::tables::ProblemTables)
-//! columns; the cheaper strategies exist only for the `abl_gathering`
-//! ablation.
+//! columns. When the optimum sits on a member or on the charger, Kuhn's
+//! test in that loop returns the anchor's exact position without
+//! iterating; that is how a singleton gathers at its device or at its
+//! charger, whichever is heavier. The cheaper strategies exist only for the
+//! `abl_gathering` ablation.
 
 use crate::problem::CcsProblem;
 use ccs_wrsn::entities::{ChargerId, DeviceId};
@@ -110,8 +113,9 @@ pub fn gathering_point(
 /// and allocates nothing once the buffer has grown. When every weight is
 /// zero any point is optimal and the anchors' centroid is used.
 /// Each solve counts once in `gathering.solves`, its iterations in
-/// `gathering.iterations`, and a cap or abandonment in `gathering.capped`
-/// or `gathering.abandoned`.
+/// `gathering.iterations`, and an anchor optimum decided by Kuhn's test
+/// (no iterations), a cap or an abandonment in `gathering.anchor`,
+/// `gathering.capped` or `gathering.abandoned`.
 ///
 /// # Panics
 ///
@@ -153,6 +157,10 @@ pub(crate) fn weiszfeld_point(
     ccs_telemetry::counter!("gathering.solves").incr();
     ccs_telemetry::counter!("gathering.iterations").add(run.iterations as u64);
     match run.stop {
+        WeiszfeldStop::Anchor => {
+            ccs_telemetry::counter!("gathering.anchor").incr();
+            Some(field.clamp(run.point))
+        }
         WeiszfeldStop::Converged => Some(field.clamp(run.point)),
         WeiszfeldStop::Capped => {
             ccs_telemetry::counter!("gathering.capped").incr();
@@ -203,8 +211,8 @@ mod tests {
     fn singleton_group_gathers_near_itself() {
         // With a typical device move rate below the charger travel rate the
         // median sits at the charger; with a heavy device it sits at the
-        // device. Either way the point must be on the segment (objective at
-        // the chosen point <= objective at both endpoints).
+        // device. The 2-anchor objective is linear along the segment, so the
+        // optimum is the heavier endpoint, which Kuhn's test returns exactly.
         let p = problem();
         let members = ids(&[0]);
         let c = ChargerId::new(1);
@@ -212,12 +220,9 @@ mod tests {
         let at_dev = spatial_cost(&p, c, &members, &p.device(DeviceId::new(0)).position());
         let at_chg = spatial_cost(&p, c, &members, &p.charger(c).position());
         let at_g = spatial_cost(&p, c, &members, &g);
-        // The 2-anchor objective is linear along the segment, so the true
-        // optimum is an endpoint; Weiszfeld approaches it geometrically, so
-        // allow a 1% slack.
-        let best = at_dev.min(at_chg);
-        assert!(
-            at_g <= best * 1.01 + 1e-9,
+        assert_eq!(
+            at_g,
+            at_dev.min(at_chg),
             "gathered at {at_g}, endpoints {at_dev} / {at_chg}"
         );
     }

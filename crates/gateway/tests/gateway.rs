@@ -109,6 +109,10 @@ fn scenario_value(seed: u64, devices: usize) -> Value {
         .to_value()
 }
 
+/// Devices in a plan that must hold a worker well past a 1 ms deadline: a
+/// 30-device, 3-charger CCSA plan takes about 10 ms on a 2-vCPU host.
+const HEAVY_DEVICES: usize = 30;
+
 fn plan_body(seed: u64, devices: usize, algo: &str, sharing: &str, id: u64) -> String {
     let scenario = serde_json::to_string(&scenario_value(seed, devices)).expect("serializes");
     format!(
@@ -823,7 +827,7 @@ fn queued_work_past_its_deadline_is_cancelled() {
     let gateway = start_gateway(one_shard());
     // Six distinct heavy plans keep the only worker busy.
     let items: Vec<String> = (0..6)
-        .map(|i| plan_body(60 + i, 14, "ccsa", "equal", i))
+        .map(|i| plan_body(60 + i, HEAVY_DEVICES, "ccsa", "equal", i))
         .collect();
     let batch = format!(r#"{{"id":1,"requests":[{}]}}"#, items.join(","));
     let mut busy = gateway.connect();
@@ -853,7 +857,10 @@ fn queued_work_past_its_deadline_is_cancelled() {
 fn deadline_elapsing_during_the_solve_answers_expired() {
     let gateway = start_gateway(GatewayConfig::default());
     let mut stream = gateway.connect();
-    let heavy = with_fields(&plan_body(8, 14, "ccsa", "equal", 1), r#""deadline_ms":1"#);
+    let heavy = with_fields(
+        &plan_body(8, HEAVY_DEVICES, "ccsa", "equal", 1),
+        r#""deadline_ms":1"#,
+    );
     let (status, response) = request(&mut stream, "POST", "/v1/plan", &[], &heavy);
     assert_eq!(status, 504, "{response}");
     assert_eq!(error_kind(&parsed(&response)), "expired");
@@ -874,7 +881,7 @@ fn only_the_late_batch_item_expires() {
     let gateway = start_gateway(one_shard());
     let mut stream = gateway.connect();
     let items = [
-        plan_body(8, 14, "ccsa", "equal", 1),
+        plan_body(8, HEAVY_DEVICES, "ccsa", "equal", 1),
         with_fields(&plan_body(9, 5, "ccsa", "equal", 2), r#""deadline_ms":1"#),
         plan_body(9, 5, "ccsa", "equal", 3),
     ];

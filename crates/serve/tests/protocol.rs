@@ -42,6 +42,10 @@ fn run_server(lines: &[String], workers: usize, queue_depth: usize) -> (Vec<Stri
     (text.lines().map(str::to_string).collect(), summary)
 }
 
+/// Devices in a plan that must hold a worker well past a 1 ms deadline: a
+/// 30-device, 3-charger CCSGA plan takes about 5 ms on a 2-vCPU host.
+const HEAVY_DEVICES: usize = 30;
+
 fn scenario_json(seed: u64, devices: usize) -> String {
     let scenario = ScenarioGenerator::new(seed)
         .devices(devices)
@@ -256,7 +260,7 @@ fn queued_work_past_its_deadline_is_cancelled() {
     // One worker: the first (heavy) plan occupies it for far longer than
     // 1 ms, so the second request expires while queued and must be
     // cancelled gracefully instead of computed.
-    let heavy = scenario_json(8, 14);
+    let heavy = scenario_json(8, HEAVY_DEVICES);
     let light = scenario_json(9, 5);
     let lines = vec![
         format!(r#"{{"id":1,"cmd":"plan","scenario":{heavy}}}"#),
@@ -275,7 +279,7 @@ fn deadline_elapsing_during_the_solve_answers_expired() {
     // 1 ms budget — but the heavy solve takes far longer, so the deadline
     // passes *during* execution. The finished result must be answered
     // `expired` (and counted), never as a stale success.
-    let heavy = scenario_json(8, 14);
+    let heavy = scenario_json(8, HEAVY_DEVICES);
     let lines = vec![
         format!(r#"{{"id":1,"cmd":"plan","scenario":{heavy},"deadline_ms":1}}"#),
         r#"{"cmd":"shutdown"}"#.to_string(),

@@ -4,8 +4,10 @@
 //! weighted Fermat point problem: minimize the weighted sum of Euclidean
 //! distances from a set of anchors. [`weighted_geometric_median`] solves it
 //! with Weiszfeld's algorithm, with the standard fix for iterates that land
-//! exactly on an anchor. [`weiszfeld`] is the loop itself; a caller can
-//! abandon a solve once a lower bound on the minimum settles its question.
+//! exactly on an anchor. [`weiszfeld`] is the loop itself. It first tests
+//! Kuhn's optimality condition at two anchors, so a minimizer that sits on
+//! one of them comes back exact without iterating, and a caller can abandon
+//! a solve once a lower bound on the minimum settles its question.
 //!
 //! # Examples
 //!
@@ -285,7 +287,9 @@ pub fn weighted_distance_sum(p: &Point, anchors: &[Point], weights: &[f64]) -> f
 /// the given nonnegative `weights` using Weiszfeld's algorithm (see
 /// [`weiszfeld`] for the iteration itself).
 ///
-/// Anchors with zero weight are ignored. If the iterate lands exactly on an
+/// Anchors with zero weight are ignored. A minimizer that Kuhn's test finds
+/// at the heaviest anchor or at the anchor nearest the weighted centroid is
+/// returned exactly, after `0` iterations. If the iterate lands exactly on an
 /// anchor, the standard Vardi–Zhang correction is applied; if that anchor is
 /// optimal the algorithm stops there.
 ///
@@ -321,6 +325,9 @@ pub fn weighted_geometric_median(
 /// Why a [`weiszfeld`] solve stopped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WeiszfeldStop {
+    /// Kuhn's condition held at an anchor before the first iteration: the
+    /// point is that anchor's exact position and `iterations` is `0`.
+    Anchor,
     /// The iterate moved less than the tolerance, or sits on an anchor
     /// that is itself the minimizer.
     Converged,
@@ -343,15 +350,59 @@ pub struct WeiszfeldRun {
     pub stop: WeiszfeldStop,
 }
 
+/// `‖(dx, dy)‖` as `sqrt(dx² + dy²)` — the kernel's distance. It falls back
+/// to `hypot` where the squared sum overflows or underflows (it is zero,
+/// subnormal or infinite), so it stays accurate at any magnitude.
+#[inline]
+fn norm(dx: f64, dy: f64) -> f64 {
+    let s = dx * dx + dy * dy;
+    if (f64::MIN_POSITIVE..=f64::MAX).contains(&s) {
+        s.sqrt()
+    } else {
+        dx.hypot(dy)
+    }
+}
+
+/// Kuhn's condition at the anchor position `at`: `at` minimizes
+/// `f(p) = Σ w_i·‖p − a_i‖` iff `‖Σ_{a_i ≠ at} w_i·(a_i − at)/‖a_i − at‖‖`
+/// is at most the summed weight of the anchors that coincide with `at`.
+fn kuhn_holds<I>(anchors: I, at: Point) -> bool
+where
+    I: Iterator<Item = (Point, f64)>,
+{
+    let (mut w_at, mut gx, mut gy) = (0.0, 0.0, 0.0);
+    for (a, w) in anchors {
+        let (dx, dy) = (a.x - at.x, a.y - at.y);
+        if dx == 0.0 && dy == 0.0 {
+            w_at += w;
+            continue;
+        }
+        let inv = w / norm(dx, dy);
+        gx += dx * inv;
+        gy += dy * inv;
+    }
+    norm(gx, gy) <= w_at
+}
+
 /// Weiszfeld's iteration for `f(p) = Σ w_i·‖p − a_i‖` over the `(a_i, w_i)`
 /// pairs `anchors` yields — the one loop behind
 /// [`weighted_geometric_median`] and every gathering-point solve.
 ///
-/// It starts at the weighted centroid, skips zero weights, applies the
-/// Vardi–Zhang step when the iterate sits on an anchor, and stops once a
-/// step is shorter than `1e-7` m or after 200 iterations. The caller
-/// guarantees finite nonnegative weights with a positive sum (see
-/// [`weighted_geometric_median`] for the checked entry point).
+/// Before iterating it tests Kuhn's condition (Kuhn 1973; Vardi & Zhang
+/// 2000) at the heaviest anchor (the first, on ties) and then at the
+/// weighted anchor nearest the weighted centroid: anchor `a` is a minimizer
+/// iff `‖Σ_{a_i ≠ a} w_i·(a_i − a)/‖a_i − a‖‖ ≤ w_a`, where `w_a` sums the
+/// weights of every anchor at `a`. Where it holds the solve returns that
+/// anchor's exact position with [`WeiszfeldStop::Anchor`] after `0`
+/// iterations, in `O(K)` for `K` anchors, so a lone anchor, or one device
+/// with its charger whenever their rates differ, needs no iteration at all.
+/// Otherwise it starts at the weighted centroid, skips zero weights, applies
+/// the Vardi–Zhang step when the iterate sits on an anchor, and stops once a
+/// step is shorter than `1e-7` m or after 200 iterations. Every distance and
+/// norm is `sqrt(dx² + dy²)`; `hypot` runs only where that squared sum
+/// overflows or underflows. The caller guarantees finite nonnegative weights
+/// with a positive sum (see [`weighted_geometric_median`] for the checked
+/// entry point).
 ///
 /// # Abandoning a solve
 ///
@@ -366,24 +417,58 @@ pub struct WeiszfeldRun {
 /// so `∇f(x) = x·S − N` costs one square root.
 ///
 /// The reported bound subtracts `1e-9·(f + ‖∇f‖·R + R·(2·(|x.x| + |x.y|)·S
-/// + 2·W))` (`W = Σ w_i`) from `f − ‖∇f‖·R` to cover rounding: over `K`
-/// anchors `f` and `R` are within `(K + 4)·u` of their exact values
-/// (`u = 2⁻⁵³`; every term is a nonnegative product of a weight and a
-/// `hypot`), `x·S − N` is within `(K + 6)·u·(2·|x|·S + W)` per coordinate,
-/// since `|a_i| ≤ |x| + d_i` bounds `|N|` by `|x|·S + W`, and its norm adds
-/// `3·u` (a component whose square underflows moves the bound by under
-/// `1e-150·R`). Every such error is below `1e-9` of the subtracted term
-/// while `K < 10⁶`, so the bound never exceeds the true minimum.
+/// + 2·W))` (`W = Σ w_i`) from `f − ‖∇f‖·R` to cover rounding (`u = 2⁻⁵³`).
+/// Each computed `d_i` is within `3·u` of the exact distance: the
+/// differences round once (`u`), the squares and their sum add at most
+/// `2·u`, which the square root halves, and the root rounds once (`u`); the
+/// `hypot` fallback is within one ulp (`2·u`) of the rounded differences'
+/// norm. So over `K` anchors `f` (a sum of nonnegative products `w_i·d_i`)
+/// is within `(K + 4)·u` of its exact value and `R` within `3·u`; `x·S − N`
+/// is within `(K + 6)·u·(2·|x|·S + W)` per coordinate, since
+/// `|a_i| ≤ |x| + d_i` bounds `|N|` by `|x|·S + W`, and its norm adds
+/// `3·u`. Every such error is below `1e-9` of the subtracted term while
+/// `K < 10⁶`, so the bound never exceeds the true minimum.
 pub fn weiszfeld<I>(anchors: I, mut abandon: impl FnMut(f64) -> bool) -> WeiszfeldRun
 where
     I: Iterator<Item = (Point, f64)> + Clone,
 {
-    // Weighted centroid is the classic starting iterate.
-    let wsum: f64 = anchors.clone().map(|(_, w)| w).sum();
-    let mut current = Point::new(
-        anchors.clone().map(|(a, w)| a.x * w).sum::<f64>() / wsum,
-        anchors.clone().map(|(a, w)| a.y * w).sum::<f64>() / wsum,
-    );
+    // One pass for the weighted centroid, the classic starting iterate, and
+    // the heaviest anchor.
+    let (mut wsum, mut sum_x, mut sum_y) = (0.0, 0.0, 0.0);
+    let (mut heaviest, mut heaviest_w) = (Point::ORIGIN, 0.0);
+    for (a, w) in anchors.clone() {
+        wsum += w;
+        sum_x += a.x * w;
+        sum_y += a.y * w;
+        if w > heaviest_w {
+            (heaviest, heaviest_w) = (a, w);
+        }
+    }
+    let mut current = Point::new(sum_x / wsum, sum_y / wsum);
+
+    let optimal_anchor = if kuhn_holds(anchors.clone(), heaviest) {
+        Some(heaviest)
+    } else {
+        // The weighted anchor nearest the start (the first, on ties).
+        let (mut nearest, mut nearest_d) = (heaviest, f64::INFINITY);
+        for (a, w) in anchors.clone() {
+            if w == 0.0 {
+                continue;
+            }
+            let d = norm(a.x - current.x, a.y - current.y);
+            if d < nearest_d {
+                (nearest, nearest_d) = (a, d);
+            }
+        }
+        (nearest != heaviest && kuhn_holds(anchors.clone(), nearest)).then_some(nearest)
+    };
+    if let Some(point) = optimal_anchor {
+        return WeiszfeldRun {
+            point,
+            iterations: 0,
+            stop: WeiszfeldStop::Anchor,
+        };
+    }
 
     let mut iterations = 0;
     let mut stop = WeiszfeldStop::Capped;
@@ -400,7 +485,7 @@ where
             if w == 0.0 {
                 return;
             }
-            let d = current.distance_value(&a);
+            let d = norm(current.x - a.x, current.y - a.y);
             if d < 1e-12 {
                 at_anchor = Some(w);
                 return;
@@ -416,7 +501,7 @@ where
         let next = if let Some(w_at) = at_anchor {
             // Vardi–Zhang: check whether the anchor itself is the minimizer.
             // r is the norm of the subgradient contribution of the others.
-            let r = (num_x - current.x * denom).hypot(num_y - current.y * denom);
+            let r = norm(num_x - current.x * denom, num_y - current.y * denom);
             if r <= w_at || denom == 0.0 {
                 // Anchor dominates: it is the optimum.
                 stop = WeiszfeldStop::Converged;
@@ -426,9 +511,8 @@ where
             let pull = Point::new(num_x / denom, num_y / denom);
             current.lerp(&pull, t)
         } else {
-            // ‖∇f(x)‖ by `sqrt`, not `hypot`: it only feeds the bound.
             let (gx, gy) = (current.x * denom - num_x, current.y * denom - num_y);
-            let spread = (gx * gx + gy * gy).sqrt() * radius;
+            let spread = norm(gx, gy) * radius;
             let slack = radius * (2.0 * (current.x.abs() + current.y.abs()) * denom + 2.0 * wsum);
             if abandon((objective - spread) - 1e-9 * (objective + spread + slack)) {
                 stop = WeiszfeldStop::Abandoned;
@@ -437,7 +521,7 @@ where
             Point::new(num_x / denom, num_y / denom)
         };
 
-        let step = current.distance_value(&next);
+        let step = norm(current.x - next.x, current.y - next.y);
         current = next;
         if step < WEISZFELD_TOLERANCE {
             stop = WeiszfeldStop::Converged;

@@ -26,9 +26,40 @@ fn arb_weighted_anchors() -> impl Strategy<Value = (Vec<Point>, Vec<f64>)> {
     .prop_map(|pairs| pairs.into_iter().unzip())
 }
 
+/// Continuous anchors, with weights that are sometimes exactly zero.
+fn arb_continuous_anchors() -> impl Strategy<Value = (Vec<Point>, Vec<f64>)> {
+    proptest::collection::vec((arb_point(), prop_oneof![Just(0.0), 0.01f64..5.0]), 1..8)
+        .prop_map(|pairs| pairs.into_iter().unzip())
+}
+
+/// The heaviest positive-weight anchor (the first, on ties) when Kuhn's
+/// condition holds there with a relative margin of `1e-9`: the norm of the
+/// other anchors' weighted unit vectors toward it is at most `1 − 1e-9`
+/// times the weight sitting on it.
+fn kuhn_heaviest_anchor(anchors: &[Point], weights: &[f64]) -> Option<Point> {
+    let mut heaviest: Option<(Point, f64)> = None;
+    for (&a, &w) in anchors.iter().zip(weights) {
+        if w > heaviest.map_or(0.0, |(_, hw)| hw) {
+            heaviest = Some((a, w));
+        }
+    }
+    let (h, _) = heaviest?;
+    let (mut on, mut gx, mut gy) = (0.0, 0.0, 0.0);
+    for (&a, &w) in anchors.iter().zip(weights) {
+        if a == h {
+            on += w;
+        } else {
+            let d = a.distance(&h).value();
+            gx += w * (a.x - h.x) / d;
+            gy += w * (a.y - h.y) / d;
+        }
+    }
+    (gx.hypot(gy) <= on * (1.0 - 1e-9)).then_some(h)
+}
+
 /// The stand-alone Weiszfeld loop the shared [`weiszfeld`] kernel replaced,
-/// kept verbatim as the bitwise reference: `(point, iterations)`, or `None`
-/// where `weighted_geometric_median` rejects the weights.
+/// kept verbatim as the reference: `(point, iterations)`, or `None` where
+/// `weighted_geometric_median` rejects the weights.
 fn reference_weiszfeld(anchors: &[Point], weights: &[f64]) -> Option<(Point, usize)> {
     if weights.iter().any(|w| !w.is_finite() || *w < 0.0) || weights.iter().sum::<f64>() <= 0.0 {
         return None;
@@ -139,33 +170,68 @@ proptest! {
             .iter()
             .map(|p| weighted_distance_sum(p, &pts, weights))
             .fold(f64::INFINITY, f64::min);
-        // When the optimum sits exactly on an anchor, Weiszfeld converges
-        // to it only asymptotically; allow a small relative slack.
-        prop_assert!(m.objective <= best_anchor * 1.01 + 1e-9);
+        // Kuhn's test returns an optimum at the heaviest anchor or at the
+        // one nearest the centroid exactly. An optimum at another anchor or
+        // just off one is still approached slowly and can end above this
+        // bound: 367 of 40,000 random inputs did (DESIGN.md §2), none of
+        // the sampled cases here.
+        prop_assert!(m.objective <= best_anchor * (1.0 + 1e-12));
     }
 
-    /// Run without a cutoff, the shared kernel is bitwise the loop it
-    /// replaced — point bits and iteration count — through zero weights,
-    /// coincident anchors, starts on an anchor, and single anchors; all-zero
-    /// weights stay rejected.
+    /// Run without a cutoff, the shared kernel's objective is never above
+    /// the loop it replaced (up to relative `1e-12`) through zero weights,
+    /// coincident anchors, starts on an anchor and single anchors, and it
+    /// returns the heaviest anchor's exact bits, after no iteration,
+    /// wherever Kuhn's condition holds there with a margin; all-zero weights
+    /// stay rejected.
     #[test]
-    fn weiszfeld_kernel_is_bitwise_the_reference_loop(
-        (anchors, weights) in arb_weighted_anchors(),
+    fn weiszfeld_kernel_never_loses_to_the_reference_loop(
+        (anchors, weights) in prop_oneof![arb_weighted_anchors(), arb_continuous_anchors()],
     ) {
         let reference = reference_weiszfeld(&anchors, &weights);
         match weighted_geometric_median(&anchors, &weights) {
             Ok(median) => {
-                let (point, iterations) = reference.expect("the reference accepts these weights");
-                prop_assert_eq!(median.point.x.to_bits(), point.x.to_bits());
-                prop_assert_eq!(median.point.y.to_bits(), point.y.to_bits());
-                prop_assert_eq!(median.iterations, iterations);
+                let (point, _) = reference.expect("the reference accepts these weights");
+                let old = weighted_distance_sum(&point, &anchors, &weights);
+                prop_assert!(
+                    median.objective <= old * (1.0 + 1e-12),
+                    "kernel {} above reference {old}", median.objective
+                );
                 let run = weiszfeld(anchors.iter().copied().zip(weights.iter().copied()), |_| false);
                 prop_assert_eq!(run.point, median.point);
-                prop_assert_eq!(run.iterations, iterations);
+                prop_assert_eq!(run.iterations, median.iterations);
                 prop_assert!(run.stop != WeiszfeldStop::Abandoned);
+                if let Some(h) = kuhn_heaviest_anchor(&anchors, &weights) {
+                    prop_assert_eq!(run.stop, WeiszfeldStop::Anchor);
+                    prop_assert_eq!(run.iterations, 0);
+                    prop_assert_eq!(median.point.x.to_bits(), h.x.to_bits());
+                    prop_assert_eq!(median.point.y.to_bits(), h.y.to_bits());
+                }
             }
             Err(_) => prop_assert!(reference.is_none()),
         }
+    }
+
+    /// Scaling every anchor by `2^k` (exact in binary) scales the solve:
+    /// the point stays finite and its objective stays within relative
+    /// `1e-9` of `2^k` times the unscaled one, also where squared distances
+    /// overflow and the kernel measures them with `hypot`.
+    #[test]
+    fn weiszfeld_scales_to_extreme_magnitudes(
+        pts in proptest::collection::vec(arb_point(), 1..8),
+        raw_weights in proptest::collection::vec(0.01f64..5.0, 8),
+        k in 0i32..=900,
+    ) {
+        let weights = &raw_weights[..pts.len()];
+        let scale = 2f64.powi(k);
+        let scaled: Vec<Point> = pts.iter().map(|p| Point::new(p.x * scale, p.y * scale)).collect();
+        let expected = weighted_geometric_median(&pts, weights).unwrap().objective * scale;
+        let median = weighted_geometric_median(&scaled, weights).unwrap();
+        prop_assert!(median.point.is_finite(), "2^{k}: {:?}", median.point);
+        prop_assert!(
+            (median.objective - expected).abs() <= 1e-9 * expected,
+            "2^{k}: objective {} against {expected}", median.objective
+        );
     }
 
     /// Every bound the kernel reports is at most the objective at the point

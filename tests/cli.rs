@@ -197,8 +197,9 @@ fn gen_plan_replay_lifetime_pipeline() {
 
 /// Seeded runs keep their exact bytes: stdout, the `ccsga:` stderr line
 /// and the `-o` schedule file. The expected bytes were captured from the
-/// CLI as it was when `plan`, `replay` and `lifetime` still called the
-/// solvers directly, before they moved onto the daemon's command layer.
+/// CLI once the gathering kernel returned anchor optima exactly (Kuhn's
+/// test); the daemon's command layer reproduced the bytes of the direct
+/// solver calls it replaced.
 #[test]
 fn seeded_runs_keep_their_exact_bytes() {
     let scenario = temp_path("pinned_scenario.json");
@@ -220,7 +221,7 @@ fn seeded_runs_keep_their_exact_bytes() {
     );
     assert_eq!(
         String::from_utf8_lossy(&out.stderr),
-        "ccsga: 12 switches, 3 rounds, Nash-stable: true\n"
+        "ccsga: 13 switches, 3 rounds, Nash-stable: true\n"
     );
     assert_eq!(
         std::fs::read_to_string(&schedule).unwrap(),
@@ -255,7 +256,7 @@ fn seeded_runs_keep_their_exact_bytes() {
              mean wait 0.0 s\n  \
              recovery round 1: 12 device(s) re-planned, 0 now served\n  \
              recovery round 2: 12 device(s) re-planned (degraded to solo dispatches), 12 now served\n\
-             recovered: served 100% of devices in 2 extra round(s), total 702.15 $\n",
+             recovered: served 100% of devices in 2 extra round(s), total 702.62 $\n",
         ),
         (
             &["lifetime", "--breakdown", "0.2", "--recover", "1", "--rounds", "6", "--seed", "4"],
@@ -653,9 +654,11 @@ fn report_and_trace_flags_emit_telemetry_files() {
 }
 
 /// `--report` counts the gathering kernel: every memo miss runs exactly one
-/// Weiszfeld solve (a CCSGA plan makes no unmemoized one), and on a
-/// 40-device, 6-charger instance some solves lose to an incumbent charger
-/// and are abandoned.
+/// Weiszfeld solve (neither a CCSGA nor a CCSA plan makes an unmemoized
+/// one), every solve that Kuhn's test does not settle at an anchor runs at
+/// least one iteration, and on a 40-device, 6-charger instance some solves
+/// stop at an anchor and some lose to an incumbent charger and are
+/// abandoned.
 #[test]
 fn report_counts_the_gathering_kernel() {
     let scenario = temp_path("kernel_scenario.json");
@@ -673,26 +676,32 @@ fn report_counts_the_gathering_kernel() {
         scenario_str,
     ];
     assert!(ccs(&gen).status.success());
-    let out = ccs(&[
-        "plan",
-        "--scenario",
-        scenario_str,
-        "--algo",
-        "ccsga",
-        "--report",
-        report.to_str().unwrap(),
-    ]);
-    assert!(out.status.success(), "{out:?}");
-    let parsed: serde_json::Value =
-        serde_json::from_str(&std::fs::read_to_string(&report).unwrap()).unwrap();
-    let counter = |name: &str| match parsed.field("counters").field(name) {
-        serde_json::Value::Number(n) => n.as_f64() as u64,
-        other => panic!("counter {name} missing: {other:?}"),
-    };
-    let solves = counter("gathering.solves");
-    assert_eq!(solves, counter("tables.gather_misses"));
-    assert!(counter("gathering.abandoned") > 0);
-    assert!(counter("gathering.iterations") >= solves);
+    for algo in ["ccsga", "ccsa"] {
+        let out = ccs(&[
+            "plan",
+            "--scenario",
+            scenario_str,
+            "--algo",
+            algo,
+            "--report",
+            report.to_str().unwrap(),
+        ]);
+        assert!(out.status.success(), "{out:?}");
+        let parsed: serde_json::Value =
+            serde_json::from_str(&std::fs::read_to_string(&report).unwrap()).unwrap();
+        let counter = |name: &str| match parsed.field("counters").field(name) {
+            serde_json::Value::Number(n) => n.as_f64() as u64,
+            other => panic!("{algo}: counter {name} missing: {other:?}"),
+        };
+        let solves = counter("gathering.solves");
+        assert_eq!(solves, counter("tables.gather_misses"), "{algo}");
+        assert!(counter("gathering.abandoned") > 0, "{algo}");
+        assert!(counter("gathering.anchor") > 0, "{algo}");
+        assert!(
+            counter("gathering.iterations") + counter("gathering.anchor") >= solves,
+            "{algo}"
+        );
+    }
 
     let _ = std::fs::remove_file(&scenario);
     let _ = std::fs::remove_file(&report);
