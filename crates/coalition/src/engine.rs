@@ -33,10 +33,11 @@
 //!   destination slots to a global change log. A quiescent player replays
 //!   the log suffix since its last probe and re-evaluates **only the
 //!   changed coalitions** (`coalition.probes_partial`): every unchanged
-//!   candidate — including the singleton fallback — kept its old gain
-//!   `<= epsilon`, and the strict `> epsilon` acceptance means a changed
-//!   candidate can never tie with an unchanged one, so the partial probe
-//!   selects exactly the move the full scan would.
+//!   candidate — including the singleton fallback — kept its old gain and
+//!   margin, so its gain still does not exceed the margin, and the strict
+//!   acceptance means a changed candidate can never tie with an unchanged
+//!   one, so the partial probe selects exactly the move the full scan
+//!   would.
 //! * **Shortlist mode** (`shortlist_cap > 0` with a spatial neighbor
 //!   order): a static reverse-adjacency index answers "who shortlists
 //!   player `m`?". A switch marks the members of the source/destination
@@ -53,7 +54,7 @@
 
 use crate::game::HedonicGame;
 use crate::partition::{CoalitionId, Partition};
-use crate::stability::is_nash_stable;
+use crate::stability::{is_nash_stable, margin};
 use std::collections::HashSet;
 
 /// How a player is allowed to deviate.
@@ -69,7 +70,8 @@ pub enum SwitchRule {
 }
 
 /// Strictness margin: an improvement must exceed this to count, in the
-/// dynamics and in the final stability audit alike.
+/// dynamics and in the final stability audit alike, scaled up for costs
+/// above `1e3` in magnitude by [`margin`].
 const EPSILON: f64 = 1e-9;
 
 /// Options for [`run`].
@@ -148,8 +150,9 @@ struct Scratch {
     slab: Vec<usize>,
     /// Candidates as `(move, slab_start, slab_end)`.
     cands: Vec<(Move, usize, usize)>,
-    /// Per-candidate gains; `None` marks an inadmissible candidate.
-    gains: Vec<Option<f64>>,
+    /// Per-candidate `(cost before, cost after)` pairs, whose difference
+    /// is the move's gain; `None` marks an inadmissible candidate.
+    gains: Vec<Option<(f64, f64)>>,
     /// The probing player's coalition minus the player (utilitarian
     /// residual).
     residual: Vec<usize>,
@@ -558,8 +561,8 @@ pub(crate) fn push_joined(slab: &mut Vec<usize>, members: &[usize], player: usiz
 ///
 /// A [`Probe::Changed`] probe evaluates only the coalitions in
 /// `scratch.pending` and omits the singleton candidate: every omitted
-/// candidate kept its gain from the player's last probe (`<= epsilon`), so
-/// it cannot be the best move (see the module docs).
+/// candidate kept its gain from the player's last probe (not above its
+/// margin), so it cannot be the best move (see the module docs).
 fn best_move<G: HedonicGame>(
     game: &G,
     partition: &Partition,
@@ -728,20 +731,22 @@ fn best_move<G: HedonicGame>(
         prefs.incr();
         let new_cost = game.player_cost(player, joined);
         match options.rule {
-            SwitchRule::SelfishWithHistory => Some(current_cost - new_cost),
+            SwitchRule::SelfishWithHistory => Some((current_cost, new_cost)),
             SwitchRule::SelfishWithConsent => match mv {
-                Move::Singleton => Some(current_cost - new_cost),
+                Move::Singleton => Some((current_cost, new_cost)),
                 Move::Join(id) => {
                     let members = partition.members(id);
                     let harmed = members.iter().any(|&q| {
                         prefs.incr();
                         prefs.incr();
-                        game.player_cost(q, joined) > game.player_cost(q, members) + EPSILON
+                        let (after, before) =
+                            (game.player_cost(q, joined), game.player_cost(q, members));
+                        after > before + margin(after, before, EPSILON)
                     });
                     if harmed {
                         None
                     } else {
-                        Some(current_cost - new_cost)
+                        Some((current_cost, new_cost))
                     }
                 }
             },
@@ -768,7 +773,7 @@ fn best_move<G: HedonicGame>(
                     }
                     Move::Singleton => (0.0, new_cost),
                 };
-                Some((from_cost_before + to_before) - (from_cost_after + to_after))
+                Some((from_cost_before + to_before, from_cost_after + to_after))
             }
         }
     });
@@ -777,10 +782,13 @@ fn best_move<G: HedonicGame>(
     // gain goes to the lower move (lower slot, `Singleton` last) whatever
     // order the candidates came in.
     let mut best: Option<(Move, f64)> = None;
-    for (&(mv, _, _), gain) in cands.iter().zip(gains.iter()) {
-        let Some(gain) = *gain else { continue };
+    for (&(mv, _, _), costs) in cands.iter().zip(gains.iter()) {
+        let Some((before, after)) = *costs else {
+            continue;
+        };
         attempts.incr();
-        if gain > EPSILON {
+        let gain = before - after;
+        if gain > margin(before, after, EPSILON) {
             match &best {
                 Some((b, g)) if *g > gain || (*g == gain && *b < mv) => {}
                 _ => best = Some((mv, gain)),
@@ -802,6 +810,60 @@ mod tests {
             .map(|a| pos.iter().map(|b| (a - b).abs()).collect())
             .collect();
         FeeSharingGame::new(fee, distance, max_size)
+    }
+
+    /// Two players who pay `solo` alone and `together` as a pair.
+    struct PairGame {
+        solo: f64,
+        together: f64,
+    }
+
+    impl HedonicGame for PairGame {
+        fn num_players(&self) -> usize {
+            2
+        }
+
+        fn player_cost(&self, _player: usize, coalition: &[usize]) -> f64 {
+            if coalition.len() == 1 {
+                self.solo
+            } else {
+                self.together
+            }
+        }
+    }
+
+    /// A pair a few ulps cheaper than going alone is rounding noise at any
+    /// magnitude; at costs near `1e200` an absolute `1e-9` is far below
+    /// one ulp, so only a margin scaled to the costs turns it down, under
+    /// every rule and in the stability audit. A real gain still counts.
+    #[test]
+    fn rounding_noise_is_no_improvement_at_any_magnitude() {
+        for rule in [
+            SwitchRule::SelfishWithHistory,
+            SwitchRule::SelfishWithConsent,
+            SwitchRule::Utilitarian,
+        ] {
+            let options = EngineOptions {
+                rule,
+                ..EngineOptions::default()
+            };
+            for solo in [1e2, 1e100, 1e200] {
+                let noise = PairGame {
+                    solo,
+                    together: solo * (1.0 - 4.0 * f64::EPSILON),
+                };
+                let report = run(&noise, Partition::singletons(2), options);
+                assert_eq!(report.switches, 0, "{rule:?} at {solo:e}");
+                assert!(report.nash_stable, "{rule:?} at {solo:e}");
+                let gain = PairGame {
+                    solo,
+                    together: solo * (1.0 - 1e-6),
+                };
+                let report = run(&gain, Partition::singletons(2), options);
+                assert_eq!(report.switches, 1, "{rule:?} at {solo:e}");
+                assert!(report.nash_stable, "{rule:?} at {solo:e}");
+            }
+        }
     }
 
     #[test]

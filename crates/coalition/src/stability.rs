@@ -11,6 +11,19 @@ use crate::engine::push_joined;
 use crate::game::HedonicGame;
 use crate::partition::{CoalitionId, Partition};
 
+/// Cost magnitude up to which [`margin`] is the plain absolute `epsilon`.
+const MARGIN_SCALE: f64 = 1e3;
+
+/// The strictness margin for comparing costs `a` and `b`: `epsilon` while
+/// both are at most `1e3` in magnitude, and `epsilon` per `1e3` of the
+/// larger magnitude beyond that. An absolute margin alone stops absorbing
+/// float rounding (about `1e-16` of the costs compared) once costs reach
+/// about `1e7`, and then counts noise as an improvement. The dynamics'
+/// gain and consent tests and the stability audit all compare through it.
+pub(crate) fn margin(a: f64, b: f64, epsilon: f64) -> f64 {
+    epsilon * (a.abs().max(b.abs()) / MARGIN_SCALE).max(1.0)
+}
+
 /// A deviation that would strictly benefit a player.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BlockingMove {
@@ -26,6 +39,8 @@ pub struct BlockingMove {
 
 /// Finds a blocking move if one exists (players and targets scanned in
 /// deterministic index order; the first strict improvement is returned).
+/// An improvement must exceed `epsilon`, scaled up for costs above `1e3`
+/// in magnitude (see [`margin`]).
 pub fn find_blocking_move<G: HedonicGame>(
     game: &G,
     partition: &Partition,
@@ -48,7 +63,7 @@ pub fn find_blocking_move<G: HedonicGame>(
                 continue;
             }
             let new_cost = game.player_cost(player, &joined);
-            if new_cost < current_cost - epsilon {
+            if new_cost < current_cost - margin(current_cost, new_cost, epsilon) {
                 return Some(BlockingMove {
                     player,
                     target: Some(id),
@@ -62,7 +77,7 @@ pub fn find_blocking_move<G: HedonicGame>(
             let solo = [player];
             if game.coalition_feasible(&solo) {
                 let new_cost = game.player_cost(player, &solo);
-                if new_cost < current_cost - epsilon {
+                if new_cost < current_cost - margin(current_cost, new_cost, epsilon) {
                     return Some(BlockingMove {
                         player,
                         target: None,
@@ -77,7 +92,8 @@ pub fn find_blocking_move<G: HedonicGame>(
 }
 
 /// Whether the partition is Nash-stable: no feasible unilateral deviation
-/// strictly improves any player by more than `epsilon`.
+/// strictly improves any player by more than `epsilon` (scaled as in
+/// [`find_blocking_move`]).
 pub fn is_nash_stable<G: HedonicGame>(game: &G, partition: &Partition, epsilon: f64) -> bool {
     find_blocking_move(game, partition, epsilon).is_none()
 }

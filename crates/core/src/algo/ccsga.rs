@@ -9,14 +9,14 @@
 //! resulting partition is checked for pure Nash stability and converted to
 //! a schedule.
 //!
-//! Facility choices and shares are memoized per coalition composition in a
-//! thread-safe [`CoalitionCache`] shared across rounds, so the game
-//! engine's many repeated evaluations stay cheap — including when the
-//! engine's best-response scan evaluates candidate moves in parallel
-//! (`ccs-par`). Cache effectiveness is visible in run reports as
+//! Each coalition composition's charger, gathering point and member costs
+//! are memoized in a thread-safe [`CoalitionCache`] shared across rounds,
+//! so the game engine's many repeated evaluations stay cheap — including
+//! when the engine's best-response scan evaluates candidate moves in
+//! parallel (`ccs-par`). Cache effectiveness is visible in run reports as
 //! `cache.hits` / `cache.misses`.
 
-use crate::cost::{best_facility, try_best_facility_anchored, FacilityChoice};
+use crate::cost::{best_facility, evaluate_facility, try_best_facility_anchored};
 use crate::problem::CcsProblem;
 use crate::schedule::{GroupPlan, Schedule};
 use crate::sharing::CostSharing;
@@ -24,7 +24,8 @@ use ccs_coalition::cache::CoalitionCache;
 use ccs_coalition::engine::{run, EngineOptions, SwitchRule};
 use ccs_coalition::game::HedonicGame;
 use ccs_coalition::partition::Partition;
-use ccs_wrsn::entities::DeviceId;
+use ccs_wrsn::entities::{ChargerId, DeviceId};
+use ccs_wrsn::geometry::Point;
 use std::sync::Arc;
 
 /// Options for [`ccsga`].
@@ -78,18 +79,26 @@ pub struct CcsgaOutcome {
 
 /// The hedonic game induced by a CCS instance and a sharing scheme.
 ///
-/// Caches `(facility, shares)` per coalition composition in a thread-safe
-/// [`CoalitionCache`], so the engine's parallel candidate batches share the
-/// memo and re-pricing survives across rounds.
+/// Caches each coalition composition's [`CachedCoalition`] in a
+/// thread-safe [`CoalitionCache`], so the engine's parallel candidate
+/// batches share the memo and re-pricing survives across rounds.
 struct CcsGame<'a> {
     problem: &'a CcsProblem,
     sharing: &'a dyn CostSharing,
     cache: CoalitionCache<CachedCoalition>,
 }
 
+/// What the game reads back about a priced composition: the winning
+/// facility and each member's cost there. The itemized bill is not kept;
+/// the final groups rebuild it from the charger and the point.
 struct CachedCoalition {
-    facility: FacilityChoice,
-    shares: Vec<ccs_wrsn::units::Cost>,
+    /// The hired charger.
+    charger: ChargerId,
+    /// The gathering point.
+    point: Point,
+    /// Each member's `(share + moving).value()`, aligned with the sorted
+    /// member ids — exactly what [`HedonicGame::player_cost`] returns.
+    costs: Box<[f64]>,
 }
 
 impl<'a> CcsGame<'a> {
@@ -124,7 +133,7 @@ impl<'a> CcsGame<'a> {
             if base_key.is_empty() {
                 return None;
             }
-            Some(self.cache.get(&base_key)?.facility.charger)
+            Some(self.cache.get(&base_key)?.charger)
         });
         let facility = match anchor {
             Some(c) => try_best_facility_anchored(self.problem, &members, c)
@@ -138,7 +147,16 @@ impl<'a> CcsGame<'a> {
             &facility.point,
             &facility.bill,
         );
-        CachedCoalition { facility, shares }
+        let costs = shares
+            .iter()
+            .zip(&facility.moving)
+            .map(|(&share, &moving)| (share + moving).value())
+            .collect();
+        CachedCoalition {
+            charger: facility.charger,
+            point: facility.point,
+            costs,
+        }
     }
 }
 
@@ -154,7 +172,7 @@ impl HedonicGame for CcsGame<'_> {
         let idx = coalition
             .binary_search(&player)
             .expect("player must be a member");
-        (cached.shares[idx] + cached.facility.moving[idx]).value()
+        cached.costs[idx]
     }
 
     /// [`CcsProblem::feasible_group`] straight off the index slice.
@@ -250,8 +268,11 @@ pub fn ccsga(
         .map(|(_, members)| {
             let ids: Vec<DeviceId> = members.iter().map(|&i| DeviceId::new(i as u32)).collect();
             // Every final coalition was priced during the dynamics — reuse
-            // the memo instead of re-running the charger scan.
-            let facility = game.evaluate(members, None).facility.clone();
+            // the memo's charger and point instead of re-running the
+            // charger scan. `evaluate_facility` is the call that built the
+            // scan's winner, so the bill is bitwise the one priced there.
+            let cached = game.evaluate(members, None);
+            let facility = evaluate_facility(problem, cached.charger, &ids, cached.point);
             GroupPlan::from_facility(problem, ids, facility, sharing)
         })
         .collect();

@@ -168,6 +168,78 @@ pub fn evaluate_facility_direct(
     }
 }
 
+/// The largest `r·d(a, b)` over a pruning bound's `(rate, a, b)` pairs,
+/// taken from below with one square root for all of them.
+///
+/// [`add`](Self::add) keeps the largest `(r·dx)² + (r·dy)²`, and
+/// [`floor`](Self::floor) returns its root scaled by `1 − 2⁻⁴⁹`. That never
+/// exceeds the per-pair `r·hypot(dx, dy)` products it stands for. With
+/// `u = 2⁻⁵³`, the products, squares, sum and root leave the root at most
+/// `4·u` above the exact `r·‖(dx, dy)‖`; the reference product is at most
+/// `3·u` below it (`hypot` is within one ulp, `2·u`, of the norm, and the
+/// product rounds once); the factor takes off `16·u`. The ulp bound holds
+/// only where the norm is a normal float, so the floor falls back to the
+/// reference products when the winning pair's differences are both
+/// subnormal, and also when the squared sum overflows. A maximum below
+/// `f64::MIN_POSITIVE` floors to `0`, which is below every product. Each
+/// bound built on it is then at most the bound the products gave, so a
+/// scan prunes a subset of what they pruned, and its argmin and tie-break
+/// stay bitwise the same.
+#[derive(Clone, Copy)]
+struct RateDistanceFloor {
+    /// The largest `(r·dx)² + (r·dy)²` added.
+    sq: f64,
+    /// The coordinate differences of the pair that set `sq`.
+    dx: f64,
+    dy: f64,
+}
+
+impl RateDistanceFloor {
+    /// No pairs: the floor is `0`.
+    const EMPTY: Self = RateDistanceFloor {
+        sq: 0.0,
+        dx: 0.0,
+        dy: 0.0,
+    };
+
+    /// Adds the pair `rate · d(a, b)`.
+    #[inline]
+    fn add(&mut self, rate: f64, a: Point, b: Point) {
+        let (dx, dy) = (a.x - b.x, a.y - b.y);
+        let (x, y) = (rate * dx, rate * dy);
+        let sq = x * x + y * y;
+        if sq > self.sq {
+            *self = RateDistanceFloor { sq, dx, dy };
+        }
+    }
+
+    /// The floor on the largest pair; `reference` computes the per-pair
+    /// `r·hypot` maximum where one root cannot be trusted.
+    #[inline]
+    fn floor(self, reference: impl FnOnce() -> f64) -> f64 {
+        if self.sq < f64::MIN_POSITIVE {
+            0.0
+        } else if self.sq.is_finite() && self.dx.abs().max(self.dy.abs()) >= f64::MIN_POSITIVE {
+            self.sq.sqrt() * (1.0 - 8.0 * f64::EPSILON)
+        } else {
+            reference()
+        }
+    }
+}
+
+/// The largest of `rate(i) · d(a(i), b(i))` over `pairs`, each distance a
+/// `hypot`: the values [`RateDistanceFloor`] stands in for.
+fn max_rate_distance(pairs: impl Iterator<Item = (f64, Point, Point)>) -> f64 {
+    pairs.fold(0.0, |best, (rate, a, b)| {
+        let bound = rate * a.distance_value(&b);
+        if bound > best {
+            bound
+        } else {
+            best
+        }
+    })
+}
+
 /// A lower bound on `group_cost` for serving `members` with `charger` at
 /// *any* gathering point: the point-independent bill terms plus a spatial
 /// bound (`dd_lb` is the charger-independent device-pair bound, computed
@@ -175,7 +247,8 @@ pub fn evaluate_facility_direct(
 ///
 /// The spatial term `τ_j·d(q_j,p) + Σ κ_i·d(p_i,p)` is bounded below by
 /// `min(τ_j, κ_i)·d(q_j, p_i)` for every member `i` (triangle inequality),
-/// and by `min(κ_i, κ_i')·d(p_i, p_i')` for every member pair.
+/// and by `min(κ_i, κ_i')·d(p_i, p_i')` for every member pair; the member
+/// terms are taken through [`RateDistanceFloor`].
 fn facility_lower_bound(
     problem: &CcsProblem,
     charger: ChargerId,
@@ -186,15 +259,20 @@ fn facility_lower_bound(
     let k = members.len();
     let mut fixed = problem.charger(charger).base_fee() + t.congestion(charger, k);
     let tau = t.travel_rate(charger);
-    let mut spatial = dd_lb;
+    let q = t.charger_position(charger);
+    let mut floor = RateDistanceFloor::EMPTY;
     for &d in members {
         fixed += t.energy(charger, d);
-        let bound = tau.min(t.move_rate(d)) * t.device_charger_distance(d, charger);
-        if bound > spatial {
-            spatial = bound;
-        }
+        floor.add(tau.min(t.move_rate(d)), t.device_position(d), q);
     }
-    fixed.value() + spatial
+    let travel = floor.floor(|| {
+        max_rate_distance(
+            members
+                .iter()
+                .map(|&d| (tau.min(t.move_rate(d)), t.device_position(d), q)),
+        )
+    });
+    fixed.value() + dd_lb.max(travel)
 }
 
 /// An `O(1)` per-charger prefilter ahead of the `O(k)` exact bound,
@@ -204,7 +282,8 @@ fn facility_lower_bound(
 /// `1 − 1e-9` factor dominates (the relative error of a reordered
 /// nonnegative sum is ≤ k·ε ≈ 1e-11 even at k = 10⁵). The exact spatial
 /// part maximises over members and so is at least the reference-member
-/// term reproduced here from the same tables. The returned value is
+/// term reproduced here through the same [`RateDistanceFloor`] (a floor
+/// over more pairs is never lower). The returned value is
 /// therefore a true lower bound on [`facility_lower_bound`], and skipping
 /// a charger whose cheap bound exceeds the threshold prunes a subset of
 /// what the exact bound would prune — the argmin is unchanged, bit for
@@ -224,24 +303,40 @@ fn cheap_charger_bound(
         + t.energy_price(charger).value() * total_demand)
         * (1.0 - 1e-9);
     let rate = t.travel_rate(charger).min(kappa_ref);
-    cheap_bill + dd_lb.max(rate * t.device_charger_distance(ref_dev, charger))
+    let (p, q) = (t.device_position(ref_dev), t.charger_position(charger));
+    let mut floor = RateDistanceFloor::EMPTY;
+    floor.add(rate, p, q);
+    let travel = floor.floor(|| max_rate_distance(std::iter::once((rate, p, q))));
+    cheap_bill + dd_lb.max(travel)
 }
 
 /// The charger-independent part of the spatial lower bound: the largest
-/// `min(κ_i, κ_i')·d(p_i, p_i')` over member pairs (`0` for singletons).
+/// `min(κ_i, κ_i')·d(p_i, p_i')` over member pairs (`0` for singletons),
+/// through [`RateDistanceFloor`].
 fn pairwise_spatial_bound(problem: &CcsProblem, members: &[DeviceId]) -> f64 {
     let t = problem.tables();
-    let mut best = 0.0f64;
+    let pair = |a: DeviceId, b: DeviceId| {
+        (
+            t.move_rate(a).min(t.move_rate(b)),
+            t.device_position(a),
+            t.device_position(b),
+        )
+    };
+    let mut floor = RateDistanceFloor::EMPTY;
     for (idx, &a) in members.iter().enumerate() {
-        let ka = t.move_rate(a);
         for &b in &members[idx + 1..] {
-            let bound = ka.min(t.move_rate(b)) * t.device_distance(a, b);
-            if bound > best {
-                best = bound;
-            }
+            let (rate, pa, pb) = pair(a, b);
+            floor.add(rate, pa, pb);
         }
     }
-    best
+    floor.floor(|| {
+        max_rate_distance(
+            members
+                .iter()
+                .enumerate()
+                .flat_map(|(idx, &a)| members[idx + 1..].iter().map(move |&b| pair(a, b))),
+        )
+    })
 }
 
 /// The group cost of serving `members` with `charger` at `point`, as a
@@ -745,6 +840,138 @@ mod tests {
                     let materialized =
                         evaluate_facility(&p, c, &members, point).group_cost().value();
                     prop_assert_eq!(scalar.to_bits(), materialized.to_bits());
+                }
+            }
+        }
+    }
+
+    /// `r·d(a, b)` floors for hand-picked pairs at the edges of the float
+    /// range, against the `r·hypot` product they stand for.
+    #[test]
+    fn rate_distance_floor_stays_below_the_hypot_product_at_the_extremes() {
+        let tiny = f64::from_bits(1); // 2⁻¹⁰⁷⁴, the least subnormal
+        let cases = [
+            // Subnormal differences with a huge rate: `hypot` rounds
+            // √2·2⁻¹⁰⁷⁴ down to 2⁻¹⁰⁷⁴, far below one root of the squares.
+            (2f64.powi(600), Point::new(tiny, tiny), Point::ORIGIN),
+            // Squares that overflow while the product does not.
+            (0.5, Point::new(1e300, 1e300), Point::ORIGIN),
+            // Squares that underflow: the floor is 0.
+            (1e-160, Point::new(1e-160, 0.0), Point::ORIGIN),
+            (0.07, Point::new(120.5, 33.25), Point::new(7.0, 250.0)),
+        ];
+        for (rate, a, b) in cases {
+            let mut floor = RateDistanceFloor::EMPTY;
+            floor.add(rate, a, b);
+            let reference = max_rate_distance(std::iter::once((rate, a, b)));
+            let value = floor.floor(|| reference);
+            assert!(
+                (0.0..=reference).contains(&value),
+                "rate {rate:e}, {a:?}-{b:?}: floor {value:e} vs hypot bound {reference:e}"
+            );
+        }
+    }
+
+    mod one_root_floor {
+        use super::*;
+        use ccs_wrsn::scenario::ParamRange;
+        use proptest::prelude::*;
+
+        /// The bounds as they were computed before [`RateDistanceFloor`]:
+        /// one `min(rate)·hypot` product per pair, maximized. Returns the
+        /// pairwise, facility and cheap bounds for `charger`.
+        fn hypot_bounds(p: &CcsProblem, c: ChargerId, members: &[DeviceId]) -> (f64, f64, f64) {
+            let kappa = |d: DeviceId| p.device(d).move_cost_rate().value();
+            let pos = |d: DeviceId| p.device(d).position();
+            let ch = p.charger(c);
+            let tau = ch.travel_cost_rate().value();
+            let mut dd = 0.0f64;
+            for (idx, &a) in members.iter().enumerate() {
+                for &b in &members[idx + 1..] {
+                    let bound = kappa(a).min(kappa(b)) * pos(a).distance_value(&pos(b));
+                    if bound > dd {
+                        dd = bound;
+                    }
+                }
+            }
+            let t = p.tables();
+            let mut fixed = ch.base_fee() + t.congestion(c, members.len());
+            let mut spatial = dd;
+            for &d in members {
+                fixed += t.energy(c, d);
+                let bound = tau.min(kappa(d)) * pos(d).distance_value(&ch.position());
+                if bound > spatial {
+                    spatial = bound;
+                }
+            }
+            let total_demand: f64 = members.iter().map(|&d| p.device(d).demand().value()).sum();
+            let cheap_bill = ((t.base_fee(c) + t.congestion(c, members.len())).value()
+                + t.energy_price(c).value() * total_demand)
+                * (1.0 - 1e-9);
+            let reference = members[0];
+            let cheap = cheap_bill
+                + dd.max(tau.min(kappa(reference)) * pos(reference).distance_value(&ch.position()));
+            (dd, fixed.value() + spatial, cheap)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// With positions scaled by `2^k_pos` and rates by `2^k_rate`,
+            /// every one-root bound is at most the `hypot` bound it
+            /// replaced, through overflow, underflow and everything between.
+            #[test]
+            fn one_root_bounds_never_exceed_the_hypot_bounds(
+                seed in 0u64..1_000,
+                devices in 2usize..10,
+                chargers in 1usize..5,
+                mask in 1u64..(1 << 10),
+                k_pos in -1000i32..=1000,
+                k_rate in -1000i32..=1000,
+            ) {
+                let (pos_scale, rate_scale) = (2f64.powi(k_pos), 2f64.powi(k_rate));
+                let p = CcsProblem::new(
+                    ScenarioGenerator::new(seed)
+                        .devices(devices)
+                        .chargers(chargers)
+                        .field_side(300.0 * pos_scale)
+                        .device_move_cost_range(ParamRange::new(
+                            0.04 * rate_scale,
+                            0.10 * rate_scale,
+                        ))
+                        .charger_travel_cost_range(ParamRange::new(
+                            0.08 * rate_scale,
+                            0.15 * rate_scale,
+                        ))
+                        .generate(),
+                );
+                let mut members: Vec<DeviceId> = (0..devices)
+                    .filter(|&i| (mask >> i) & 1 == 1)
+                    .map(|i| DeviceId::new(i as u32))
+                    .collect();
+                if members.is_empty() {
+                    members.push(DeviceId::new((mask % devices as u64) as u32));
+                }
+                let t = p.tables();
+                let dd = pairwise_spatial_bound(&p, &members);
+                let total_demand: f64 = members.iter().map(|&d| p.device(d).demand().value()).sum();
+                let reference = members[0];
+                for c in p.scenario().charger_ids() {
+                    let (hypot_dd, hypot_facility, hypot_cheap) = hypot_bounds(&p, c, &members);
+                    let facility = facility_lower_bound(&p, c, &members, dd);
+                    let cheap = cheap_charger_bound(
+                        &p,
+                        c,
+                        members.len(),
+                        total_demand,
+                        dd,
+                        reference,
+                        t.move_rate(reference),
+                    );
+                    prop_assert!((0.0..=hypot_dd).contains(&dd), "pairs: {dd:e} vs {hypot_dd:e}");
+                    prop_assert!(facility <= hypot_facility, "{facility:e} vs {hypot_facility:e}");
+                    prop_assert!(cheap <= hypot_cheap, "{cheap:e} vs {hypot_cheap:e}");
+                    prop_assert!(cheap <= facility, "cheap {cheap:e} over exact {facility:e}");
                 }
             }
         }

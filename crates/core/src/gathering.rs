@@ -72,6 +72,7 @@ pub fn gathering_point(
     let field = problem.scenario().field();
     match strategy {
         GatheringStrategy::Weiszfeld => weiszfeld_point(problem, charger, members, |_| false)
+            .0
             .expect("a solve without a cutoff is never abandoned"),
         GatheringStrategy::Centroid => {
             let anchors: Vec<Point> = members
@@ -104,7 +105,9 @@ pub fn gathering_point(
 
 /// The [`GatheringStrategy::Weiszfeld`] point for `(charger, members)`, or
 /// `None` when `abandon` accepted a lower bound on the spatial objective's
-/// minimum (see [`weiszfeld`] for the bound and its float margin).
+/// minimum (see [`weiszfeld`] for the bound and its float margin), paired
+/// with whether Kuhn's test settled the point at an anchor without
+/// iterating.
 ///
 /// The anchors are the members' positions weighted by their movement
 /// rates, then the charger's position weighted by its travel rate, read
@@ -125,7 +128,7 @@ pub(crate) fn weiszfeld_point(
     charger: ChargerId,
     members: &[DeviceId],
     abandon: impl FnMut(f64) -> bool,
-) -> Option<Point> {
+) -> (Option<Point>, bool) {
     thread_local! {
         /// The solve's `(anchor, weight)` pairs.
         static PAIRS: RefCell<Vec<(Point, f64)>> = const { RefCell::new(Vec::new()) };
@@ -152,23 +155,24 @@ pub(crate) fn weiszfeld_point(
             .map(|&d| t.device_position(d))
             .chain(std::iter::once(t.charger_position(charger)))
             .collect();
-        return Some(field.clamp(Point::centroid(&points).expect("nonempty anchors")));
+        let centroid = Point::centroid(&points).expect("nonempty anchors");
+        return (Some(field.clamp(centroid)), false);
     };
     ccs_telemetry::counter!("gathering.solves").incr();
     ccs_telemetry::counter!("gathering.iterations").add(run.iterations as u64);
     match run.stop {
         WeiszfeldStop::Anchor => {
             ccs_telemetry::counter!("gathering.anchor").incr();
-            Some(field.clamp(run.point))
+            (Some(field.clamp(run.point)), true)
         }
-        WeiszfeldStop::Converged => Some(field.clamp(run.point)),
+        WeiszfeldStop::Converged => (Some(field.clamp(run.point)), false),
         WeiszfeldStop::Capped => {
             ccs_telemetry::counter!("gathering.capped").incr();
-            Some(field.clamp(run.point))
+            (Some(field.clamp(run.point)), false)
         }
         WeiszfeldStop::Abandoned => {
             ccs_telemetry::counter!("gathering.abandoned").incr();
-            None
+            (None, false)
         }
     }
 }

@@ -242,7 +242,8 @@ impl Schedule {
     /// # Errors
     ///
     /// See [`ScheduleError`] — partition coverage, group-size cap, budget
-    /// balance of every group's shares, and in-field gathering points.
+    /// balance of every group's shares (to within rounding of the bill),
+    /// and in-field gathering points.
     pub fn validate(&self, problem: &CcsProblem) -> Result<(), ScheduleError> {
         let n = problem.num_devices();
         let mut seen = vec![0usize; n];
@@ -260,8 +261,9 @@ impl Schedule {
                 return Err(ScheduleError::ChargerOverBudget { group: gi });
             }
             let share_sum: Cost = g.shares.iter().copied().sum();
-            let gap = (share_sum - g.bill.total()).abs();
-            if gap > Cost::new(1e-6) {
+            let bill = g.bill.total();
+            let gap = (share_sum - bill).abs();
+            if gap > budget_tolerance(bill, g.members.len()) {
                 return Err(ScheduleError::NotBudgetBalanced { group: gi, gap });
             }
             for &d in &g.members {
@@ -278,6 +280,19 @@ impl Schedule {
         }
         Ok(())
     }
+}
+
+/// The largest gap between a group's share sum and its bill that
+/// [`Schedule::validate`] accepts: `1e-6`, or `1024·(k + 1)·ε` of the bill
+/// for `k` members where that is larger. Every scheme computes each share
+/// from terms of the bill's magnitude and the validator sums `k` of them,
+/// so rounding leaves a gap of a few ulps of the bill per member (exact
+/// Shapley's subset differences leave the most); a fixed gap alone rejects
+/// valid plans once bills pass about `1e9`. Any real imbalance, say a share
+/// off by `1e-3` of the bill, stays far outside it.
+fn budget_tolerance(bill: Cost, members: usize) -> Cost {
+    let rounding = bill.value().abs() * (members as f64 + 1.0) * 1024.0 * f64::EPSILON;
+    Cost::new(rounding.max(1e-6))
 }
 
 impl fmt::Display for Schedule {
@@ -390,6 +405,44 @@ mod tests {
             s.validate(&p).unwrap_err(),
             ScheduleError::NotBudgetBalanced { .. }
         ));
+    }
+
+    #[test]
+    fn budget_balance_allows_rounding_but_not_imbalance_at_any_scale() {
+        use crate::sharing::all_schemes;
+        for side in [1e2, 1e100, 1e200] {
+            let p = CcsProblem::new(
+                ScenarioGenerator::new(5)
+                    .devices(8)
+                    .chargers(3)
+                    .field_side(side)
+                    .generate(),
+            );
+            let members: Vec<DeviceId> = (0..5).map(DeviceId::new).collect();
+            let singles: Vec<GroupPlan> = (5..8).map(|i| plan(&p, &[i])).collect();
+            for scheme in all_schemes() {
+                let f = best_facility(&p, &members);
+                let group = GroupPlan::from_facility(&p, members.clone(), f, scheme.as_ref());
+                let schedule = |g: GroupPlan| {
+                    let mut groups = vec![g];
+                    groups.extend(singles.iter().cloned());
+                    Schedule::new(groups, "test", scheme.name())
+                };
+                schedule(group.clone())
+                    .validate(&p)
+                    .unwrap_or_else(|e| panic!("side {side:e}, {}: {e}", scheme.name()));
+                let mut tampered = group;
+                tampered.shares[0] += tampered.bill.total() * 1e-3;
+                assert!(
+                    matches!(
+                        schedule(tampered).validate(&p),
+                        Err(ScheduleError::NotBudgetBalanced { group: 0, .. })
+                    ),
+                    "side {side:e}, {}: a share off by 1e-3 of the bill passed",
+                    scheme.name()
+                );
+            }
+        }
     }
 
     #[test]

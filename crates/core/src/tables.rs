@@ -13,13 +13,9 @@
 //!   raw positions. The hot per-(charger, device) reads are products of two
 //!   column entries (`π_j · w_i`, `η_j · g(k)`), bitwise identical to the
 //!   direct entity computation but read from contiguous, cache-friendly
-//!   vectors instead of an `m × n` matrix;
-//! * `dist_dc[i][j]` / `dist_dd[i][i']` — device–charger and device–device
-//!   distances, **densely cached only while they fit** (≤
-//!   [`DENSE_DIST_LIMIT`] entries). Above the limit the accessors fall back
-//!   to recomputing `hypot` from the stored positions — the same formula on
-//!   the same inputs, hence the same bits — so a 10k-device instance does
-//!   not allocate an 800 MB `n²` matrix;
+//!   vectors instead of an `m × n` matrix. Distances are not tabulated:
+//!   the scans' pruning bounds read the positions directly (see `cost`),
+//!   so a cold plan builds nothing `O(n·m)` or `O(n²)`;
 //! * two [`UniformGrid`] spatial indexes (devices and chargers) powering
 //!   ring-ordered candidate enumeration with geometric lower bounds in
 //!   `cost::try_best_facility` and the CCSA candidate scan, plus the
@@ -32,7 +28,9 @@
 //!   earlier, by the ccsga coalition cache. When a facility scan's cutoff
 //!   abandons a losing solve, the memo keeps the lower bound that proved
 //!   it, so a repeated solve of the same problem re-abandons without
-//!   solving.
+//!   solving. Only solves that iterated or were abandoned are kept: an
+//!   optimum that Kuhn's test settles at an anchor is decided again, in
+//!   `O(k)` and without iterating, on a later probe.
 //!
 //! The tables are **read-only shared state** (the gathering memo is a pure
 //! function cache), so they cannot perturb determinism: every value read
@@ -54,10 +52,6 @@ use std::sync::Mutex;
 
 /// Number of independently locked shards of the gathering-point memo.
 const GATHER_SHARDS: usize = 16;
-
-/// Largest entry count for which a distance matrix is cached densely.
-/// 16 M `f64` entries = 128 MB; anything larger recomputes on the fly.
-pub const DENSE_DIST_LIMIT: usize = 16_000_000;
 
 /// One shard of the gathering-point memo: a flat `[charger, member ids…]`
 /// key to the memoized solve. The flat key lets the hit path probe with a
@@ -102,12 +96,6 @@ pub struct ProblemTables {
     device_pos: Vec<Point>,
     /// `q_j`, indexed by charger.
     charger_pos: Vec<Point>,
-    /// `d(p_i, q_j)`, row-major by device (`dist_dc[i * m + j]`), cached
-    /// only while `n · m <= DENSE_DIST_LIMIT`.
-    dist_dc: Option<Vec<f64>>,
-    /// `d(p_i, p_i')`, row-major (`dist_dd[i * n + i']`), cached only while
-    /// `n² <= DENSE_DIST_LIMIT`.
-    dist_dd: Option<Vec<f64>>,
     /// Spatial index over device positions.
     device_grid: UniformGrid,
     /// Spatial index over charger positions.
@@ -133,8 +121,7 @@ pub struct ProblemTables {
 
 impl ProblemTables {
     /// Builds the tables for a scenario + cost parameters. Called once per
-    /// problem via `CcsProblem::tables`; `O(n + m)` space for the factor
-    /// columns plus the distance caches while they fit.
+    /// problem via `CcsProblem::tables`; `O(n + m)` time and space.
     pub(crate) fn new(
         scenario: &Scenario,
         curve: &ccs_submodular::set_fn::CardinalityCurve,
@@ -155,25 +142,6 @@ impl ProblemTables {
         let curve: Vec<f64> = (0..=n).map(|k| curve.eval(k)).collect();
         let device_pos: Vec<Point> = devices.iter().map(|d| d.position()).collect();
         let charger_pos: Vec<Point> = chargers.iter().map(|c| c.position()).collect();
-
-        let dist_dc = (n * m <= DENSE_DIST_LIMIT).then(|| {
-            let mut dist = Vec::with_capacity(n * m);
-            for p in &device_pos {
-                for q in &charger_pos {
-                    dist.push(p.distance_value(q));
-                }
-            }
-            dist
-        });
-        let dist_dd = (n * n <= DENSE_DIST_LIMIT).then(|| {
-            let mut dist = Vec::with_capacity(n * n);
-            for p in &device_pos {
-                for other in &device_pos {
-                    dist.push(p.distance_value(other));
-                }
-            }
-            dist
-        });
 
         let fold_min = |values: &[f64]| values.iter().copied().fold(f64::INFINITY, f64::min);
         let finite = |v: f64| if v.is_finite() { v } else { 0.0 };
@@ -212,8 +180,6 @@ impl ProblemTables {
             charger_grid: UniformGrid::build(&charger_pos),
             device_pos,
             charger_pos,
-            dist_dc,
-            dist_dd,
             gather: (0..GATHER_SHARDS)
                 .map(|_| Mutex::new(HashMap::default()))
                 .collect(),
@@ -260,26 +226,6 @@ impl ProblemTables {
     #[inline]
     pub fn congestion(&self, charger: ChargerId, k: usize) -> Cost {
         self.occupancy[charger.index()] * self.curve[k]
-    }
-
-    /// Device–charger distance `d(p_i, q_j)`.
-    #[inline]
-    pub fn device_charger_distance(&self, device: DeviceId, charger: ChargerId) -> f64 {
-        match &self.dist_dc {
-            Some(dist) => dist[device.index() * self.m + charger.index()],
-            None => {
-                self.device_pos[device.index()].distance_value(&self.charger_pos[charger.index()])
-            }
-        }
-    }
-
-    /// Device–device distance `d(p_i, p_i')`.
-    #[inline]
-    pub fn device_distance(&self, a: DeviceId, b: DeviceId) -> f64 {
-        match &self.dist_dd {
-            Some(dist) => dist[a.index() * self.n + b.index()],
-            None => self.device_pos[a.index()].distance_value(&self.device_pos[b.index()]),
-        }
     }
 
     /// The device's movement cost rate `κ_i` as a raw value.
@@ -354,12 +300,6 @@ impl ProblemTables {
         self.curve[k]
     }
 
-    /// `true` when the device–device distance matrix is densely cached
-    /// (diagnostics; accessors behave identically either way).
-    pub fn dense_distances(&self) -> bool {
-        self.dist_dd.is_some()
-    }
-
     /// The gathering point for `(charger, members)` under the problem's
     /// strategy, memoized. The memo is a pure-function cache — a hit returns
     /// bitwise the point a fresh [`gathering_point`] call would compute.
@@ -369,7 +309,9 @@ impl ProblemTables {
     /// iteration; `None` means `abandon` accepted one. An abandoned solve
     /// is memoized as the best bound it proved: a later probe of the key
     /// first offers `abandon` that bound, and solves again only when it
-    /// is refused. A probe answered from the memo counts in
+    /// is refused. A solve that Kuhn's test settles at an anchor is not
+    /// memoized: it ran no iteration, and a later probe decides it again
+    /// in `O(k)`. A probe answered from the memo counts in
     /// `tables.gather_hits`, one that solves in `tables.gather_misses`.
     /// The cheaper strategies never consult `abandon`.
     pub fn cached_gathering_point(
@@ -410,13 +352,19 @@ impl ProblemTables {
             None => {}
         }
         ccs_telemetry::counter!("tables.gather_misses").incr();
-        let point = match problem.params().gathering {
+        let (point, at_anchor) = match problem.params().gathering {
             GatheringStrategy::Weiszfeld => weiszfeld_point(problem, charger, members, |bound| {
                 proven = proven.max(bound);
                 abandon(bound)
             }),
-            strategy => Some(gathering_point(problem, charger, members, strategy)),
+            strategy => (
+                Some(gathering_point(problem, charger, members, strategy)),
+                false,
+            ),
         };
+        if at_anchor {
+            return point;
+        }
         let key: Box<[u32]> = std::iter::once(charger.value())
             .chain(members.iter().map(|d| d.value()))
             .collect();
@@ -472,7 +420,6 @@ impl fmt::Debug for ProblemTables {
         f.debug_struct("ProblemTables")
             .field("n", &self.n)
             .field("m", &self.m)
-            .field("dense_distances", &self.dense_distances())
             .field("gather_cache_len", &self.gather_cache_len())
             .finish()
     }
@@ -496,10 +443,6 @@ mod tests {
             for d in p.scenario().device_ids() {
                 let dev = p.device(d);
                 assert_eq!(t.energy(c, d), dev.demand() * ch.energy_price());
-                assert_eq!(
-                    t.device_charger_distance(d, c).to_bits(),
-                    dev.position().distance(&ch.position()).value().to_bits()
-                );
             }
             for k in 0..=p.num_devices() {
                 assert_eq!(

@@ -22,7 +22,8 @@ fn anchored_scan_prices_its_anchor_once_and_repeats_from_the_memo() {
     let choice = try_best_facility_anchored(&fresh, &members, winner);
     let first = telemetry.report().counters;
     // The same scan again: completed points and the bounds that abandoned
-    // solves proved answer every probe, so nothing is solved twice.
+    // solves proved answer their probes, so nothing iterates twice. Only
+    // the solves Kuhn's test settled at an anchor run again, in O(k).
     let again = try_best_facility_anchored(&fresh, &members, winner);
     let second = telemetry.report().counters;
     telemetry.disable();
@@ -35,12 +36,22 @@ fn anchored_scan_prices_its_anchor_once_and_repeats_from_the_memo() {
     assert_eq!(count(&first, "tables.gather_hits"), 0);
     assert!(count(&first, "tables.gather_misses") >= 1);
     assert!(count(&first, "gathering.abandoned") >= 1, "{first:?}");
+    assert!(count(&first, "gathering.anchor") >= 1, "{first:?}");
     assert_eq!(
-        count(&second, "gathering.solves"),
-        count(&first, "gathering.solves")
+        count(&second, "gathering.iterations"),
+        count(&first, "gathering.iterations")
     );
     assert_eq!(
+        count(&second, "gathering.abandoned"),
+        count(&first, "gathering.abandoned")
+    );
+    assert_eq!(
+        count(&second, "gathering.solves") - count(&first, "gathering.solves"),
+        count(&first, "gathering.anchor")
+    );
+    // Every key that iterated or was abandoned hits the memo.
+    assert_eq!(
         count(&second, "tables.gather_hits"),
-        count(&first, "tables.gather_misses")
+        count(&first, "tables.gather_misses") - count(&first, "gathering.anchor")
     );
 }

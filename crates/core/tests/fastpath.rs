@@ -17,13 +17,35 @@ use ccs_wrsn::scenario::{ParamRange, Placement, Scenario, ScenarioGenerator};
 use proptest::prelude::*;
 
 fn problem(seed: u64, devices: usize, chargers: usize, budgeted: bool) -> CcsProblem {
+    problem_in_field(seed, devices, chargers, budgeted, None)
+}
+
+/// [`problem`] on a square field of side `10^field_exp` (the generator's
+/// default side when `None`).
+fn problem_in_field(
+    seed: u64,
+    devices: usize,
+    chargers: usize,
+    budgeted: bool,
+    field_exp: Option<i32>,
+) -> CcsProblem {
     let mut generator = ScenarioGenerator::new(seed)
         .devices(devices)
         .chargers(chargers);
     if budgeted {
         generator = generator.charger_energy_budget_range(ParamRange::new(9_000.0, 14_000.0));
     }
+    if let Some(exp) = field_exp {
+        generator = generator.field_side(10f64.powi(exp));
+    }
     CcsProblem::new(generator.generate())
+}
+
+/// A field-side exponent for the scan-equivalence proptests: half the
+/// cases keep the default field, the rest span `1e-150` to `1e200`, where
+/// the pruning bounds' squared distances underflow or overflow.
+fn field_exp() -> impl Strategy<Value = Option<i32>> {
+    prop_oneof![Just(None), (-150i32..=200).prop_map(Some)]
 }
 
 /// Deterministic nonempty sorted member subset of `0..devices`.
@@ -252,7 +274,8 @@ proptest! {
 
     /// The pruned, memoized charger scan returns bitwise the full-scan
     /// reference choice (including the charger-id tie-break), with and
-    /// without energy budgets narrowing eligibility.
+    /// without energy budgets narrowing eligibility, at field sides from
+    /// `1e-150` to `1e200`.
     #[test]
     fn pruned_scan_matches_full_scan_bitwise(
         seed in 0u64..1_000,
@@ -260,8 +283,9 @@ proptest! {
         chargers in 2usize..6,
         mask in 1u64..(1 << 12),
         budgeted in any::<bool>(),
+        field_exp in field_exp(),
     ) {
-        let p = problem(seed, devices, chargers, budgeted);
+        let p = problem_in_field(seed, devices, chargers, budgeted, field_exp);
         let members = members_from_mask(devices, mask);
         let pruned = try_best_facility(&p, &members);
         let reference = reference_best_facility(&p, &members);
@@ -273,7 +297,7 @@ proptest! {
     /// cover the group — the choice is bitwise the unanchored scan's, on
     /// both sides of the scan-strategy cutoff (the sorted full scan below
     /// 64 chargers, the ring scan at 64 and above), with and without
-    /// energy budgets.
+    /// energy budgets, at field sides from `1e-150` to `1e200`.
     #[test]
     fn anchored_scan_matches_the_unanchored_scan_bitwise(
         seed in 0u64..1_000,
@@ -281,8 +305,9 @@ proptest! {
         chargers in prop_oneof![2usize..6, 64usize..72],
         mask in 1u64..(1 << 12),
         budgeted in any::<bool>(),
+        field_exp in field_exp(),
     ) {
-        let p = problem(seed, devices, chargers, budgeted);
+        let p = problem_in_field(seed, devices, chargers, budgeted, field_exp);
         let members = members_from_mask(devices, mask);
         let plain = try_best_facility(&p, &members);
         for anchor in p.scenario().charger_ids() {

@@ -83,8 +83,12 @@ fn hash_canonical(canonical: &str) -> u64 {
     hasher.finish()
 }
 
-/// Byte-cost estimate of one cached problem: the canonical JSON plus the
-/// dense per-pair tables the kernel materializes at paper scale.
+/// Byte-cost estimate of one cached problem: the canonical JSON, the
+/// per-entity columns, and `8·n·(n + m)` standing in for the memo state
+/// (gathering points, neighbour orders) a problem accumulates as plans of
+/// it are solved. The kernel builds no per-pair table; the term keeps
+/// solved problems priced by what they come to hold, which sets how many
+/// fresh problems a byte budget keeps.
 fn problem_bytes(canonical_len: usize, problem: &CcsProblem) -> usize {
     let n = problem.scenario().devices().len();
     let m = problem.scenario().chargers().len();

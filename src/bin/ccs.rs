@@ -315,9 +315,14 @@ fn telemetry_setup(opts: &Flags) -> Result<Option<String>, String> {
 }
 
 /// Writes the global registry's [`RunReport`](ccs_repro::ccs_telemetry::RunReport)
-/// snapshot to `path` as pretty JSON.
+/// snapshot to `path` as pretty JSON, with the process's peak resident set
+/// as the `peak_rss_mb` gauge where the platform reports it.
 fn write_report(path: &str) -> Result<(), String> {
-    let report = ccs_repro::ccs_telemetry::global().report();
+    let registry = ccs_repro::ccs_telemetry::global();
+    if let Some(mb) = peak_rss_mb() {
+        registry.gauge("peak_rss_mb").set(mb);
+    }
+    let report = registry.report();
     let json = report.to_json_pretty();
     fs::write(path, json).map_err(|e| format!("writing {path}: {e}"))?;
     println!("wrote telemetry report to {path}");
@@ -328,6 +333,21 @@ fn write_report(path: &str) -> Result<(), String> {
         eprint!("self-time profile:\n{table}");
     }
     Ok(())
+}
+
+/// The process's peak resident set size (`VmHWM`) in MiB, or `None` where
+/// `/proc/self/status` does not report it.
+fn peak_rss_mb() -> Option<f64> {
+    let status = fs::read_to_string("/proc/self/status").ok()?;
+    let kb: f64 = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))?
+        .trim()
+        .trim_end_matches("kB")
+        .trim()
+        .parse()
+        .ok()?;
+    Some(kb / 1024.0)
 }
 
 fn cmd_gen(opts: &Flags) -> Result<(), String> {

@@ -635,6 +635,13 @@ fn report_and_trace_flags_emit_telemetry_files() {
         parsed.field("counters").as_object().is_some(),
         "report has counters"
     );
+    // The process's peak resident set, where `/proc/self/status` has it.
+    if cfg!(target_os = "linux") {
+        match parsed.field("gauges").field("peak_rss_mb") {
+            serde_json::Value::Number(mb) => assert!(mb.as_f64() > 0.0, "peak_rss_mb {mb:?}"),
+            other => panic!("peak_rss_mb gauge missing: {other:?}"),
+        }
+    }
 
     // The trace is JSON Lines: every line parses on its own and names its
     // event kind.
@@ -651,6 +658,56 @@ fn report_and_trace_flags_emit_telemetry_files() {
     let _ = std::fs::remove_file(&scenario);
     let _ = std::fs::remove_file(&report);
     let _ = std::fs::remove_file(&trace);
+}
+
+/// At fields of `1e100` and `1e200` bills reach that magnitude, and a share
+/// sum one ulp off its bill is rounding, not imbalance: these scenarios plan
+/// and validate under every algorithm and sharing scheme.
+#[test]
+fn huge_fields_plan_under_every_algorithm_and_scheme() {
+    let scenario = temp_path("huge_field.json");
+    let path = scenario.to_str().unwrap();
+    for (seed, field) in [
+        ("5", "1e100"),
+        ("9", "1e100"),
+        ("10", "1e100"),
+        ("11", "1e100"),
+        ("12", "1e200"),
+    ] {
+        let gen = [
+            "gen",
+            "--seed",
+            seed,
+            "--devices",
+            "8",
+            "--chargers",
+            "3",
+            "--field",
+            field,
+            "-o",
+            path,
+        ];
+        assert!(ccs(&gen).status.success());
+        for algo in ["ccsa", "ccsga", "ncp", "opt"] {
+            for sharing in ["equal", "proportional", "shapley"] {
+                let out = ccs(&[
+                    "plan",
+                    "--scenario",
+                    path,
+                    "--algo",
+                    algo,
+                    "--sharing",
+                    sharing,
+                ]);
+                assert!(
+                    out.status.success(),
+                    "seed {seed}, field {field}, {algo}/{sharing}: {}",
+                    String::from_utf8_lossy(&out.stderr)
+                );
+            }
+        }
+    }
+    let _ = std::fs::remove_file(&scenario);
 }
 
 /// `--report` counts the gathering kernel: every memo miss runs exactly one
