@@ -32,8 +32,8 @@ pub fn fig13(out: &Path) -> io::Result<()> {
     );
     let policies = [
         ("ncp", Policy::Noncooperative),
-        ("ccsa", Policy::Ccsa(CcsaOptions::default())),
-        ("ccsga", Policy::Ccsga(CcsgaOptions::default())),
+        ("ccsa", Policy::Ccsa),
+        ("ccsga", Policy::Ccsga),
     ];
     let runs = parallel_map((0..10u64).collect::<Vec<_>>(), |seed| {
         let scenario = ScenarioGenerator::new(seed.wrapping_mul(41) + 5)
@@ -187,7 +187,7 @@ pub fn fig16(out: &Path) -> io::Result<()> {
             let on = recover(
                 &problem,
                 &plan,
-                Policy::Ccsa(CcsaOptions::default()),
+                Policy::Ccsa,
                 &EqualShare,
                 &noise,
                 &failures,

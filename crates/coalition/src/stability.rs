@@ -39,8 +39,8 @@ pub struct BlockingMove {
 
 /// Finds a blocking move if one exists (players and targets scanned in
 /// deterministic index order; the first strict improvement is returned).
-/// An improvement must exceed `epsilon`, scaled up for costs above `1e3`
-/// in magnitude (see [`margin`]).
+/// An improvement must exceed `epsilon`, scaled up in proportion for costs
+/// above `1e3` in magnitude.
 pub fn find_blocking_move<G: HedonicGame>(
     game: &G,
     partition: &Partition,

@@ -236,8 +236,6 @@ struct Sweep<'a> {
     facilities: Vec<(ChargerId, u32)>,
     /// Per-facility cached scans from earlier rounds.
     cache: Vec<Option<CachedDensity>>,
-    /// Per-device energy demand, indexed by device id.
-    demand_of: Vec<f64>,
 }
 
 /// What one facility contributed to a round's parallel pricing batch.
@@ -274,11 +272,6 @@ impl<'a> Sweep<'a> {
             .flat_map(|charger| (0..num_candidates).map(move |i| (charger, i)))
             .collect();
         let cache = facilities.iter().map(|_| None).collect();
-        let demand_of: Vec<f64> = problem
-            .scenario()
-            .device_ids()
-            .map(|d| problem.device(d).demand().value())
-            .collect();
         Sweep {
             problem,
             options,
@@ -286,7 +279,6 @@ impl<'a> Sweep<'a> {
             anchors,
             facilities,
             cache,
-            demand_of,
         }
     }
 
@@ -343,12 +335,12 @@ impl<'a> Sweep<'a> {
         // Per-round floors for the density lower bound.
         let demands: Vec<f64> = remaining
             .iter()
-            .map(|&d| self.demand_of[d.index()])
+            .map(|&d| problem.device(d).demand().value())
             .collect();
         let w_min = demands.iter().copied().fold(f64::INFINITY, f64::min);
         let kappa_min = remaining
             .iter()
-            .map(|&d| tables.move_rate(d))
+            .map(|&d| problem.device(d).move_cost_rate().value())
             .fold(f64::INFINITY, f64::min);
         // min_k g(k)/k over admissible sizes — no concavity assumption needed.
         let min_curve_ratio = (1..=cap)
@@ -356,7 +348,7 @@ impl<'a> Sweep<'a> {
             .fold(f64::INFINITY, f64::min);
         let remaining_pos: Vec<Point> = remaining
             .iter()
-            .map(|&d| tables.device_position(d))
+            .map(|&d| problem.device(d).position())
             .collect();
         let remaining_grid = UniformGrid::build(&remaining_pos);
         // Nearest remaining device per alive candidate point, shared by all
@@ -427,7 +419,7 @@ impl<'a> Sweep<'a> {
                 .iter()
                 .map(|&d| {
                     let dev = problem.device(d);
-                    (tables.energy(charger, d)
+                    (problem.energy(charger, d)
                         + dev.move_cost_rate() * dev.position().distance(&point))
                     .value()
                 })

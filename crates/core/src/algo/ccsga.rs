@@ -194,7 +194,7 @@ impl HedonicGame for CcsGame<'_> {
         if tables.cached_neighbor_order(player as u32, limit as u32, out) {
             return true;
         }
-        let pos = |id: u32| tables.device_position(DeviceId::new(id));
+        let pos = |id: u32| self.problem.device(DeviceId::new(id)).position();
         let from = pos(player as u32);
         let by_distance_then_id =
             |a: &(f64, u32), b: &(f64, u32)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1));
@@ -345,6 +345,26 @@ mod tests {
                 ncp.total_cost()
             );
         }
+    }
+
+    /// The no-revisit history guarantees termination, not stability: on
+    /// this instance, where spatial costs dominate the fees, the dynamics
+    /// stop at a partition that the audit reports as not Nash-stable (a
+    /// blocked improving move remains).
+    #[test]
+    fn history_rule_can_stop_short_of_a_nash_equilibrium() {
+        let p = CcsProblem::new(
+            ScenarioGenerator::new(33)
+                .devices(6)
+                .chargers(3)
+                .field_side(1e4)
+                .generate(),
+        );
+        let out = ccsga(&p, &EqualShare, CcsgaOptions::default());
+        out.schedule.validate(&p).unwrap();
+        assert!(out.converged);
+        assert!(!out.nash_stable);
+        assert_eq!((out.switches, out.rounds), (36, 9));
     }
 
     #[test]

@@ -17,6 +17,13 @@
 //! `bill(·, j, p)` as a function of `S` is `fee·1[S≠∅] + modular +
 //! concave(|S|)` — nonnegative submodular — which is what CCSA's machinery
 //! requires; the property test in this module pins that down.
+//!
+//! Every term reads its parameters from the `Device` and `Charger`
+//! entities: `π_j · w_i` is [`CcsProblem::energy`] and `η_j · g(|S|)` is
+//! [`CcsProblem::congestion`]. The facility scans ([`try_best_facility`],
+//! [`try_best_facility_anchored`]) skip chargers whose lower bound exceeds
+//! the incumbent and abandon gathering solves that cannot beat it, and
+//! return bitwise the choice of evaluating every eligible charger.
 
 use crate::problem::CcsProblem;
 use ccs_wrsn::entities::{ChargerId, DeviceId};
@@ -49,12 +56,10 @@ impl GroupBill {
     }
 }
 
-/// Computes the itemized bill for `(members, charger, point)`, reading the
-/// price terms from the problem's [`ProblemTables`](crate::tables) kernel.
+/// Computes the itemized bill for `(members, charger, point)` from the
+/// charger's and members' entity fields.
 ///
-/// The `energy` entries align with `members` order. Bitwise equal to
-/// [`group_bill_direct`] (the tables store the identical products), which
-/// the `fastpath` proptests verify.
+/// The `energy` entries align with `members` order.
 ///
 /// # Panics
 ///
@@ -66,41 +71,15 @@ pub fn group_bill(
     point: &Point,
 ) -> GroupBill {
     assert!(!members.is_empty(), "a group needs at least one member");
-    let t = problem.tables();
     let c = problem.charger(charger);
-    let energy = members.iter().map(|&d| t.energy(charger, d)).collect();
     GroupBill {
         base_fee: c.base_fee(),
         charger_travel: c.travel_cost_rate() * c.position().distance(point),
-        energy,
-        congestion: t.congestion(charger, members.len()),
-    }
-}
-
-/// The reference implementation of [`group_bill`]: recomputes every term
-/// from the entities instead of reading the kernel tables. Kept for tests
-/// and proptests that pin down the tables' bit-exactness.
-///
-/// # Panics
-///
-/// Panics if `members` is empty.
-pub fn group_bill_direct(
-    problem: &CcsProblem,
-    charger: ChargerId,
-    members: &[DeviceId],
-    point: &Point,
-) -> GroupBill {
-    assert!(!members.is_empty(), "a group needs at least one member");
-    let c = problem.charger(charger);
-    let energy = members
-        .iter()
-        .map(|&d| problem.device(d).demand() * c.energy_price())
-        .collect();
-    GroupBill {
-        base_fee: c.base_fee(),
-        charger_travel: c.travel_cost_rate() * c.position().distance(point),
-        energy,
-        congestion: c.occupancy_rate() * problem.params().congestion_curve.eval(members.len()),
+        energy: members
+            .iter()
+            .map(|&d| problem.energy(charger, d))
+            .collect(),
+        congestion: problem.congestion(charger, members.len()),
     }
 }
 
@@ -148,22 +127,6 @@ pub fn evaluate_facility(
         charger,
         point,
         bill: group_bill(problem, charger, members, &point),
-        moving: moving_costs(problem, members, &point),
-    }
-}
-
-/// [`evaluate_facility`] through [`group_bill_direct`] — the tables-free
-/// reference path.
-pub fn evaluate_facility_direct(
-    problem: &CcsProblem,
-    charger: ChargerId,
-    members: &[DeviceId],
-    point: Point,
-) -> FacilityChoice {
-    FacilityChoice {
-        charger,
-        point,
-        bill: group_bill_direct(problem, charger, members, &point),
         moving: moving_costs(problem, members, &point),
     }
 }
@@ -255,23 +218,20 @@ fn facility_lower_bound(
     members: &[DeviceId],
     dd_lb: f64,
 ) -> f64 {
-    let t = problem.tables();
-    let k = members.len();
-    let mut fixed = problem.charger(charger).base_fee() + t.congestion(charger, k);
-    let tau = t.travel_rate(charger);
-    let q = t.charger_position(charger);
+    let c = problem.charger(charger);
+    let mut fixed = c.base_fee() + problem.congestion(charger, members.len());
+    let (tau, q) = (c.travel_cost_rate().value(), c.position());
+    let pair = |d: DeviceId| {
+        let dev = problem.device(d);
+        (tau.min(dev.move_cost_rate().value()), dev.position(), q)
+    };
     let mut floor = RateDistanceFloor::EMPTY;
     for &d in members {
-        fixed += t.energy(charger, d);
-        floor.add(tau.min(t.move_rate(d)), t.device_position(d), q);
+        fixed += problem.energy(charger, d);
+        let (rate, p, _) = pair(d);
+        floor.add(rate, p, q);
     }
-    let travel = floor.floor(|| {
-        max_rate_distance(
-            members
-                .iter()
-                .map(|&d| (tau.min(t.move_rate(d)), t.device_position(d), q)),
-        )
-    });
+    let travel = floor.floor(|| max_rate_distance(members.iter().map(|&d| pair(d))));
     fixed.value() + dd_lb.max(travel)
 }
 
@@ -295,15 +255,15 @@ fn cheap_charger_bound(
     k: usize,
     total_demand: f64,
     dd_lb: f64,
-    ref_dev: DeviceId,
+    ref_pos: Point,
     kappa_ref: f64,
 ) -> f64 {
-    let t = problem.tables();
-    let cheap_bill = ((t.base_fee(charger) + t.congestion(charger, k)).value()
-        + t.energy_price(charger).value() * total_demand)
+    let c = problem.charger(charger);
+    let cheap_bill = ((c.base_fee() + problem.congestion(charger, k)).value()
+        + c.energy_price().value() * total_demand)
         * (1.0 - 1e-9);
-    let rate = t.travel_rate(charger).min(kappa_ref);
-    let (p, q) = (t.device_position(ref_dev), t.charger_position(charger));
+    let rate = c.travel_cost_rate().value().min(kappa_ref);
+    let (p, q) = (ref_pos, c.position());
     let mut floor = RateDistanceFloor::EMPTY;
     floor.add(rate, p, q);
     let travel = floor.floor(|| max_rate_distance(std::iter::once((rate, p, q))));
@@ -314,12 +274,12 @@ fn cheap_charger_bound(
 /// `min(κ_i, κ_i')·d(p_i, p_i')` over member pairs (`0` for singletons),
 /// through [`RateDistanceFloor`].
 fn pairwise_spatial_bound(problem: &CcsProblem, members: &[DeviceId]) -> f64 {
-    let t = problem.tables();
     let pair = |a: DeviceId, b: DeviceId| {
+        let (a, b) = (problem.device(a), problem.device(b));
         (
-            t.move_rate(a).min(t.move_rate(b)),
-            t.device_position(a),
-            t.device_position(b),
+            a.move_cost_rate().value().min(b.move_cost_rate().value()),
+            a.position(),
+            b.position(),
         )
     };
     let mut floor = RateDistanceFloor::EMPTY;
@@ -351,12 +311,11 @@ fn group_cost_at(
     members: &[DeviceId],
     point: &Point,
 ) -> f64 {
-    let t = problem.tables();
     let c = problem.charger(charger);
     let group_level = c.base_fee()
         + c.travel_cost_rate() * c.position().distance(point)
-        + t.congestion(charger, members.len());
-    let energy: Cost = members.iter().map(|&d| t.energy(charger, d)).sum();
+        + problem.congestion(charger, members.len());
+    let energy: Cost = members.iter().map(|&d| problem.energy(charger, d)).sum();
     let moving: Cost = members
         .iter()
         .map(|&d| {
@@ -387,8 +346,7 @@ fn group_cost_at(
 /// factor dominates their sum for any `k < 10⁶`, as it does in
 /// `cheap_charger_bound`, so an abandoned charger can be neither the
 /// argmin nor an id tie-break winner.
-#[doc(hidden)]
-pub fn bounded_gathering_point(
+fn bounded_gathering_point(
     problem: &CcsProblem,
     charger: ChargerId,
     members: &[DeviceId],
@@ -399,10 +357,11 @@ pub fn bounded_gathering_point(
         // Nothing to beat: a constant test lets the solve skip the bound.
         return t.cached_gathering_point(problem, charger, members, |_| false);
     }
-    let fixed = (t.base_fee(charger) + t.congestion(charger, members.len())).value()
+    let fixed = (problem.charger(charger).base_fee() + problem.congestion(charger, members.len()))
+        .value()
         + members
             .iter()
-            .map(|&d| t.energy(charger, d))
+            .map(|&d| problem.energy(charger, d))
             .sum::<Cost>()
             .value();
     t.cached_gathering_point(problem, charger, members, |bound| {
@@ -411,23 +370,22 @@ pub fn bounded_gathering_point(
 }
 
 /// Evaluates one candidate charger against the incumbent, updating
-/// `best`/`best_cost`/`threshold` under the exact `(group_cost, charger
-/// id)` total order shared by both scan strategies.
+/// `best`/`best_cost` under the exact `(group_cost, charger id)` total
+/// order shared by both scan strategies.
 ///
 /// Candidates are ranked by the allocation-free [`group_cost_at`] scalar;
 /// the `FacilityChoice` (with its itemized-bill and moving-cost `Vec`s) is
 /// materialized only when the candidate actually wins. `best_cost` carries
-/// the incumbent's group cost (`f64::INFINITY` while `best` is `None`), so
-/// losing candidates never touch the incumbent either, and a candidate
-/// whose gathering solve proves it cannot beat the incumbent is dropped
-/// mid-solve ([`bounded_gathering_point`]).
+/// the incumbent's group cost (`f64::INFINITY` while `best` is `None`) and
+/// is the scans' pruning threshold, so losing candidates never touch the
+/// incumbent either, and a candidate whose gathering solve proves it cannot
+/// beat the incumbent is dropped mid-solve ([`bounded_gathering_point`]).
 fn consider_charger(
     problem: &CcsProblem,
     members: &[DeviceId],
     c: ChargerId,
     best: &mut Option<FacilityChoice>,
     best_cost: &mut f64,
-    threshold: &mut f64,
 ) {
     let Some(point) = bounded_gathering_point(problem, c, members, *best_cost) else {
         return;
@@ -440,42 +398,29 @@ fn consider_charger(
         }
     };
     if better {
-        *threshold = threshold.min(cost);
         *best_cost = cost;
         *best = Some(evaluate_facility(problem, c, members, point));
     }
 }
 
-/// The full pruned charger scan: every eligible charger gets a lower
-/// bound, chargers are visited in ascending `(bound, id)` order and the
-/// scan stops as soon as the next bound *strictly* exceeds `threshold`
+/// The sorted charger scan, continued from an already-evaluated incumbent
+/// (`best` at `best_cost`, `None` at infinity) and never visiting `skip`
+/// (the charger the caller already evaluated): every eligible charger gets
+/// a lower bound, chargers are visited in ascending `(bound, id)` order and
+/// the scan stops as soon as the next bound *strictly* exceeds `best_cost`
 /// (which shrinks to the best cost found so far). A pruned charger's true
 /// cost is `>=` its bound `>` the final best, so it can be neither the
 /// argmin nor a tie — the result (including the id tie-break) is bitwise
-/// the exhaustive scan's.
-#[doc(hidden)]
-pub fn facility_scan_full(
-    problem: &CcsProblem,
-    members: &[DeviceId],
-    threshold: f64,
-) -> Option<FacilityChoice> {
-    facility_scan_full_from(problem, members, None, None, f64::INFINITY, threshold)
-}
-
-/// [`facility_scan_full`] continued from an already-evaluated incumbent
-/// (`best` at `threshold`), never visiting `skip` (the charger the caller
-/// already evaluated). Visit order never affects the result — the
-/// `(group_cost, charger id)` comparison in [`consider_charger`] is a
-/// total order — so starting from an incumbent only tightens pruning.
-fn facility_scan_full_from(
+/// the exhaustive scan's. Visit order never affects the result — the
+/// `(group_cost, charger id)` comparison in [`consider_charger`] is a total
+/// order — so starting from an incumbent only tightens pruning.
+fn facility_scan_full(
     problem: &CcsProblem,
     members: &[DeviceId],
     skip: Option<ChargerId>,
     mut best: Option<FacilityChoice>,
     mut best_cost: f64,
-    mut threshold: f64,
 ) -> Option<FacilityChoice> {
-    let t = problem.tables();
     let dd_lb = pairwise_spatial_bound(problem, members);
     let k = members.len();
     let demand = problem.group_demand(members);
@@ -483,15 +428,15 @@ fn facility_scan_full_from(
         .iter()
         .map(|&d| problem.device(d).demand().value())
         .sum();
-    let ref_dev = members[0];
-    let kappa_ref = t.move_rate(ref_dev);
+    let ref_dev = problem.device(members[0]);
+    let (ref_pos, kappa_ref) = (ref_dev.position(), ref_dev.move_cost_rate().value());
     let mut candidates: Vec<(f64, ChargerId)> = problem
         .scenario()
         .charger_ids()
         .filter(|&c| {
             Some(c) != skip
-                && cheap_charger_bound(problem, c, k, total_demand, dd_lb, ref_dev, kappa_ref)
-                    <= threshold
+                && cheap_charger_bound(problem, c, k, total_demand, dd_lb, ref_pos, kappa_ref)
+                    <= best_cost
                 && problem.charger(c).can_deliver(demand)
         })
         .map(|c| (facility_lower_bound(problem, c, members, dd_lb), c))
@@ -499,52 +444,33 @@ fn facility_scan_full_from(
     candidates.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
 
     for (bound, c) in candidates {
-        if bound > threshold {
+        if bound > best_cost {
             break;
         }
-        consider_charger(
-            problem,
-            members,
-            c,
-            &mut best,
-            &mut best_cost,
-            &mut threshold,
-        );
+        consider_charger(problem, members, c, &mut best, &mut best_cost);
     }
     best
 }
 
-/// The ring-ordered charger scan: chargers are enumerated outward from the
-/// first member's position through the charger [`UniformGrid`], ring by
-/// ring. Ring `r` carries a floor on the cost of *every* charger in it or
-/// beyond — the instance-wide fee/price/congestion minima plus
-/// `min(τ_min, κ_ref) · ring_distance` — so the search stops without
-/// touching the remaining rings once the floor exceeds `threshold`.
-/// Within the visited rings each charger gets the same per-charger lower
-/// bound as [`facility_scan_full`] and candidates run in `(bound, id)`
-/// order against the same exact total order, so the winner (including
-/// tie-breaks) is bitwise identical to the full scan — only the number of
-/// evaluated chargers differs. `O(chargers near the group)` instead of
-/// `O(m log m)` per call.
-#[doc(hidden)]
-pub fn facility_scan_grid(
-    problem: &CcsProblem,
-    members: &[DeviceId],
-    threshold: f64,
-) -> Option<FacilityChoice> {
-    facility_scan_grid_from(problem, members, None, None, f64::INFINITY, threshold)
-}
-
-/// [`facility_scan_grid`] continued from an already-evaluated incumbent,
-/// never visiting `skip` — see [`facility_scan_full_from`] for why that
-/// cannot change the result.
-fn facility_scan_grid_from(
+/// The ring-ordered charger scan, continued from an incumbent and never
+/// visiting `skip` like [`facility_scan_full`]: chargers are enumerated
+/// outward from the first member's position through the charger
+/// [`UniformGrid`](crate::grid::UniformGrid), ring by ring. Ring `r`
+/// carries a floor on the cost of *every* charger in it or beyond — the
+/// fleet-wide fee/price/congestion minima plus `min(τ_min, κ_ref) ·
+/// ring_distance` — so the search stops without touching the remaining
+/// rings once the floor exceeds `best_cost`. Within the visited rings each
+/// charger gets the same per-charger lower bound as the sorted scan and
+/// candidates run in `(bound, id)` order against the same exact total
+/// order, so the winner (including tie-breaks) is bitwise the sorted
+/// scan's — only the number of evaluated chargers differs.
+/// `O(chargers near the group)` instead of `O(m log m)` per call.
+fn facility_scan_grid(
     problem: &CcsProblem,
     members: &[DeviceId],
     skip: Option<ChargerId>,
     mut best: Option<FacilityChoice>,
     mut best_cost: f64,
-    mut threshold: f64,
 ) -> Option<FacilityChoice> {
     let t = problem.tables();
     let dd_lb = pairwise_spatial_bound(problem, members);
@@ -560,26 +486,25 @@ fn facility_scan_grid_from(
         + t.min_energy_price() * total_demand;
     // Rate for the ring-distance floor: spatial_j >= min(τ_j, κ_ref) ·
     // d(q_j, p_ref) >= min(τ_min, κ_ref) · ring lower bound.
-    let ref_dev = members[0];
-    let spatial_rate = t.min_travel_rate().min(t.move_rate(ref_dev));
-    let ref_pos = t.device_position(ref_dev);
+    let ref_dev = problem.device(members[0]);
+    let (ref_pos, kappa_ref) = (ref_dev.position(), ref_dev.move_cost_rate().value());
+    let spatial_rate = t.min_travel_rate().min(kappa_ref);
 
     let k = members.len();
     let demand = problem.group_demand(members);
-    let kappa_ref = t.move_rate(ref_dev);
     let mut cursor = t.charger_grid().rings_from(ref_pos);
     let mut ring: Vec<u32> = Vec::new();
     let mut candidates: Vec<(f64, ChargerId)> = Vec::new();
     while let Some(ring_lb) = cursor.next_ring(&mut ring) {
-        if fixed_floor + dd_lb.max(spatial_rate * ring_lb) > threshold {
+        if fixed_floor + dd_lb.max(spatial_rate * ring_lb) > best_cost {
             break;
         }
         candidates.clear();
         for &raw in &ring {
             let c = ChargerId::new(raw);
             if Some(c) == skip
-                || cheap_charger_bound(problem, c, k, total_demand, dd_lb, ref_dev, kappa_ref)
-                    > threshold
+                || cheap_charger_bound(problem, c, k, total_demand, dd_lb, ref_pos, kappa_ref)
+                    > best_cost
                 || !problem.charger(c).can_deliver(demand)
             {
                 continue;
@@ -589,17 +514,10 @@ fn facility_scan_grid_from(
         ring.clear();
         candidates.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         for &(bound, c) in &candidates {
-            if bound > threshold {
+            if bound > best_cost {
                 break;
             }
-            consider_charger(
-                problem,
-                members,
-                c,
-                &mut best,
-                &mut best_cost,
-                &mut threshold,
-            );
+            consider_charger(problem, members, c, &mut best, &mut best_cost);
         }
     }
     best
@@ -611,10 +529,10 @@ const GRID_MIN_CHARGERS: usize = 64;
 
 /// Strategy dispatch behind [`try_best_facility`] and
 /// [`try_best_facility_anchored`], continuing from an incumbent `best` at
-/// `best_cost` (`None` at infinity), which also seeds the pruning
-/// threshold, and never visiting `skip`. Both strategies return the
-/// bitwise-identical argmin (pinned by the `fastpath_grid` proptests), so
-/// the cutoff is purely a performance choice.
+/// `best_cost` (`None` at infinity), which is also the pruning threshold,
+/// and never visiting `skip`. Both strategies return the bitwise-identical
+/// argmin (pinned by the `fastpath` and `fastpath_grid` proptests against
+/// an exhaustive scan), so the cutoff is purely a performance choice.
 fn pruned_facility_scan(
     problem: &CcsProblem,
     members: &[DeviceId],
@@ -622,10 +540,10 @@ fn pruned_facility_scan(
     best: Option<FacilityChoice>,
     best_cost: f64,
 ) -> Option<FacilityChoice> {
-    if problem.tables().num_chargers() >= GRID_MIN_CHARGERS {
-        facility_scan_grid_from(problem, members, skip, best, best_cost, best_cost)
+    if problem.num_chargers() >= GRID_MIN_CHARGERS {
+        facility_scan_grid(problem, members, skip, best, best_cost)
     } else {
-        facility_scan_full_from(problem, members, skip, best, best_cost, best_cost)
+        facility_scan_full(problem, members, skip, best, best_cost)
     }
 }
 
@@ -666,16 +584,8 @@ pub fn try_best_facility_anchored(
     assert!(!members.is_empty(), "a group needs at least one member");
     let mut best: Option<FacilityChoice> = None;
     let mut best_cost = f64::INFINITY;
-    let mut threshold = f64::INFINITY;
     if problem.charger_can_serve(anchor, members) {
-        consider_charger(
-            problem,
-            members,
-            anchor,
-            &mut best,
-            &mut best_cost,
-            &mut threshold,
-        );
+        consider_charger(problem, members, anchor, &mut best, &mut best_cost);
     }
     pruned_facility_scan(problem, members, Some(anchor), best, best_cost)
 }
@@ -694,10 +604,11 @@ pub fn best_facility(problem: &CcsProblem, members: &[DeviceId]) -> FacilityChoi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gathering::gathering_point;
+    use crate::gathering::{gathering_point, GatheringStrategy};
     use ccs_submodular::check::{is_monotone_nondecreasing, is_submodular};
     use ccs_submodular::set_fn::FnSetFunction;
     use ccs_wrsn::scenario::ScenarioGenerator;
+    use proptest::prelude::*;
 
     fn problem() -> CcsProblem {
         CcsProblem::new(ScenarioGenerator::new(7).devices(8).chargers(3).generate())
@@ -705,6 +616,18 @@ mod tests {
 
     fn ids(v: &[u32]) -> Vec<DeviceId> {
         v.iter().map(|&i| DeviceId::new(i)).collect()
+    }
+
+    /// Deterministic nonempty sorted member subset of `0..devices`.
+    fn members_from_mask(devices: usize, mask: u64) -> Vec<DeviceId> {
+        let mut members: Vec<DeviceId> = (0..devices)
+            .filter(|&i| (mask >> i) & 1 == 1)
+            .map(|i| DeviceId::new(i as u32))
+            .collect();
+        if members.is_empty() {
+            members.push(DeviceId::new((mask % devices as u64) as u32));
+        }
+        members
     }
 
     #[test]
@@ -800,9 +723,54 @@ mod tests {
         let _ = group_bill(&p, ChargerId::new(0), &[], &Point::ORIGIN);
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// A solve abandoned against an incumbent cost `T` belongs to a
+        /// facility whose completed group cost strictly exceeds `T`, and a
+        /// solve that completes returns the unbounded point. Each `T` probes a
+        /// fresh problem, so no memo entry hides the solve. After an
+        /// abandonment the memo holds the bound it proved: asking about `T`
+        /// again still abandons, while an exact tie with the completed cost,
+        /// and then no incumbent at all, get the unbounded point.
+        #[test]
+        fn abandoned_solves_cost_more_than_the_incumbent(
+            seed in 0u64..1_000,
+            devices in 2usize..12,
+            chargers in 1usize..5,
+            mask in 1u64..(1 << 12),
+            factor in 0.5f64..1.5,
+        ) {
+            let scenario = ScenarioGenerator::new(seed).devices(devices).chargers(chargers).generate();
+            let reference = CcsProblem::new(scenario.clone());
+            let members = members_from_mask(devices, mask);
+            for c in reference.scenario().charger_ids() {
+                let point = gathering_point(&reference, c, &members, GatheringStrategy::Weiszfeld);
+                let cost = evaluate_facility(&reference, c, &members, point).group_cost().value();
+                for incumbent in [0.0, cost * factor, cost, f64::from_bits(cost.to_bits() - 1)] {
+                    let fresh = CcsProblem::new(scenario.clone());
+                    match bounded_gathering_point(&fresh, c, &members, incumbent) {
+                        None => {
+                            prop_assert!(
+                                cost > incumbent,
+                                "abandoned {c} at incumbent {incumbent}, completed cost {cost}"
+                            );
+                            prop_assert_eq!(bounded_gathering_point(&fresh, c, &members, incumbent), None);
+                            prop_assert_eq!(bounded_gathering_point(&fresh, c, &members, cost), Some(point));
+                            prop_assert_eq!(
+                                bounded_gathering_point(&fresh, c, &members, f64::INFINITY),
+                                Some(point)
+                            );
+                        }
+                        Some(bounded) => prop_assert_eq!(bounded, point),
+                    }
+                }
+            }
+        }
+    }
+
     mod scan_scalar {
         use super::*;
-        use proptest::prelude::*;
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(32))]
@@ -827,13 +795,7 @@ mod tests {
                         .chargers(chargers)
                         .generate(),
                 );
-                let mut members: Vec<DeviceId> = (0..devices)
-                    .filter(|&i| (mask >> i) & 1 == 1)
-                    .map(|i| DeviceId::new(i as u32))
-                    .collect();
-                if members.is_empty() {
-                    members.push(DeviceId::new((mask % devices as u64) as u32));
-                }
+                let members = members_from_mask(devices, mask);
                 let point = Point::new(px, py);
                 for c in p.scenario().charger_ids() {
                     let scalar = group_cost_at(&p, c, &members, &point);
@@ -875,7 +837,6 @@ mod tests {
     mod one_root_floor {
         use super::*;
         use ccs_wrsn::scenario::ParamRange;
-        use proptest::prelude::*;
 
         /// The bounds as they were computed before [`RateDistanceFloor`]:
         /// one `min(rate)·hypot` product per pair, maximized. Returns the
@@ -894,19 +855,18 @@ mod tests {
                     }
                 }
             }
-            let t = p.tables();
-            let mut fixed = ch.base_fee() + t.congestion(c, members.len());
+            let mut fixed = ch.base_fee() + p.congestion(c, members.len());
             let mut spatial = dd;
             for &d in members {
-                fixed += t.energy(c, d);
+                fixed += p.energy(c, d);
                 let bound = tau.min(kappa(d)) * pos(d).distance_value(&ch.position());
                 if bound > spatial {
                     spatial = bound;
                 }
             }
             let total_demand: f64 = members.iter().map(|&d| p.device(d).demand().value()).sum();
-            let cheap_bill = ((t.base_fee(c) + t.congestion(c, members.len())).value()
-                + t.energy_price(c).value() * total_demand)
+            let cheap_bill = ((ch.base_fee() + p.congestion(c, members.len())).value()
+                + ch.energy_price().value() * total_demand)
                 * (1.0 - 1e-9);
             let reference = members[0];
             let cheap = cheap_bill
@@ -945,17 +905,10 @@ mod tests {
                         ))
                         .generate(),
                 );
-                let mut members: Vec<DeviceId> = (0..devices)
-                    .filter(|&i| (mask >> i) & 1 == 1)
-                    .map(|i| DeviceId::new(i as u32))
-                    .collect();
-                if members.is_empty() {
-                    members.push(DeviceId::new((mask % devices as u64) as u32));
-                }
-                let t = p.tables();
+                let members = members_from_mask(devices, mask);
                 let dd = pairwise_spatial_bound(&p, &members);
                 let total_demand: f64 = members.iter().map(|&d| p.device(d).demand().value()).sum();
-                let reference = members[0];
+                let reference = p.device(members[0]);
                 for c in p.scenario().charger_ids() {
                     let (hypot_dd, hypot_facility, hypot_cheap) = hypot_bounds(&p, c, &members);
                     let facility = facility_lower_bound(&p, c, &members, dd);
@@ -965,8 +918,8 @@ mod tests {
                         members.len(),
                         total_demand,
                         dd,
-                        reference,
-                        t.move_rate(reference),
+                        reference.position(),
+                        reference.move_cost_rate().value(),
                     );
                     prop_assert!((0.0..=hypot_dd).contains(&dd), "pairs: {dd:e} vs {hypot_dd:e}");
                     prop_assert!(facility <= hypot_facility, "{facility:e} vs {hypot_facility:e}");

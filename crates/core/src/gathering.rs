@@ -11,12 +11,11 @@
 //! movement cost rates) and the charger (weight: its travel cost rate).
 //! [`GatheringStrategy::Weiszfeld`] solves it near-exactly with the one
 //! Weiszfeld loop, [`ccs_wrsn::geometry::weiszfeld`], reading the anchors
-//! straight from the [`ProblemTables`](crate::tables::ProblemTables)
-//! columns. When the optimum sits on a member or on the charger, Kuhn's
-//! test in that loop returns the anchor's exact position without
-//! iterating; that is how a singleton gathers at its device or at its
-//! charger, whichever is heavier. The cheaper strategies exist only for the
-//! `abl_gathering` ablation.
+//! straight from the member and charger entities. When the optimum sits on
+//! a member or on the charger, Kuhn's test in that loop returns the
+//! anchor's exact position without iterating; that is how a singleton
+//! gathers at its device or at its charger, whichever is heavier. The
+//! cheaper strategies exist only for the `abl_gathering` ablation.
 
 use crate::problem::CcsProblem;
 use ccs_wrsn::entities::{ChargerId, DeviceId};
@@ -111,10 +110,10 @@ pub fn gathering_point(
 ///
 /// The anchors are the members' positions weighted by their movement
 /// rates, then the charger's position weighted by its travel rate, read
-/// from the tables' columns (bitwise the entities' values) into a
-/// thread-local buffer once per solve, so the loop walks contiguous memory
-/// and allocates nothing once the buffer has grown. When every weight is
-/// zero any point is optimal and the anchors' centroid is used.
+/// from the entities into a thread-local buffer once per solve, so the loop
+/// walks contiguous memory and allocates nothing once the buffer has grown.
+/// When every weight is zero any point is optimal and the anchors' centroid
+/// is used.
 /// Each solve counts once in `gathering.solves`, its iterations in
 /// `gathering.iterations`, and an anchor optimum decided by Kuhn's test
 /// (no iterations), a cap or an abandonment in `gathering.anchor`,
@@ -134,17 +133,16 @@ pub(crate) fn weiszfeld_point(
         static PAIRS: RefCell<Vec<(Point, f64)>> = const { RefCell::new(Vec::new()) };
     }
     assert!(!members.is_empty(), "a group needs at least one member");
-    let t = problem.tables();
     let field = problem.scenario().field();
+    let c = problem.charger(charger);
     let run = PAIRS.with(|cell| {
         let mut pairs = cell.borrow_mut();
         pairs.clear();
-        pairs.extend(
-            members
-                .iter()
-                .map(|&d| (t.device_position(d), t.move_rate(d))),
-        );
-        pairs.push((t.charger_position(charger), t.travel_rate(charger)));
+        pairs.extend(members.iter().map(|&d| {
+            let dev = problem.device(d);
+            (dev.position(), dev.move_cost_rate().value())
+        }));
+        pairs.push((c.position(), c.travel_cost_rate().value()));
         let positive = pairs.iter().map(|&(_, w)| w).sum::<f64>() > 0.0;
         positive.then(|| weiszfeld(pairs.iter().copied(), abandon))
     });
@@ -152,8 +150,8 @@ pub(crate) fn weiszfeld_point(
         // Every weight is zero (free movement): any point is optimal.
         let points: Vec<Point> = members
             .iter()
-            .map(|&d| t.device_position(d))
-            .chain(std::iter::once(t.charger_position(charger)))
+            .map(|&d| problem.device(d).position())
+            .chain(std::iter::once(c.position()))
             .collect();
         let centroid = Point::centroid(&points).expect("nonempty anchors");
         return (Some(field.clamp(centroid)), false);

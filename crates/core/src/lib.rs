@@ -8,7 +8,8 @@
 //! *comprehensive cost* is its bill share plus its own moving cost.
 //!
 //! * [`problem`] — the instance type and shared cost parameters;
-//! * [`tables`] — the precomputed evaluation kernel behind the hot paths;
+//! * [`tables`] — the evaluation kernel's derived state: spatial indexes,
+//!   the congestion curve and the solve memos;
 //! * [`grid`] — the uniform-grid spatial index behind ring-ordered search;
 //! * [`gathering`] — gathering-point strategies (Weiszfeld et al.);
 //! * [`cost`] — group bills, facility choices, comprehensive cost;

@@ -24,13 +24,13 @@ use ccs_wrsn::units::{Cost, Joules};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-/// Which scheduler plans each round.
+/// Which scheduler plans each round, with its default options.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Policy {
     /// Greedy + submodular minimization.
-    Ccsa(CcsaOptions),
+    Ccsa,
     /// Coalition-formation game.
-    Ccsga(CcsgaOptions),
+    Ccsga,
     /// Everyone hires alone.
     Noncooperative,
 }
@@ -39,8 +39,8 @@ impl Policy {
     /// Short name for reports.
     pub fn name(&self) -> &'static str {
         match self {
-            Policy::Ccsa(_) => "ccsa",
-            Policy::Ccsga(_) => "ccsga",
+            Policy::Ccsa => "ccsa",
+            Policy::Ccsga => "ccsga",
             Policy::Noncooperative => "ncp",
         }
     }
@@ -50,8 +50,8 @@ impl Policy {
     /// same algorithm" means exactly that.
     pub fn plan(&self, problem: &CcsProblem, sharing: &dyn CostSharing) -> Schedule {
         match self {
-            Policy::Ccsa(options) => ccsa(problem, sharing, *options),
-            Policy::Ccsga(options) => ccsga(problem, sharing, *options).schedule,
+            Policy::Ccsa => ccsa(problem, sharing, CcsaOptions::default()),
+            Policy::Ccsga => ccsga(problem, sharing, CcsgaOptions::default()).schedule,
             Policy::Noncooperative => noncooperation(problem, sharing),
         }
     }
@@ -164,7 +164,7 @@ pub struct LifetimeReport {
 ///     &scenario,
 ///     &CostParams::default(),
 ///     &EqualShare,
-///     Policy::Ccsa(CcsaOptions::default()),
+///     Policy::Ccsa,
 ///     &LifetimeConfig { rounds: 5, ..Default::default() },
 /// );
 /// assert_eq!(report.per_round_cost.len(), 5);
@@ -384,7 +384,7 @@ mod tests {
             &s,
             &CostParams::default(),
             &EqualShare,
-            Policy::Ccsa(CcsaOptions::default()),
+            Policy::Ccsa,
             &config(0),
         );
     }
@@ -396,7 +396,7 @@ mod tests {
             &s,
             &CostParams::default(),
             &EqualShare,
-            Policy::Ccsa(CcsaOptions::default()),
+            Policy::Ccsa,
             &config(10),
         );
         assert_eq!(report.per_round_cost.len(), 10);
@@ -414,20 +414,8 @@ mod tests {
         let cfg = config(15);
         let params = CostParams::default();
         let ncp = run_lifetime(&s, &params, &EqualShare, Policy::Noncooperative, &cfg);
-        let coop = run_lifetime(
-            &s,
-            &params,
-            &EqualShare,
-            Policy::Ccsa(CcsaOptions::default()),
-            &cfg,
-        );
-        let game = run_lifetime(
-            &s,
-            &params,
-            &EqualShare,
-            Policy::Ccsga(CcsgaOptions::default()),
-            &cfg,
-        );
+        let coop = run_lifetime(&s, &params, &EqualShare, Policy::Ccsa, &cfg);
+        let game = run_lifetime(&s, &params, &EqualShare, Policy::Ccsga, &cfg);
         assert!(
             coop.total_cost <= ncp.total_cost + Cost::new(1e-6),
             "ccsa {} vs ncp {}",
@@ -459,13 +447,7 @@ mod tests {
             target_soc: 0.9,
             seed: 1,
         };
-        let report = run_lifetime(
-            &s,
-            &CostParams::default(),
-            &EqualShare,
-            Policy::Ccsa(CcsaOptions::default()),
-            &cfg,
-        );
+        let report = run_lifetime(&s, &CostParams::default(), &EqualShare, Policy::Ccsa, &cfg);
         assert!(report.dead_device_rounds > 0, "devices must brown out");
         assert!(report.survival_rate < 1.0);
     }

@@ -11,7 +11,7 @@ use crate::tables::ProblemTables;
 use ccs_submodular::set_fn::CardinalityCurve;
 use ccs_wrsn::entities::{Charger, ChargerId, Device, DeviceId};
 use ccs_wrsn::scenario::Scenario;
-use ccs_wrsn::units::Joules;
+use ccs_wrsn::units::{Cost, Joules};
 use std::sync::{Arc, OnceLock};
 
 /// Shared cost-model parameters.
@@ -138,6 +138,19 @@ impl CcsProblem {
     #[inline]
     pub fn charger(&self, id: ChargerId) -> &Charger {
         self.scenario.charger(id)
+    }
+
+    /// The energy charge `π_j · w_i` of serving `device` with `charger`.
+    #[inline]
+    pub fn energy(&self, charger: ChargerId, device: DeviceId) -> Cost {
+        self.device(device).demand() * self.charger(charger).energy_price()
+    }
+
+    /// The congestion term `η_j · g(k)` of a group of `k ≤ n` devices at
+    /// `charger`, with `g(k)` read from the [`ProblemTables`] curve.
+    #[inline]
+    pub fn congestion(&self, charger: ChargerId, k: usize) -> Cost {
+        self.charger(charger).occupancy_rate() * self.tables().curve_value(k)
     }
 
     /// Whether a group of this size is admissible.

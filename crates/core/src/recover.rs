@@ -372,7 +372,7 @@ mod tests {
         let out = recover_with(
             &problem,
             &schedule,
-            Policy::Ccsa(CcsaOptions::default()),
+            Policy::Ccsa,
             &EqualShare,
             &mut exec,
             &RecoveryConfig::default(),
@@ -398,7 +398,7 @@ mod tests {
         let out = recover_with(
             &problem,
             &schedule,
-            Policy::Ccsa(CcsaOptions::default()),
+            Policy::Ccsa,
             &EqualShare,
             &mut exec,
             &RecoveryConfig::default(),
@@ -431,7 +431,7 @@ mod tests {
         let out = recover_with(
             &problem,
             &schedule,
-            Policy::Ccsa(CcsaOptions::default()),
+            Policy::Ccsa,
             &EqualShare,
             &mut exec,
             &config,
@@ -458,7 +458,7 @@ mod tests {
         let out = recover_with(
             &problem,
             &schedule,
-            Policy::Ccsa(CcsaOptions::default()),
+            Policy::Ccsa,
             &EqualShare,
             &mut exec,
             &config,

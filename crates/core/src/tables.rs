@@ -1,25 +1,25 @@
-//! The precomputed evaluation kernel: [`ProblemTables`].
+//! The derived state of the evaluation kernel: [`ProblemTables`].
 //!
 //! Every scheduler in this workspace funnels through the same two oracles —
 //! `cost::evaluate_facility` (a bill at a fixed facility) and
-//! `cost::best_facility` (a scan over chargers, each requiring a Weiszfeld
-//! gathering-point solve). Both used to recompute geometry and price terms
-//! from the entities on every call. `ProblemTables` hoists everything that
-//! depends only on the *instance* into flat arrays, built once per
-//! [`CcsProblem`] on first use:
+//! `cost::try_best_facility` (a scan over chargers, each requiring a
+//! Weiszfeld gathering-point solve). The per-device and per-charger
+//! parameters they price with (positions, rates, demands, fees and prices)
+//! live on the [`Device`](ccs_wrsn::entities::Device) and [`Charger`]
+//! entities, and the kernel reads them from there. `ProblemTables` holds
+//! only what is *derived* from the instance, built once per [`CcsProblem`]
+//! on first use:
 //!
-//! * **SoA factor columns** — `demand[i]`, `energy_price[j]`,
-//!   `occupancy[j]`, `curve[k]`, `move_rate[i]`, `travel_rate[j]`, and the
-//!   raw positions. The hot per-(charger, device) reads are products of two
-//!   column entries (`π_j · w_i`, `η_j · g(k)`), bitwise identical to the
-//!   direct entity computation but read from contiguous, cache-friendly
-//!   vectors instead of an `m × n` matrix. Distances are not tabulated:
-//!   the scans' pruning bounds read the positions directly (see `cost`),
-//!   so a cold plan builds nothing `O(n·m)` or `O(n²)`;
 //! * two [`UniformGrid`] spatial indexes (devices and chargers) powering
 //!   ring-ordered candidate enumeration with geometric lower bounds in
-//!   `cost::try_best_facility` and the CCSA candidate scan, plus the
-//!   instance-wide rate/price floors those bounds need;
+//!   `cost::try_best_facility` and CCSGA's neighbour shortlists, plus the
+//!   fleet-wide fee, price, congestion and travel-rate minima the ring
+//!   scan's floors need;
+//! * the congestion curve `g(k)` for every `k ≤ n`, so the congestion term
+//!   `η_j · g(k)` ([`CcsProblem::congestion`]) costs one multiplication.
+//!   Distances are not tabulated: the scans' pruning bounds read the
+//!   positions directly (see `cost`), so a cold plan builds nothing
+//!   `O(n·m)` or `O(n²)`;
 //! * a memo of gathering points keyed by flat `[charger, member ids…]`
 //!   slices (probed allocation-free from thread-local scratch), so a
 //!   `(charger, group)` pair priced again on the same problem reuses its
@@ -30,21 +30,19 @@
 //!   it, so a repeated solve of the same problem re-abandons without
 //!   solving. Only solves that iterated or were abandoned are kept: an
 //!   optimum that Kuhn's test settles at an anchor is decided again, in
-//!   `O(k)` and without iterating, on a later probe.
+//!   `O(k)` and without iterating, on a later probe;
+//! * a memo of CCSGA's neighbour orders, keyed by `(device, limit)`.
 //!
-//! The tables are **read-only shared state** (the gathering memo is a pure
-//! function cache), so they cannot perturb determinism: every value read
-//! from a table is bitwise the value the direct computation produces, which
-//! `cost::group_bill_direct` and the `fastpath` proptests pin down.
+//! The tables are **read-only shared state** (both memos are pure function
+//! caches), so they cannot perturb determinism.
 
 use crate::gathering::{gathering_point, weiszfeld_point, GatheringStrategy};
 use crate::grid::UniformGrid;
 use crate::problem::CcsProblem;
 use ccs_coalition::fasthash::FastBuildHasher;
-use ccs_wrsn::entities::{ChargerId, DeviceId};
+use ccs_wrsn::entities::{Charger, ChargerId, DeviceId};
 use ccs_wrsn::geometry::Point;
 use ccs_wrsn::scenario::Scenario;
-use ccs_wrsn::units::{Cost, CostPerJoule, Joules};
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::BuildHasher;
@@ -74,36 +72,17 @@ enum Gathered {
 /// device ids in ascending `(distance, id)` order.
 type NeighborShard = Mutex<HashMap<(u32, u32), Box<[u32]>, FastBuildHasher>>;
 
-/// Flat per-instance lookup tables for the CCS cost model.
+/// Per-instance derived state of the CCS cost model: spatial indexes,
+/// fleet-wide minima, the congestion curve and the solve memos.
 pub struct ProblemTables {
-    n: usize,
-    m: usize,
-    /// `κ_i` as raw values, indexed by device.
-    move_rate: Vec<f64>,
-    /// `τ_j` as raw values, indexed by charger.
-    travel_rate: Vec<f64>,
-    /// `w_i`, indexed by device.
-    demand: Vec<Joules>,
-    /// `π_j`, indexed by charger.
-    energy_price: Vec<CostPerJoule>,
-    /// `b_j`, indexed by charger.
-    base_fee: Vec<Cost>,
-    /// `η_j`, indexed by charger.
-    occupancy: Vec<Cost>,
     /// `g(k)` for every `k ≤ n`.
     curve: Vec<f64>,
-    /// `p_i`, indexed by device.
-    device_pos: Vec<Point>,
-    /// `q_j`, indexed by charger.
-    charger_pos: Vec<Point>,
     /// Spatial index over device positions.
     device_grid: UniformGrid,
     /// Spatial index over charger positions.
     charger_grid: UniformGrid,
     /// `min_j τ_j` (`0` when there are no chargers).
     min_travel_rate: f64,
-    /// `min_i κ_i` (`0` when there are no devices).
-    min_move_rate: f64,
     /// `min_j b_j` as a raw value.
     min_base_fee: f64,
     /// `min_j π_j` as a raw value.
@@ -126,60 +105,27 @@ impl ProblemTables {
         scenario: &Scenario,
         curve: &ccs_submodular::set_fn::CardinalityCurve,
     ) -> Self {
-        let devices = scenario.devices();
         let chargers = scenario.chargers();
-        let (n, m) = (devices.len(), chargers.len());
-
-        let move_rate: Vec<f64> = devices.iter().map(|d| d.move_cost_rate().value()).collect();
-        let travel_rate: Vec<f64> = chargers
-            .iter()
-            .map(|c| c.travel_cost_rate().value())
-            .collect();
-        let demand: Vec<Joules> = devices.iter().map(|d| d.demand()).collect();
-        let energy_price: Vec<CostPerJoule> = chargers.iter().map(|c| c.energy_price()).collect();
-        let base_fee: Vec<Cost> = chargers.iter().map(|c| c.base_fee()).collect();
-        let occupancy: Vec<Cost> = chargers.iter().map(|c| c.occupancy_rate()).collect();
-        let curve: Vec<f64> = (0..=n).map(|k| curve.eval(k)).collect();
-        let device_pos: Vec<Point> = devices.iter().map(|d| d.position()).collect();
+        let device_pos: Vec<Point> = scenario.devices().iter().map(|d| d.position()).collect();
         let charger_pos: Vec<Point> = chargers.iter().map(|c| c.position()).collect();
-
-        let fold_min = |values: &[f64]| values.iter().copied().fold(f64::INFINITY, f64::min);
-        let finite = |v: f64| if v.is_finite() { v } else { 0.0 };
-
+        // The fleet-wide minimum of one charger parameter (`0` when there
+        // are no chargers).
+        let min_of = |value: fn(&Charger) -> f64| {
+            let min = chargers.iter().map(value).fold(f64::INFINITY, f64::min);
+            if min.is_finite() {
+                min
+            } else {
+                0.0
+            }
+        };
         ProblemTables {
-            n,
-            m,
-            min_travel_rate: finite(fold_min(&travel_rate)),
-            min_move_rate: finite(fold_min(&move_rate)),
-            min_base_fee: finite(
-                chargers
-                    .iter()
-                    .map(|c| c.base_fee().value())
-                    .fold(f64::INFINITY, f64::min),
-            ),
-            min_energy_price: finite(
-                energy_price
-                    .iter()
-                    .map(|p| p.value())
-                    .fold(f64::INFINITY, f64::min),
-            ),
-            min_occupancy: finite(
-                occupancy
-                    .iter()
-                    .map(|o| o.value())
-                    .fold(f64::INFINITY, f64::min),
-            ),
-            move_rate,
-            travel_rate,
-            demand,
-            energy_price,
-            base_fee,
-            occupancy,
-            curve,
+            curve: (0..=device_pos.len()).map(|k| curve.eval(k)).collect(),
             device_grid: UniformGrid::build(&device_pos),
             charger_grid: UniformGrid::build(&charger_pos),
-            device_pos,
-            charger_pos,
+            min_travel_rate: min_of(|c| c.travel_cost_rate().value()),
+            min_base_fee: min_of(|c| c.base_fee().value()),
+            min_energy_price: min_of(|c| c.energy_price().value()),
+            min_occupancy: min_of(|c| c.occupancy_rate().value()),
             gather: (0..GATHER_SHARDS)
                 .map(|_| Mutex::new(HashMap::default()))
                 .collect(),
@@ -187,69 +133,6 @@ impl ProblemTables {
                 .map(|_| Mutex::new(HashMap::default()))
                 .collect(),
         }
-    }
-
-    /// Ground-set size `n` the tables were built for.
-    #[inline]
-    pub fn num_devices(&self) -> usize {
-        self.n
-    }
-
-    /// Number of chargers `m` the tables were built for.
-    #[inline]
-    pub fn num_chargers(&self) -> usize {
-        self.m
-    }
-
-    /// The energy charge `π_j · w_i` — the product of the two factor
-    /// columns, bitwise `device.demand() * charger.energy_price()`.
-    #[inline]
-    pub fn energy(&self, charger: ChargerId, device: DeviceId) -> Cost {
-        self.demand[device.index()] * self.energy_price[charger.index()]
-    }
-
-    /// The base fee `b_j` — the charger column, bitwise
-    /// `charger.base_fee()`.
-    #[inline]
-    pub fn base_fee(&self, charger: ChargerId) -> Cost {
-        self.base_fee[charger.index()]
-    }
-
-    /// The energy price `π_j` — the charger column, bitwise
-    /// `charger.energy_price()`.
-    #[inline]
-    pub fn energy_price(&self, charger: ChargerId) -> CostPerJoule {
-        self.energy_price[charger.index()]
-    }
-
-    /// The congestion term `η_j · g(k)` for a group of size `k ≤ n`.
-    #[inline]
-    pub fn congestion(&self, charger: ChargerId, k: usize) -> Cost {
-        self.occupancy[charger.index()] * self.curve[k]
-    }
-
-    /// The device's movement cost rate `κ_i` as a raw value.
-    #[inline]
-    pub fn move_rate(&self, device: DeviceId) -> f64 {
-        self.move_rate[device.index()]
-    }
-
-    /// The charger's travel cost rate `τ_j` as a raw value.
-    #[inline]
-    pub fn travel_rate(&self, charger: ChargerId) -> f64 {
-        self.travel_rate[charger.index()]
-    }
-
-    /// The device's position `p_i`.
-    #[inline]
-    pub fn device_position(&self, device: DeviceId) -> Point {
-        self.device_pos[device.index()]
-    }
-
-    /// The charger's position `q_j`.
-    #[inline]
-    pub fn charger_position(&self, charger: ChargerId) -> Point {
-        self.charger_pos[charger.index()]
     }
 
     /// The spatial index over device positions.
@@ -268,12 +151,6 @@ impl ProblemTables {
     #[inline]
     pub fn min_travel_rate(&self) -> f64 {
         self.min_travel_rate
-    }
-
-    /// `min_i κ_i`, the floor used by the CCSA candidate-point bound.
-    #[inline]
-    pub fn min_move_rate(&self) -> f64 {
-        self.min_move_rate
     }
 
     /// `min_j b_j` as a raw value.
@@ -418,10 +295,8 @@ impl ProblemTables {
 impl fmt::Debug for ProblemTables {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ProblemTables")
-            .field("n", &self.n)
-            .field("m", &self.m)
             .field("gather_cache_len", &self.gather_cache_len())
-            .finish()
+            .finish_non_exhaustive()
     }
 }
 
@@ -432,25 +307,6 @@ mod tests {
 
     fn problem() -> CcsProblem {
         CcsProblem::new(ScenarioGenerator::new(11).devices(9).chargers(3).generate())
-    }
-
-    #[test]
-    fn tables_match_direct_entity_computation() {
-        let p = problem();
-        let t = p.tables();
-        for c in p.scenario().charger_ids() {
-            let ch = p.charger(c);
-            for d in p.scenario().device_ids() {
-                let dev = p.device(d);
-                assert_eq!(t.energy(c, d), dev.demand() * ch.energy_price());
-            }
-            for k in 0..=p.num_devices() {
-                assert_eq!(
-                    t.congestion(c, k),
-                    ch.occupancy_rate() * p.params().congestion_curve.eval(k)
-                );
-            }
-        }
     }
 
     #[test]
@@ -521,9 +377,11 @@ mod tests {
         let q = p.clone();
         // The clone either re-derives or shares the same immutable tables;
         // both must answer identically.
-        assert_eq!(
-            q.tables().energy(ChargerId::new(0), DeviceId::new(0)),
-            p.tables().energy(ChargerId::new(0), DeviceId::new(0))
-        );
+        for k in 0..=p.num_devices() {
+            assert_eq!(
+                q.congestion(ChargerId::new(0), k),
+                p.congestion(ChargerId::new(0), k)
+            );
+        }
     }
 }

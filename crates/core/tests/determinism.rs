@@ -143,7 +143,7 @@ proptest! {
         chargers in 2usize..5,
     ) {
         let p = problem(seed, devices, chargers);
-        let policy = Policy::Ccsga(CcsgaOptions::default());
+        let policy = Policy::Ccsga;
         let mut reference: Option<(RecoveryOutcome<()>, u64)> = None;
         for &t in &THREAD_COUNTS {
             ccs_par::set_threads(t);

@@ -1,19 +1,19 @@
 //! Property tests pinning down the evaluation kernel's **bit-exactness**:
-//! the `ProblemTables` fast paths (table-backed bills, the pruned
-//! best-facility scan, the anchored warm start) must return results
-//! bitwise identical to the from-scratch reference computations they
-//! replaced. No tolerance comparisons here — equality is
-//! on the raw `f64` payloads (via `PartialEq` on `Cost`/`Point`).
+//! its fast paths (the gathering loop, the pruned best-facility scan, the
+//! anchored warm start) must return results bitwise identical to the
+//! reference computations they replaced. No tolerance comparisons here —
+//! equality is on the raw `f64` payloads (via `PartialEq` on
+//! `Cost`/`Point`).
 
-use ccs_core::cost::{
-    bounded_gathering_point, evaluate_facility, evaluate_facility_direct, group_bill,
-    group_bill_direct, try_best_facility, try_best_facility_anchored, FacilityChoice,
-};
+mod common;
+
+use ccs_core::cost::{try_best_facility, try_best_facility_anchored};
 use ccs_core::gathering::{gathering_point, GatheringStrategy};
 use ccs_core::prelude::*;
 use ccs_wrsn::entities::{Charger, ChargerId, DeviceId};
 use ccs_wrsn::geometry::{weighted_geometric_median, Point};
 use ccs_wrsn::scenario::{ParamRange, Placement, Scenario, ScenarioGenerator};
+use common::{members_from_mask, reference_best_facility};
 use proptest::prelude::*;
 
 fn problem(seed: u64, devices: usize, chargers: usize, budgeted: bool) -> CcsProblem {
@@ -48,48 +48,8 @@ fn field_exp() -> impl Strategy<Value = Option<i32>> {
     prop_oneof![Just(None), (-150i32..=200).prop_map(Some)]
 }
 
-/// Deterministic nonempty sorted member subset of `0..devices`.
-fn members_from_mask(devices: usize, mask: u64) -> Vec<DeviceId> {
-    let mut members: Vec<DeviceId> = (0..devices)
-        .filter(|&i| (mask >> i) & 1 == 1)
-        .map(|i| DeviceId::new(i as u32))
-        .collect();
-    if members.is_empty() {
-        members.push(DeviceId::new((mask % devices as u64) as u32));
-    }
-    members
-}
-
-/// The pre-kernel reference `best_facility`: evaluate *every* eligible
-/// charger at a fresh gathering point, keep the cheapest with the charger-id
-/// tie-break. The pruned scan must reproduce this bitwise.
-fn reference_best_facility(p: &CcsProblem, members: &[DeviceId]) -> Option<FacilityChoice> {
-    let mut best: Option<FacilityChoice> = None;
-    for c in p.scenario().charger_ids() {
-        if !p.charger_can_serve(c, members) {
-            continue;
-        }
-        let point = gathering_point(p, c, members, p.params().gathering);
-        let choice = evaluate_facility(p, c, members, point);
-        let better = match &best {
-            None => true,
-            Some(incumbent) => {
-                let cost = choice.group_cost().value();
-                let cur = incumbent.group_cost().value();
-                cost.total_cmp(&cur)
-                    .then(choice.charger.cmp(&incumbent.charger))
-                    == std::cmp::Ordering::Less
-            }
-        };
-        if better {
-            best = Some(choice);
-        }
-    }
-    best
-}
-
-/// The gathering point as computed before the kernel read the tables:
-/// anchor and weight `Vec`s from the entities, the checked
+/// The gathering point as computed before the one Weiszfeld loop: anchor
+/// and weight `Vec`s from the entities, the checked
 /// `weighted_geometric_median`, and the centroid when every weight is zero.
 fn reference_gathering_point(p: &CcsProblem, charger: ChargerId, members: &[DeviceId]) -> Point {
     let c = p.charger(charger);
@@ -158,10 +118,11 @@ fn with_twin_chargers(scenario: &Scenario) -> CcsProblem {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The Weiszfeld gathering point read from the tables' columns is
-    /// bitwise the entity-built reference, through zero weights (all of
-    /// them, in which case the centroid is used), coincident member
-    /// positions, and singletons.
+    /// The Weiszfeld gathering point, solved by the one loop from the
+    /// thread-local anchor buffer, is bitwise the reference built from
+    /// anchor and weight `Vec`s and the checked median, through zero
+    /// weights (all of them, in which case the centroid is used),
+    /// coincident member positions, and singletons.
     #[test]
     fn table_backed_gathering_is_bitwise_the_reference(
         seed in 0u64..1_000,
@@ -177,48 +138,6 @@ proptest! {
             let reference = reference_gathering_point(&p, c, &members);
             prop_assert_eq!(fast.x.to_bits(), reference.x.to_bits());
             prop_assert_eq!(fast.y.to_bits(), reference.y.to_bits());
-        }
-    }
-
-    /// A solve abandoned against an incumbent cost `T` belongs to a
-    /// facility whose completed group cost strictly exceeds `T`, and a
-    /// solve that completes returns the unbounded point. Each `T` probes a
-    /// fresh problem, so no memo entry hides the solve. After an
-    /// abandonment the memo holds the bound it proved: asking about `T`
-    /// again still abandons, while an exact tie with the completed cost,
-    /// and then no incumbent at all, get the unbounded point.
-    #[test]
-    fn abandoned_solves_cost_more_than_the_incumbent(
-        seed in 0u64..1_000,
-        devices in 2usize..12,
-        chargers in 1usize..5,
-        mask in 1u64..(1 << 12),
-        factor in 0.5f64..1.5,
-    ) {
-        let scenario = ScenarioGenerator::new(seed).devices(devices).chargers(chargers).generate();
-        let reference = CcsProblem::new(scenario.clone());
-        let members = members_from_mask(devices, mask);
-        for c in reference.scenario().charger_ids() {
-            let point = gathering_point(&reference, c, &members, GatheringStrategy::Weiszfeld);
-            let cost = evaluate_facility(&reference, c, &members, point).group_cost().value();
-            for incumbent in [0.0, cost * factor, cost, f64::from_bits(cost.to_bits() - 1)] {
-                let fresh = CcsProblem::new(scenario.clone());
-                match bounded_gathering_point(&fresh, c, &members, incumbent) {
-                    None => {
-                        prop_assert!(
-                            cost > incumbent,
-                            "abandoned {c} at incumbent {incumbent}, completed cost {cost}"
-                        );
-                        prop_assert_eq!(bounded_gathering_point(&fresh, c, &members, incumbent), None);
-                        prop_assert_eq!(bounded_gathering_point(&fresh, c, &members, cost), Some(point));
-                        prop_assert_eq!(
-                            bounded_gathering_point(&fresh, c, &members, f64::INFINITY),
-                            Some(point)
-                        );
-                    }
-                    Some(bounded) => prop_assert_eq!(bounded, point),
-                }
-            }
         }
     }
 
@@ -244,35 +163,7 @@ proptest! {
         }
     }
 
-    /// Table-backed bills and facility evaluations are bitwise the direct
-    /// entity-recomputing ones, at arbitrary gathering points.
-    #[test]
-    fn tables_match_direct_geometry_bitwise(
-        seed in 0u64..1_000,
-        devices in 2usize..14,
-        chargers in 1usize..5,
-        mask in 1u64..(1 << 14),
-        px in 0.0f64..200.0,
-        py in 0.0f64..200.0,
-    ) {
-        let p = problem(seed, devices, chargers, false);
-        let members = members_from_mask(devices, mask);
-        let point = ccs_wrsn::geometry::Point::new(px, py);
-        for c in p.scenario().charger_ids() {
-            let fast = group_bill(&p, c, &members, &point);
-            let direct = group_bill_direct(&p, c, &members, &point);
-            prop_assert_eq!(&fast, &direct);
-            let fast_eval = evaluate_facility(&p, c, &members, point);
-            let direct_eval = evaluate_facility_direct(&p, c, &members, point);
-            prop_assert_eq!(&fast_eval, &direct_eval);
-            prop_assert_eq!(
-                fast_eval.group_cost().value().to_bits(),
-                direct_eval.group_cost().value().to_bits()
-            );
-        }
-    }
-
-    /// The pruned, memoized charger scan returns bitwise the full-scan
+    /// The pruned, memoized charger scan returns bitwise the exhaustive
     /// reference choice (including the charger-id tie-break), with and
     /// without energy budgets narrowing eligibility, at field sides from
     /// `1e-150` to `1e200`.

@@ -1,18 +1,20 @@
 //! Property tests pinning down the **byte-identity of the grid-pruned
-//! search paths**: the ring-ordered charger scan (`facility_scan_grid`)
-//! must return the exact `FacilityChoice` of the sort-based full scan —
-//! same argmin, same tie-break, same `f64` bits — across random and
-//! clustered scenarios and at 1 and 8 worker threads; the grid's
-//! `nearest_distance` must equal the brute-force scan bitwise; and the
-//! CCSA density-bound pruning (a racy shared threshold by design) must
-//! leave schedules bit-identical across thread counts.
+//! search paths**: at 64 chargers and more, `try_best_facility` takes the
+//! ring-ordered charger scan, which must return the exact `FacilityChoice`
+//! of the exhaustive scan — same argmin, same tie-break, same `f64` bits —
+//! across random and clustered scenarios and at 1 and 8 worker threads;
+//! the grid's `nearest_distance` must equal the brute-force scan bitwise;
+//! and the CCSA density-bound pruning (a racy shared threshold by design)
+//! must leave schedules bit-identical across thread counts.
 
-use ccs_core::cost::{facility_scan_full, facility_scan_grid};
+mod common;
+
+use ccs_core::cost::try_best_facility;
 use ccs_core::grid::UniformGrid;
 use ccs_core::prelude::*;
-use ccs_wrsn::entities::DeviceId;
 use ccs_wrsn::geometry::Point;
 use ccs_wrsn::scenario::{Placement, ScenarioGenerator};
+use common::{members_from_mask, reference_best_facility};
 use proptest::prelude::*;
 
 const THREAD_COUNTS: [usize; 2] = [1, 8];
@@ -37,26 +39,15 @@ fn problem(seed: u64, devices: usize, chargers: usize, clustered: bool) -> CcsPr
     CcsProblem::new(generator.generate())
 }
 
-/// Deterministic nonempty sorted member subset of `0..devices`.
-fn members_from_mask(devices: usize, mask: u64) -> Vec<DeviceId> {
-    let mut members: Vec<DeviceId> = (0..devices)
-        .filter(|&i| (mask >> i) & 1 == 1)
-        .map(|i| DeviceId::new(i as u32))
-        .collect();
-    if members.is_empty() {
-        members.push(DeviceId::new((mask % devices as u64) as u32));
-    }
-    members
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The tentpole equivalence: ring-ordered enumeration with geometric
-    /// floors prunes *work*, never *answers*. Checked from an unbounded
-    /// threshold (the `best_facility` entry path) on uniform and clustered
-    /// geometry, under both thread counts (the scans are deterministic
-    /// regardless, but the surrounding memo fills concurrently).
+    /// Ring-ordered enumeration with geometric floors prunes *work*, never
+    /// *answers*: the ring scan behind `try_best_facility` returns bitwise
+    /// the exhaustive reference (every eligible charger at a fresh
+    /// gathering point) on uniform and clustered geometry, under both
+    /// thread counts (the scan is deterministic regardless, but the
+    /// surrounding memo fills concurrently).
     #[test]
     fn grid_scan_is_bitwise_identical_to_full_scan(
         seed in 0u64..500,
@@ -67,31 +58,13 @@ proptest! {
         let clustered = seed % 2 == 0;
         let p = problem(seed, devices, chargers, clustered);
         let members = members_from_mask(devices, mask);
+        let reference = reference_best_facility(&p, &members);
         for &t in &THREAD_COUNTS {
             ccs_par::set_threads(t);
-            let full = facility_scan_full(&p, &members, f64::INFINITY);
-            let grid = facility_scan_grid(&p, &members, f64::INFINITY);
+            let grid = try_best_facility(&p, &members);
             ccs_par::set_threads(0);
-            prop_assert!(grid == full, "threads {t}: {grid:?} vs {full:?}");
+            prop_assert!(grid == reference, "threads {t}: {grid:?} vs {reference:?}");
         }
-    }
-
-    /// Same equivalence under a *finite* threshold (what an anchored
-    /// scan's incumbent imposes): both scans may return `None` when the
-    /// threshold excludes everything, and must agree on which.
-    #[test]
-    fn grid_scan_agrees_under_seeded_thresholds(
-        seed in 0u64..500,
-        devices in 6usize..12,
-        chargers in 64usize..80,
-        mask in 1u64..(1 << 12),
-        threshold in 0.0f64..400.0,
-    ) {
-        let p = problem(seed, devices, chargers, seed % 2 == 0);
-        let members = members_from_mask(devices, mask);
-        let full = facility_scan_full(&p, &members, threshold);
-        let grid = facility_scan_grid(&p, &members, threshold);
-        prop_assert_eq!(&grid, &full);
     }
 
     /// `UniformGrid::nearest_distance` equals the brute-force minimum

@@ -405,7 +405,7 @@ fn handle_replay(
             recover(
                 &problem,
                 &plan.schedule,
-                Policy::Ccsa(CcsaOptions::default()),
+                Policy::Ccsa,
                 scheme.as_ref(),
                 &noise,
                 &failures,
@@ -454,8 +454,8 @@ fn handle_lifetime(
     }
     let seed = fields::u64_or(body, "seed", 0)?;
     let policy = match fields::str_or(body, "policy", "ccsa")? {
-        "ccsa" => Policy::Ccsa(CcsaOptions::default()),
-        "ccsga" => Policy::Ccsga(CcsgaOptions::default()),
+        "ccsa" => Policy::Ccsa,
+        "ccsga" => Policy::Ccsga,
         "ncp" => Policy::Noncooperative,
         other => return Err(ServeError::bad_request(format!("unknown policy '{other}'"))),
     };

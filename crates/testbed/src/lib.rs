@@ -36,7 +36,7 @@ pub mod trace;
 pub mod prelude {
     pub use crate::field::{field_noise, field_problem, field_scenario};
     pub use crate::noise::{FailureModel, NoiseModel};
-    pub use crate::recover::{recover, FieldExecutor, FieldRun, TestbedDriver};
+    pub use crate::recover::{recover, FieldRun, TestbedDriver};
     pub use crate::sim::{execute, execute_with_failures, FieldOutcome};
     pub use crate::trace::{Trace, TraceEvent, TraceKind};
 }

@@ -1,7 +1,7 @@
 //! Testbed-backed recovery: the glue between [`ccs_core::recover`] and the
 //! faulty discrete-event executor.
 //!
-//! [`FieldExecutor`] implements [`RecoveryExecutor`] over
+//! [`FieldRun`] implements [`RecoveryExecutor`] over
 //! [`execute_with_failures`]: recovery round `r` replays with seed
 //! `base_seed + r` (noise and failures resampled per round, fully
 //! deterministic per base seed), and [`RoundMode::Degraded`] rounds run
@@ -21,44 +21,39 @@ use ccs_core::schedule::Schedule;
 use ccs_core::sharing::CostSharing;
 
 /// A [`RecoveryExecutor`] that replays each round on the simulated field
-/// testbed under `noise` and `failures`.
-#[derive(Debug, Clone, Copy)]
-pub struct FieldExecutor<'a> {
+/// testbed under `noise` and `failures`, billing realized costs with
+/// `sharing`.
+pub struct FieldRun<'a> {
     noise: &'a NoiseModel,
     failures: &'a FailureModel,
-    base_seed: u64,
-}
-
-impl<'a> FieldExecutor<'a> {
-    /// A field executor replaying round `r` with seed `base_seed + r`.
-    pub fn new(noise: &'a NoiseModel, failures: &'a FailureModel, base_seed: u64) -> Self {
-        FieldExecutor {
-            noise,
-            failures,
-            base_seed,
-        }
-    }
-}
-
-/// The executor needs the sharing scheme to bill realized costs, so the
-/// trait is implemented on the pair `(FieldExecutor, &dyn CostSharing)`.
-pub struct FieldRun<'a> {
-    executor: FieldExecutor<'a>,
     sharing: &'a dyn CostSharing,
+    base_seed: u64,
 }
 
 impl std::fmt::Debug for FieldRun<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FieldRun")
-            .field("executor", &self.executor)
+            .field("noise", &self.noise)
+            .field("failures", &self.failures)
+            .field("base_seed", &self.base_seed)
             .finish_non_exhaustive()
     }
 }
 
 impl<'a> FieldRun<'a> {
-    /// Binds `executor` to the cost-sharing scheme used for billing.
-    pub fn new(executor: FieldExecutor<'a>, sharing: &'a dyn CostSharing) -> Self {
-        FieldRun { executor, sharing }
+    /// A field run replaying round `r` with seed `base_seed + r`.
+    pub fn new(
+        noise: &'a NoiseModel,
+        failures: &'a FailureModel,
+        sharing: &'a dyn CostSharing,
+        base_seed: u64,
+    ) -> Self {
+        FieldRun {
+            noise,
+            failures,
+            sharing,
+            base_seed,
+        }
     }
 }
 
@@ -76,15 +71,15 @@ impl RecoveryExecutor for FieldRun<'_> {
         // hard failures, otherwise the service guarantee could not hold.
         let failures = match mode {
             RoundMode::Degraded => FailureModel::none(),
-            RoundMode::Initial | RoundMode::Recovery => *self.executor.failures,
+            RoundMode::Initial | RoundMode::Recovery => *self.failures,
         };
         let out = execute_with_failures(
             problem,
             schedule,
             self.sharing,
-            self.executor.noise,
+            self.noise,
             &failures,
-            self.executor.base_seed + round as u64,
+            self.base_seed + round as u64,
         );
         RoundExecution {
             served: out.served.clone(),
@@ -115,7 +110,7 @@ impl RecoveryExecutor for FieldRun<'_> {
 /// let out = recover(
 ///     &problem,
 ///     &plan,
-///     Policy::Ccsa(CcsaOptions::default()),
+///     Policy::Ccsa,
 ///     &EqualShare,
 ///     &NoiseModel::field(),
 ///     &failures,
@@ -135,7 +130,7 @@ pub fn recover(
     seed: u64,
     config: &RecoveryConfig,
 ) -> RecoveryOutcome<FieldOutcome> {
-    let mut run = FieldRun::new(FieldExecutor::new(noise, failures, seed), sharing);
+    let mut run = FieldRun::new(noise, failures, sharing, seed);
     recover_with(problem, schedule, policy, sharing, &mut run, config)
 }
 
@@ -276,7 +271,7 @@ mod tests {
         let out = recover(
             &problem,
             &plan,
-            Policy::Ccsa(CcsaOptions::default()),
+            Policy::Ccsa,
             &EqualShare,
             &noise,
             &harsh(),
@@ -308,7 +303,7 @@ mod tests {
             recover(
                 &problem,
                 &plan,
-                Policy::Ccsga(CcsgaOptions::default()),
+                Policy::Ccsga,
                 &EqualShare,
                 &noise,
                 &harsh(),
@@ -323,7 +318,7 @@ mod tests {
         let c = recover(
             &problem,
             &plan,
-            Policy::Ccsga(CcsgaOptions::default()),
+            Policy::Ccsga,
             &EqualShare,
             &noise,
             &harsh(),
@@ -346,7 +341,7 @@ mod tests {
         let out = recover(
             &problem,
             &plan,
-            Policy::Ccsa(CcsaOptions::default()),
+            Policy::Ccsa,
             &EqualShare,
             &noise,
             &FailureModel::none(),
@@ -371,7 +366,7 @@ mod tests {
             charger_breakdown_prob: 0.4,
             device_no_show_prob: 0.2,
         };
-        let policy = Policy::Ccsa(CcsaOptions::default());
+        let policy = Policy::Ccsa;
         let config = LifetimeConfig {
             rounds: 8,
             ..Default::default()
@@ -429,7 +424,7 @@ mod tests {
         let out = recover(
             &problem,
             &plan,
-            Policy::Ccsa(CcsaOptions::default()),
+            Policy::Ccsa,
             &EqualShare,
             &noise,
             &certain,

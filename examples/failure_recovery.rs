@@ -47,7 +47,7 @@ fn main() {
         let on = recover(
             &problem,
             &plan,
-            Policy::Ccsa(CcsaOptions::default()),
+            Policy::Ccsa,
             &EqualShare,
             &noise,
             &failures,

@@ -28,11 +28,7 @@ fn main() {
         config.target_soc * 100.0,
     );
 
-    let policies = [
-        Policy::Noncooperative,
-        Policy::Ccsa(CcsaOptions::default()),
-        Policy::Ccsga(CcsgaOptions::default()),
-    ];
+    let policies = [Policy::Noncooperative, Policy::Ccsa, Policy::Ccsga];
     println!(
         "{:<8} {:>12} {:>8} {:>14} {:>14} {:>12}",
         "policy", "OPEX $", "hires", "$/hire", "energy kJ", "survival %"
@@ -70,7 +66,7 @@ fn main() {
         &scenario,
         &CostParams::default(),
         &EqualShare,
-        Policy::Ccsa(CcsaOptions::default()),
+        Policy::Ccsa,
         &config,
     );
     let busy_rounds = report
