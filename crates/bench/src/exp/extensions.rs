@@ -40,21 +40,11 @@ pub fn fig13(out: &Path) -> io::Result<()> {
             .devices(20)
             .chargers(5)
             .generate();
-        let config = LifetimeConfig {
-            rounds: 30,
-            seed,
-            ..Default::default()
-        };
+        let config = LifetimeConfig { rounds: 30, seed };
         policies
             .iter()
             .map(|(_, policy)| {
-                let r = run_lifetime(
-                    &scenario,
-                    &CostParams::default(),
-                    &EqualShare,
-                    *policy,
-                    &config,
-                );
+                let r = run_lifetime(&scenario, &EqualShare, *policy, &config);
                 (
                     r.total_cost.value(),
                     r.hires as f64,

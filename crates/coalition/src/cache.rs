@@ -115,14 +115,6 @@ impl<V> CoalitionCache<V> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Drops every memoized composition (e.g. when the underlying problem
-    /// instance changes).
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.lock().clear();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -158,17 +150,6 @@ mod tests {
         assert_eq!(cache.len(), 45);
         assert_eq!(*cache.get(&[3, 7]).unwrap(), (3, 7));
         assert!(cache.get(&[3, 7, 9]).is_none());
-    }
-
-    #[test]
-    fn clear_empties_every_shard() {
-        let cache = CoalitionCache::new();
-        for i in 0..100usize {
-            cache.get_or_insert_with(&[i], || i);
-        }
-        assert_eq!(cache.len(), 100);
-        cache.clear();
-        assert!(cache.is_empty());
     }
 
     #[test]

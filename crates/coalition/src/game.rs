@@ -50,17 +50,6 @@ pub trait HedonicGame: Sync {
         let _ = (player, limit, out);
         false
     }
-
-    /// Total social cost of a coalition structure: sum of all player costs.
-    fn social_cost<'a, I>(&self, coalitions: I) -> f64
-    where
-        I: IntoIterator<Item = &'a [usize]>,
-    {
-        coalitions
-            .into_iter()
-            .map(|c| c.iter().map(|&p| self.player_cost(p, c)).sum::<f64>())
-            .sum()
-    }
 }
 
 impl<G: HedonicGame + ?Sized> HedonicGame for &G {
@@ -176,18 +165,6 @@ mod tests {
         let g = line_game(6.0, 2);
         assert!(g.coalition_feasible(&[0, 1]));
         assert!(!g.coalition_feasible(&[0, 1, 2]));
-    }
-
-    #[test]
-    fn social_cost_sums_members() {
-        let g = line_game(6.0, 4);
-        let (c1, c2): (&[usize], &[usize]) = (&[0, 1], &[2, 3]);
-        let total = g.social_cost([c1, c2]);
-        let manual = g.player_cost(0, c1)
-            + g.player_cost(1, c1)
-            + g.player_cost(2, c2)
-            + g.player_cost(3, c2);
-        assert!((total - manual).abs() < 1e-12);
     }
 
     #[test]

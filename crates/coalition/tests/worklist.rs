@@ -70,14 +70,13 @@ impl HedonicGame for Spatial {
 }
 
 /// Everything a run's observable outcome consists of; two runs are "the
-/// same" exactly when these match (the social cost down to the bit).
-fn fingerprint(report: &ConvergenceReport) -> (String, usize, usize, bool, u64) {
+/// same" exactly when these match.
+fn fingerprint(report: &ConvergenceReport) -> (String, usize, usize, bool) {
     (
         report.partition.to_string(),
         report.rounds,
         report.switches,
         report.converged,
-        report.final_social_cost.to_bits(),
     )
 }
 

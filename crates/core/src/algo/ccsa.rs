@@ -365,15 +365,12 @@ impl<'a> Sweep<'a> {
                 }
             })
             .collect();
-        // The congestion table depends only on the charger's occupancy rate
-        // and the instance curve — one table per charger serves its whole
-        // facility row.
-        let curve = &problem.params().congestion_curve;
+        // The congestion table depends only on the charger — one table per
+        // charger serves its whole facility row.
         let charger_parts: Vec<Vec<f64>> = problem
             .scenario()
-            .chargers()
-            .iter()
-            .map(|c| congestion_parts(c.occupancy_rate().value(), curve, cap))
+            .charger_ids()
+            .map(|c| congestion_parts(problem, c, cap))
             .collect();
 
         // Best density seen so far, as f64 bits (densities are >= 0, so the
@@ -428,7 +425,7 @@ impl<'a> Sweep<'a> {
             let f = SeparableFn::new(
                 weights,
                 fee.value(),
-                curve.clone(),
+                CardinalityCurve::Sqrt,
                 c.occupancy_rate().value(),
             );
             match min_density(
@@ -571,8 +568,8 @@ fn min_density(
 ///
 /// # Early exit
 ///
-/// When the congestion table is non-decreasing (every curve this crate
-/// ships; checked, not assumed), the walk stops at the first element whose
+/// The congestion table `η_j · √k` is non-decreasing (`η_j ≥ 0` is an
+/// entity invariant), so the walk stops at the first element whose
 /// weight reaches the best density `b` found so far: weights ascend, so
 /// every later prefix's density is a `k`-weighted average of a value
 /// `≥ b − 1e-15` (the running invariant under the strict-improvement rule
@@ -602,9 +599,8 @@ fn prefix_scan_density(
 ) -> Option<(f64, usize, Vec<usize>)> {
     let weights = f.weights();
     let by_weight = |a: &usize, b: &usize| weights[*a].total_cmp(&weights[*b]).then(a.cmp(b));
-    // A decreasing table (no shipped curve has one) would break the
-    // early-exit induction; fall back to the exhaustive walk.
-    let early_exit = curve_parts.windows(2).all(|w| w[1] >= w[0]);
+    // The early-exit induction needs a non-decreasing table.
+    debug_assert!(curve_parts.windows(2).all(|w| w[1] >= w[0]));
     let mut order: Vec<usize> = (0..f.ground_size()).collect();
     // `order[..sorted_to]` holds the `sorted_to` globally smallest
     // elements in ascending order; the rest is an unordered remainder.
@@ -626,7 +622,7 @@ fn prefix_scan_density(
         }
         let e = order[i];
         i += 1;
-        if let (true, Some((b, _))) = (early_exit, best) {
+        if let Some((b, _)) = best {
             if weights[e] >= b {
                 break;
             }
@@ -696,21 +692,18 @@ fn greedy_accretion_density(
 }
 
 /// The congestion part of the bill as a function of cardinality,
-/// `scale · g(k)` tabulated for `k ∈ 0..=cap` in `O(cap)` with **no oracle
-/// evaluations**.
+/// [`CcsProblem::congestion`] tabulated for `k ∈ 0..=cap` in `O(cap)` with
+/// **no oracle evaluations**.
 ///
-/// The table depends only on the charger's occupancy `scale` and the
-/// instance's curve — not on the candidate point or the remaining devices —
-/// so each sweep round computes it once per charger and shares it across
-/// that charger's whole facility row (and across rounds' cached scans,
-/// whose replayed densities must match bitwise).
-fn congestion_parts(scale: f64, curve: &CardinalityCurve, cap: usize) -> Vec<f64> {
-    let mut parts = Vec::with_capacity(cap + 1);
-    parts.push(0.0);
-    for k in 1..=cap {
-        parts.push(scale * curve.eval(k));
-    }
-    parts
+/// The table depends only on the charger — not on the candidate point or
+/// the remaining devices — so each sweep round computes it once per
+/// charger and shares it across that charger's whole facility row (and
+/// across rounds' cached scans, whose replayed densities must match
+/// bitwise).
+fn congestion_parts(problem: &CcsProblem, charger: ChargerId, cap: usize) -> Vec<f64> {
+    (0..=cap)
+        .map(|k| problem.congestion(charger, k).value())
+        .collect()
 }
 
 /// Re-optimizes a committed group's gathering point.

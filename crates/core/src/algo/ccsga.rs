@@ -260,23 +260,25 @@ pub fn ccsga(
         },
     );
 
-    ccs_telemetry::counter!("ccsga.coalition_cache_entries").add(game.cache.len() as u64);
-
     let mut plans: Vec<GroupPlan> = report
         .partition
         .coalitions()
         .map(|(_, members)| {
             let ids: Vec<DeviceId> = members.iter().map(|&i| DeviceId::new(i as u32)).collect();
-            // Every final coalition was priced during the dynamics — reuse
-            // the memo's charger and point instead of re-running the
-            // charger scan. `evaluate_facility` is the call that built the
-            // scan's winner, so the bill is bitwise the one priced there.
-            let cached = game.evaluate(members, None);
+            // The dynamics priced the final coalitions — reuse the memo's
+            // charger and point instead of re-running the charger scan. On
+            // a miss the composition is priced the way a `player_cost`
+            // probe of its first member would price it; the result does not
+            // depend on the hint. `evaluate_facility` is the call that
+            // built the scan's winner, so the bill is bitwise the one
+            // priced there.
+            let cached = game.evaluate(members, Some(members[0]));
             let facility = evaluate_facility(problem, cached.charger, &ids, cached.point);
             GroupPlan::from_facility(problem, ids, facility, sharing)
         })
         .collect();
     plans.sort_by_key(|g| g.members[0]);
+    ccs_telemetry::counter!("ccsga.coalition_cache_entries").add(game.cache.len() as u64);
 
     let schedule = Schedule::new(plans, "ccsga", sharing.name());
     debug_assert!(schedule.validate(problem).is_ok());
@@ -347,12 +349,35 @@ mod tests {
         }
     }
 
-    /// The no-revisit history guarantees termination, not stability: on
-    /// this instance, where spatial costs dominate the fees, the dynamics
-    /// stop at a partition that the audit reports as not Nash-stable (a
-    /// blocked improving move remains).
+    /// Every set partition of `{0, .., n-1}`, from the restricted-growth
+    /// strings `a` with `a[0] = 0` and `a[i] ≤ 1 + max(a[..i])`: player `i`
+    /// joins group `a[i]`.
+    fn set_partitions(n: usize) -> Vec<Vec<Vec<usize>>> {
+        let mut out = Vec::new();
+        let mut a = vec![0usize; n];
+        loop {
+            let mut groups = vec![Vec::new(); a.iter().max().map_or(0, |&m| m + 1)];
+            for (i, &g) in a.iter().enumerate() {
+                groups[g].push(i);
+            }
+            out.push(groups);
+            // The next string: raise the last position that can still grow
+            // and reset the ones after it.
+            let Some(i) = (1..n).rev().find(|&i| a[..i].iter().any(|&b| b >= a[i])) else {
+                return out;
+            };
+            a[i] += 1;
+            a[i + 1..].fill(0);
+        }
+    }
+
+    /// The no-revisit history guarantees termination, not stability. On
+    /// this instance, where spatial costs dominate the fees, no switch
+    /// rule can end Nash-stable: none of the 203 partitions of its 6
+    /// devices is a Nash equilibrium, so the dynamics stop at a partition
+    /// the audit reports as not Nash-stable.
     #[test]
-    fn history_rule_can_stop_short_of_a_nash_equilibrium() {
+    fn seed_33_has_no_nash_stable_partition() {
         let p = CcsProblem::new(
             ScenarioGenerator::new(33)
                 .devices(6)
@@ -365,6 +390,17 @@ mod tests {
         assert!(out.converged);
         assert!(!out.nash_stable);
         assert_eq!((out.switches, out.rounds), (36, 9));
+
+        let game = CcsGame::new(&p, &EqualShare);
+        let partitions = set_partitions(p.num_devices());
+        assert_eq!(partitions.len(), 203, "the Bell number B(6)");
+        for groups in &partitions {
+            let partition = Partition::from_groups(p.num_devices(), groups);
+            assert!(
+                !ccs_coalition::stability::is_nash_stable(&game, &partition, 1e-9),
+                "{partition} is Nash-stable"
+            );
+        }
     }
 
     #[test]

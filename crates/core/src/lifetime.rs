@@ -14,7 +14,7 @@
 //! before their next refill.
 
 use crate::algo::{ccsa, ccsga, noncooperation, CcsaOptions, CcsgaOptions};
-use crate::problem::{CcsProblem, CostParams};
+use crate::problem::CcsProblem;
 use crate::schedule::Schedule;
 use crate::sharing::CostSharing;
 use ccs_wrsn::energy::{Battery, EnergyDemand};
@@ -103,17 +103,24 @@ impl LifetimeDriver for PlannedDelivery {
     }
 }
 
+/// Per-device per-round energy consumption, sampled uniformly (Joules).
+pub const CONSUMPTION: ParamRange = ParamRange {
+    lo: 500.0,
+    hi: 1_500.0,
+};
+
+/// A device requests a refill when its state of charge falls below this
+/// fraction.
+pub const REFILL_THRESHOLD: f64 = 0.3;
+
+/// A refill brings the state of charge up to this fraction.
+pub const TARGET_SOC: f64 = 0.9;
+
 /// Configuration of a multi-round run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LifetimeConfig {
     /// Number of rounds to simulate.
     pub rounds: usize,
-    /// Per-device per-round energy consumption, sampled uniformly (Joules).
-    pub consumption: ParamRange,
-    /// Request a refill when state of charge falls below this fraction.
-    pub refill_threshold: f64,
-    /// Refill up to this state of charge.
-    pub target_soc: f64,
     /// Seed of the consumption process (shared across policies so they face
     /// identical workloads).
     pub seed: u64,
@@ -123,9 +130,6 @@ impl Default for LifetimeConfig {
     fn default() -> Self {
         LifetimeConfig {
             rounds: 20,
-            consumption: ParamRange::new(500.0, 1_500.0),
-            refill_threshold: 0.3,
-            target_soc: 0.9,
             seed: 0,
         }
     }
@@ -162,7 +166,6 @@ pub struct LifetimeReport {
 /// let scenario = ScenarioGenerator::new(1).devices(8).chargers(3).generate();
 /// let report = run_lifetime(
 ///     &scenario,
-///     &CostParams::default(),
 ///     &EqualShare,
 ///     Policy::Ccsa,
 ///     &LifetimeConfig { rounds: 5, ..Default::default() },
@@ -171,30 +174,23 @@ pub struct LifetimeReport {
 /// assert!((0.0..=1.0).contains(&report.survival_rate));
 /// ```
 ///
-/// Each round: consume → collect refill requests → schedule the requesters
-/// with `policy` → charge batteries and account costs. Rounds with no
-/// requester cost nothing. The consumption sequence depends only on
-/// `config.seed`, so different policies face identical workloads.
+/// Each round: consume ([`CONSUMPTION`]) → collect refill requests (below
+/// [`REFILL_THRESHOLD`], up to [`TARGET_SOC`]) → schedule the requesters
+/// with `policy` under the default cost parameters → charge batteries and
+/// account costs. Rounds with no requester cost nothing. The consumption
+/// sequence depends only on `config.seed`, so different policies face
+/// identical workloads.
 ///
 /// # Panics
 ///
-/// Panics if `config` thresholds are not in `(0, 1]` with
-/// `refill_threshold < target_soc`, or `config.rounds == 0`.
+/// Panics if `config.rounds == 0`.
 pub fn run_lifetime(
     scenario: &Scenario,
-    params: &CostParams,
     sharing: &dyn CostSharing,
     policy: Policy,
     config: &LifetimeConfig,
 ) -> LifetimeReport {
-    run_lifetime_with(
-        scenario,
-        params,
-        sharing,
-        policy,
-        config,
-        &mut PlannedDelivery,
-    )
+    run_lifetime_with(scenario, sharing, policy, config, &mut PlannedDelivery)
 }
 
 /// Runs the multi-round loop with an explicit [`LifetimeDriver`].
@@ -211,21 +207,12 @@ pub fn run_lifetime(
 /// Same as [`run_lifetime`].
 pub fn run_lifetime_with(
     scenario: &Scenario,
-    params: &CostParams,
     sharing: &dyn CostSharing,
     policy: Policy,
     config: &LifetimeConfig,
     driver: &mut dyn LifetimeDriver,
 ) -> LifetimeReport {
     assert!(config.rounds > 0, "need at least one round");
-    assert!(
-        config.refill_threshold > 0.0 && config.refill_threshold < config.target_soc,
-        "refill threshold must be in (0, target)"
-    );
-    assert!(
-        config.target_soc > 0.0 && config.target_soc <= 1.0,
-        "target state of charge must be in (0, 1]"
-    );
 
     let n = scenario.devices().len();
     let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
@@ -241,7 +228,7 @@ pub fn run_lifetime_with(
     for round in 0..config.rounds {
         // 1. Consumption (dead devices stay dead but keep consuming nothing).
         for battery in batteries.iter_mut() {
-            let draw = Joules::new(config.consumption.sample(&mut rng));
+            let draw = Joules::new(CONSUMPTION.sample(&mut rng));
             let usable = draw.min(battery.level());
             battery
                 .discharge(usable)
@@ -256,8 +243,8 @@ pub fn run_lifetime_with(
             .device_ids()
             .filter_map(|d| {
                 let b = &batteries[d.index()];
-                if b.state_of_charge() < config.refill_threshold {
-                    let demand = EnergyDemand::refill_to(b, config.target_soc);
+                if b.state_of_charge() < REFILL_THRESHOLD {
+                    let demand = EnergyDemand::refill_to(b, TARGET_SOC);
                     (!demand.is_zero()).then_some((d, demand.amount()))
                 } else {
                     None
@@ -291,7 +278,7 @@ pub fn run_lifetime_with(
             scenario.chargers().to_vec(),
         )
         .expect("round scenario is valid by construction");
-        let problem = CcsProblem::with_params(round_scenario, params.clone());
+        let problem = CcsProblem::new(round_scenario);
 
         // 4. Plan, deliver, account. The driver decides who was actually
         // served and what the round really cost; anyone left unserved keeps
@@ -364,6 +351,27 @@ mod tests {
         }
     }
 
+    /// `scenario()` with every battery replaced by one of `capacity` Joules
+    /// at state of charge `soc`, which sets how long the fixed
+    /// [`CONSUMPTION`] takes to drain it.
+    fn with_batteries(capacity: f64, soc: f64) -> Scenario {
+        let s = scenario();
+        let devices = s
+            .devices()
+            .iter()
+            .map(|d| {
+                let battery = Battery::new(Joules::new(capacity), Joules::new(capacity * soc))
+                    .expect("valid battery");
+                Device::builder(d.id(), d.position())
+                    .battery(battery)
+                    .move_cost_rate(d.move_cost_rate())
+                    .speed(d.speed())
+                    .build()
+            })
+            .collect();
+        Scenario::new(s.field(), devices, s.chargers().to_vec()).expect("same layout")
+    }
+
     #[test]
     fn survival_rate_guards_the_zero_denominator() {
         assert_eq!(
@@ -380,25 +388,13 @@ mod tests {
     #[should_panic(expected = "need at least one round")]
     fn zero_rounds_is_rejected_by_config_validation() {
         let s = scenario();
-        run_lifetime(
-            &s,
-            &CostParams::default(),
-            &EqualShare,
-            Policy::Ccsa,
-            &config(0),
-        );
+        run_lifetime(&s, &EqualShare, Policy::Ccsa, &config(0));
     }
 
     #[test]
     fn runs_the_full_horizon() {
         let s = scenario();
-        let report = run_lifetime(
-            &s,
-            &CostParams::default(),
-            &EqualShare,
-            Policy::Ccsa,
-            &config(10),
-        );
+        let report = run_lifetime(&s, &EqualShare, Policy::Ccsa, &config(10));
         assert_eq!(report.per_round_cost.len(), 10);
         assert!(report.total_cost > Cost::ZERO, "someone must need charging");
         assert!(report.hires > 0);
@@ -412,10 +408,9 @@ mod tests {
     fn cooperative_policies_cost_less_over_the_horizon() {
         let s = scenario();
         let cfg = config(15);
-        let params = CostParams::default();
-        let ncp = run_lifetime(&s, &params, &EqualShare, Policy::Noncooperative, &cfg);
-        let coop = run_lifetime(&s, &params, &EqualShare, Policy::Ccsa, &cfg);
-        let game = run_lifetime(&s, &params, &EqualShare, Policy::Ccsga, &cfg);
+        let ncp = run_lifetime(&s, &EqualShare, Policy::Noncooperative, &cfg);
+        let coop = run_lifetime(&s, &EqualShare, Policy::Ccsa, &cfg);
+        let game = run_lifetime(&s, &EqualShare, Policy::Ccsga, &cfg);
         assert!(
             coop.total_cost <= ncp.total_cost + Cost::new(1e-6),
             "ccsa {} vs ncp {}",
@@ -430,49 +425,31 @@ mod tests {
     fn identical_seeds_identical_workloads() {
         let s = scenario();
         let cfg = config(8);
-        let params = CostParams::default();
-        let a = run_lifetime(&s, &params, &EqualShare, Policy::Noncooperative, &cfg);
-        let b = run_lifetime(&s, &params, &EqualShare, Policy::Noncooperative, &cfg);
+        let a = run_lifetime(&s, &EqualShare, Policy::Noncooperative, &cfg);
+        let b = run_lifetime(&s, &EqualShare, Policy::Noncooperative, &cfg);
         assert_eq!(a, b);
     }
 
     #[test]
     fn heavy_consumption_causes_deaths() {
-        let s = scenario();
+        // Consumption far above what one refill-to-90% of a 1 kJ battery
+        // can cover.
+        let s = with_batteries(1_000.0, 0.9);
         let cfg = LifetimeConfig {
             rounds: 10,
-            // Consumption far above what one refill-to-90% can cover.
-            consumption: ParamRange::new(6_000.0, 9_000.0),
-            refill_threshold: 0.2,
-            target_soc: 0.9,
             seed: 1,
         };
-        let report = run_lifetime(&s, &CostParams::default(), &EqualShare, Policy::Ccsa, &cfg);
+        let report = run_lifetime(&s, &EqualShare, Policy::Ccsa, &cfg);
         assert!(report.dead_device_rounds > 0, "devices must brown out");
         assert!(report.survival_rate < 1.0);
     }
 
     #[test]
     fn light_consumption_keeps_everyone_alive_and_cheap() {
-        let s = scenario();
-        // Generated devices start between 20% and 80% state of charge, so a
-        // 5% threshold plus trickle consumption never triggers a request.
-        let cfg = LifetimeConfig {
-            rounds: 5,
-            consumption: ParamRange::new(10.0, 20.0),
-            refill_threshold: 0.05,
-            target_soc: 0.5,
-            ..Default::default()
-        };
-        let report = run_lifetime(
-            &s,
-            &CostParams::default(),
-            &EqualShare,
-            Policy::Noncooperative,
-            &cfg,
-        );
-        // Batteries start well above the threshold; trickle consumption
-        // cannot pull anyone below it within 5 rounds.
+        let s = with_batteries(1e9, 0.5);
+        let report = run_lifetime(&s, &EqualShare, Policy::Noncooperative, &config(5));
+        // Batteries start at half of 1 GJ, well above the threshold; at
+        // most 1.5 kJ a round cannot pull anyone below it within 5 rounds.
         assert_eq!(report.total_cost, Cost::ZERO);
         assert_eq!(report.hires, 0);
         assert_eq!(report.survival_rate, 1.0);
@@ -497,10 +474,8 @@ mod tests {
         }
         let s = scenario();
         let cfg = config(10);
-        let params = CostParams::default();
         let report = run_lifetime_with(
             &s,
-            &params,
             &EqualShare,
             Policy::Noncooperative,
             &cfg,
@@ -511,26 +486,8 @@ mod tests {
         assert_eq!(report.total_cost, Cost::ZERO);
         assert_eq!(report.hires, 0);
         // Never refilled, so devices die more than under the faithful driver.
-        let faithful = run_lifetime(&s, &params, &EqualShare, Policy::Noncooperative, &cfg);
+        let faithful = run_lifetime(&s, &EqualShare, Policy::Noncooperative, &cfg);
         assert_eq!(faithful.unserved_requests, 0);
         assert!(report.dead_device_rounds >= faithful.dead_device_rounds);
-    }
-
-    #[test]
-    #[should_panic(expected = "refill threshold must be in (0, target)")]
-    fn rejects_inverted_thresholds() {
-        let s = scenario();
-        let cfg = LifetimeConfig {
-            refill_threshold: 0.95,
-            target_soc: 0.9,
-            ..Default::default()
-        };
-        let _ = run_lifetime(
-            &s,
-            &CostParams::default(),
-            &EqualShare,
-            Policy::Noncooperative,
-            &cfg,
-        );
     }
 }

@@ -1,14 +1,14 @@
 //! The Cooperative Charging Scheduling (CCS) problem instance.
 //!
 //! A [`CcsProblem`] pairs an immutable WRSN [`Scenario`] with the cost-model
-//! parameters every scheduler shares: the concave service-time congestion
-//! curve, the gathering-point strategy and an optional group-size cap.
+//! parameters every scheduler shares: the gathering-point strategy and an
+//! optional group-size cap. The service-time congestion curve is fixed at
+//! `g(k) = √k` ([`CcsProblem::congestion`]).
 //! Keeping the parameters on the problem (not on the algorithms) guarantees
 //! all algorithms optimize — and are compared on — the same objective.
 
 use crate::gathering::GatheringStrategy;
 use crate::tables::ProblemTables;
-use ccs_submodular::set_fn::CardinalityCurve;
 use ccs_wrsn::entities::{Charger, ChargerId, Device, DeviceId};
 use ccs_wrsn::scenario::Scenario;
 use ccs_wrsn::units::{Cost, Joules};
@@ -17,10 +17,6 @@ use std::sync::{Arc, OnceLock};
 /// Shared cost-model parameters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CostParams {
-    /// Concave curve `g` of the service-time congestion term
-    /// `η_j · g(|S|)` in the group bill. Must be concave nondecreasing
-    /// with `g(0) = 0` (checked).
-    pub congestion_curve: CardinalityCurve,
     /// How each group's gathering point is chosen.
     pub gathering: GatheringStrategy,
     /// Optional cap on group size (e.g. a charger can serve at most `k`
@@ -31,7 +27,6 @@ pub struct CostParams {
 impl Default for CostParams {
     fn default() -> Self {
         CostParams {
-            congestion_curve: CardinalityCurve::Sqrt,
             gathering: GatheringStrategy::Weiszfeld,
             max_group_size: None,
         }
@@ -58,16 +53,9 @@ impl CcsProblem {
     ///
     /// # Panics
     ///
-    /// Panics if the congestion curve is not concave nondecreasing (that
-    /// would silently break the submodularity CCSA relies on), or if
-    /// `max_group_size` is `Some(0)`.
+    /// Panics if `max_group_size` is `Some(0)`, or if some device's demand
+    /// exceeds every charger's energy budget.
     pub fn with_params(scenario: Scenario, params: CostParams) -> Self {
-        assert!(
-            params
-                .congestion_curve
-                .is_concave_nondecreasing(scenario.devices().len().max(2)),
-            "congestion curve must be concave nondecreasing"
-        );
         assert!(
             params.max_group_size != Some(0),
             "max group size of zero admits no groups"
@@ -96,12 +84,8 @@ impl CcsProblem {
     /// first access and shared by every scheduler run on this instance.
     #[inline]
     pub fn tables(&self) -> &ProblemTables {
-        self.tables.get_or_init(|| {
-            Arc::new(ProblemTables::new(
-                &self.scenario,
-                &self.params.congestion_curve,
-            ))
-        })
+        self.tables
+            .get_or_init(|| Arc::new(ProblemTables::new(&self.scenario)))
     }
 
     /// The underlying world.
@@ -147,7 +131,7 @@ impl CcsProblem {
     }
 
     /// The congestion term `η_j · g(k)` of a group of `k ≤ n` devices at
-    /// `charger`, with `g(k)` read from the [`ProblemTables`] curve.
+    /// `charger`, with `g(k) = √k` read from the [`ProblemTables`] table.
     #[inline]
     pub fn congestion(&self, charger: ChargerId, k: usize) -> Cost {
         self.charger(charger).occupancy_rate() * self.tables().curve_value(k)
@@ -216,18 +200,6 @@ mod tests {
         );
         assert!(p.group_size_ok(3));
         assert!(!p.group_size_ok(4));
-    }
-
-    #[test]
-    #[should_panic(expected = "concave nondecreasing")]
-    fn rejects_convex_congestion() {
-        let _ = CcsProblem::with_params(
-            scenario(),
-            CostParams {
-                congestion_curve: CardinalityCurve::Power(2.0),
-                ..CostParams::default()
-            },
-        );
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub enum RoundMode {
 /// All vectors are indexed by the *round-local* device index (dense ids of
 /// the round's problem), not the original scenario ids.
 #[derive(Debug, Clone, PartialEq)]
-pub struct RoundExecution<O> {
+pub struct RoundExecution {
     /// Whether each round-local device received its full demand.
     pub served: Vec<bool>,
     /// Realized comprehensive cost billed to each round-local device.
@@ -50,8 +50,6 @@ pub struct RoundExecution<O> {
     /// Where each round-local device physically ended the round (unserved
     /// devices may have travelled part-way; the next round plans from here).
     pub end_positions: Vec<Point>,
-    /// The executor's full native outcome (trace, makespan, ...).
-    pub raw: O,
 }
 
 /// Executes one round's schedule and reports what was really delivered.
@@ -62,10 +60,6 @@ pub struct RoundExecution<O> {
 /// fallback: executors should run them without stochastic failures
 /// (dedicated, vetted dispatches) so degradation actually terminates.
 pub trait RecoveryExecutor {
-    /// The executor's native per-round outcome, kept verbatim in the
-    /// [`RecoveryRound`] for inspection.
-    type Outcome;
-
     /// Executes `schedule` for `problem` (round index `round`, counted from
     /// 0 = initial) and reports the delivery.
     fn execute(
@@ -74,7 +68,7 @@ pub trait RecoveryExecutor {
         schedule: &Schedule,
         mode: RoundMode,
         round: usize,
-    ) -> RoundExecution<Self::Outcome>;
+    ) -> RoundExecution;
 }
 
 /// Bounds of the recovery loop.
@@ -99,7 +93,7 @@ impl Default for RecoveryConfig {
 
 /// One executed round of the recovery loop.
 #[derive(Debug, Clone, PartialEq)]
-pub struct RecoveryRound<O> {
+pub struct RecoveryRound {
     /// Round index: 0 is the initial execution, 1.. are recovery rounds.
     pub round: usize,
     /// Why this round ran.
@@ -110,24 +104,24 @@ pub struct RecoveryRound<O> {
     /// The schedule this round executed.
     pub schedule: Schedule,
     /// What the executor delivered.
-    pub execution: RoundExecution<O>,
+    pub execution: RoundExecution,
 }
 
 /// Merged outcome of an initial execution plus its recovery rounds.
 #[derive(Debug, Clone, PartialEq)]
-pub struct RecoveryOutcome<O> {
+pub struct RecoveryOutcome {
     /// Cumulative realized cost billed to each device (original ids) across
     /// every round it took part in.
     pub device_costs: Vec<Cost>,
     /// Whether each device (original ids) was ultimately served.
     pub served: Vec<bool>,
     /// Every executed round, in order; `rounds[0]` is the initial execution.
-    pub rounds: Vec<RecoveryRound<O>>,
+    pub rounds: Vec<RecoveryRound>,
     /// Whether a [`RoundMode::Degraded`] fallback round ran.
     pub degraded: bool,
 }
 
-impl<O> RecoveryOutcome<O> {
+impl RecoveryOutcome {
     /// Fraction of devices ultimately served, in `[0, 1]`.
     pub fn served_fraction(&self) -> f64 {
         if self.served.is_empty() {
@@ -216,7 +210,7 @@ pub fn recover_with<E: RecoveryExecutor>(
     sharing: &dyn CostSharing,
     executor: &mut E,
     config: &RecoveryConfig,
-) -> RecoveryOutcome<E::Outcome> {
+) -> RecoveryOutcome {
     let _span = ccs_telemetry::span!("recover");
     let n = problem.num_devices();
     let mut device_costs = vec![Cost::ZERO; n];
@@ -323,15 +317,13 @@ mod tests {
     }
 
     impl RecoveryExecutor for Scripted {
-        type Outcome = ();
-
         fn execute(
             &mut self,
             problem: &CcsProblem,
             schedule: &Schedule,
             mode: RoundMode,
             round: usize,
-        ) -> RoundExecution<()> {
+        ) -> RoundExecution {
             let n = problem.num_devices();
             // Present in round r: failed every round before r.
             let present: Vec<usize> = self
@@ -353,7 +345,6 @@ mod tests {
                 served,
                 device_costs: schedule.device_costs(n),
                 end_positions,
-                raw: (),
             }
         }
     }

@@ -15,8 +15,9 @@
 //!   `cost::try_best_facility` and CCSGA's neighbour shortlists, plus the
 //!   fleet-wide fee, price, congestion and travel-rate minima the ring
 //!   scan's floors need;
-//! * the congestion curve `g(k)` for every `k ≤ n`, so the congestion term
-//!   `η_j · g(k)` ([`CcsProblem::congestion`]) costs one multiplication.
+//! * the congestion curve `g(k) = √k` for every `k ≤ n`, so the congestion
+//!   term `η_j · g(k)` ([`CcsProblem::congestion`]) costs one
+//!   multiplication.
 //!   Distances are not tabulated: the scans' pruning bounds read the
 //!   positions directly (see `cost`), so a cold plan builds nothing
 //!   `O(n·m)` or `O(n²)`;
@@ -75,7 +76,7 @@ type NeighborShard = Mutex<HashMap<(u32, u32), Box<[u32]>, FastBuildHasher>>;
 /// Per-instance derived state of the CCS cost model: spatial indexes,
 /// fleet-wide minima, the congestion curve and the solve memos.
 pub struct ProblemTables {
-    /// `g(k)` for every `k ≤ n`.
+    /// `g(k) = √k` for every `k ≤ n`.
     curve: Vec<f64>,
     /// Spatial index over device positions.
     device_grid: UniformGrid,
@@ -99,12 +100,9 @@ pub struct ProblemTables {
 }
 
 impl ProblemTables {
-    /// Builds the tables for a scenario + cost parameters. Called once per
-    /// problem via `CcsProblem::tables`; `O(n + m)` time and space.
-    pub(crate) fn new(
-        scenario: &Scenario,
-        curve: &ccs_submodular::set_fn::CardinalityCurve,
-    ) -> Self {
+    /// Builds the tables for a scenario. Called once per problem via
+    /// `CcsProblem::tables`; `O(n + m)` time and space.
+    pub(crate) fn new(scenario: &Scenario) -> Self {
         let chargers = scenario.chargers();
         let device_pos: Vec<Point> = scenario.devices().iter().map(|d| d.position()).collect();
         let charger_pos: Vec<Point> = chargers.iter().map(|c| c.position()).collect();
@@ -119,7 +117,7 @@ impl ProblemTables {
             }
         };
         ProblemTables {
-            curve: (0..=device_pos.len()).map(|k| curve.eval(k)).collect(),
+            curve: (0..=device_pos.len()).map(|k| (k as f64).sqrt()).collect(),
             device_grid: UniformGrid::build(&device_pos),
             charger_grid: UniformGrid::build(&charger_pos),
             min_travel_rate: min_of(|c| c.travel_cost_rate().value()),
@@ -171,7 +169,7 @@ impl ProblemTables {
         self.min_occupancy
     }
 
-    /// `g(k)` as a raw value (`k ≤ n`).
+    /// `g(k) = √k` as a raw value (`k ≤ n`).
     #[inline]
     pub fn curve_value(&self, k: usize) -> f64 {
         self.curve[k]

@@ -96,15 +96,13 @@ struct SeededMock {
 }
 
 impl RecoveryExecutor for SeededMock {
-    type Outcome = ();
-
     fn execute(
         &mut self,
         problem: &CcsProblem,
         schedule: &Schedule,
         mode: RoundMode,
         round: usize,
-    ) -> RoundExecution<()> {
+    ) -> RoundExecution {
         use rand::{Rng, SeedableRng};
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(self.base + round as u64);
         let n = problem.num_devices();
@@ -125,7 +123,6 @@ impl RecoveryExecutor for SeededMock {
             served,
             device_costs: schedule.device_costs(n),
             end_positions,
-            raw: (),
         }
     }
 }
@@ -144,7 +141,7 @@ proptest! {
     ) {
         let p = problem(seed, devices, chargers);
         let policy = Policy::Ccsga;
-        let mut reference: Option<(RecoveryOutcome<()>, u64)> = None;
+        let mut reference: Option<(RecoveryOutcome, u64)> = None;
         for &t in &THREAD_COUNTS {
             ccs_par::set_threads(t);
             let initial = policy.plan(&p, &EqualShare);

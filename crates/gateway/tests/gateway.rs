@@ -820,6 +820,41 @@ fn explicit_zero_deadline_is_a_bad_request() {
     assert_eq!((summary.completed, summary.errors), (2, 1));
 }
 
+/// `recover` and lifetime `rounds` are bounded inputs: over its bound a
+/// count is refused with `400` and the daemon's message, because a solve
+/// that runs cannot be stopped by a deadline.
+#[test]
+fn over_bound_loop_counts_are_bad_requests() {
+    let gateway = start_gateway(GatewayConfig::default());
+    let mut stream = gateway.connect();
+    let scenario = serde_json::to_string(&scenario_value(9, 5)).unwrap();
+    for (body, message) in [
+        (
+            format!(
+                r#"{{"id":1,"cmd":"replay","scenario":{scenario},"breakdown":1,"recover":33}}"#
+            ),
+            "recover must be <= 32",
+        ),
+        (
+            format!(r#"{{"id":2,"cmd":"lifetime","scenario":{scenario},"rounds":1001}}"#),
+            "rounds must be <= 1000",
+        ),
+    ] {
+        let (status, response) = request(&mut stream, "POST", "/v1/plan", &[], &body);
+        assert_eq!(status, 400, "{response}");
+        let response = parsed(&response);
+        assert_eq!(error_kind(&response), "bad_request");
+        assert_eq!(
+            response.field("error").field("message"),
+            &Value::String(message.to_string())
+        );
+    }
+    assert_eq!(stats_count(&mut stream, "bad_request"), 2);
+    drop(stream);
+    let summary = gateway.stop();
+    assert_eq!((summary.completed, summary.errors), (0, 2));
+}
+
 /// Work still queued when its deadline passes is cancelled with `504
 /// expired` instead of occupying the worker.
 #[test]

@@ -35,6 +35,15 @@ fn uint(x: u64) -> Value {
     Value::Number(Number::PosInt(x))
 }
 
+/// The largest `recover` (recovery rounds) a `replay` or `lifetime`
+/// request may ask for. A solve cannot be stopped once it runs, so an
+/// unbounded value would hold a worker for as long as the caller likes.
+pub const MAX_RECOVER: u64 = 32;
+
+/// The largest `rounds` a `lifetime` request may ask for, for the same
+/// reason as [`MAX_RECOVER`].
+pub const MAX_LIFETIME_ROUNDS: u64 = 1_000;
+
 /// What a handler produced, plus cache-accounting for the stats layer.
 pub struct Handled {
     /// The response `result` tree.
@@ -290,12 +299,17 @@ fn failure_model(body: &Value) -> Result<FailureModel, ServeError> {
 }
 
 fn recovery_config(body: &Value) -> Result<Option<RecoveryConfig>, ServeError> {
-    let max_rounds = fields::u64_or(body, "recover", 0)? as usize;
+    let max_rounds = fields::u64_or(body, "recover", 0)?;
+    if max_rounds > MAX_RECOVER {
+        return Err(ServeError::bad_request(format!(
+            "recover must be <= {MAX_RECOVER}"
+        )));
+    }
     if max_rounds == 0 {
         return Ok(None);
     }
     Ok(Some(RecoveryConfig {
-        max_rounds,
+        max_rounds: max_rounds as usize,
         degrade: fields::bool_or(body, "degrade", true)?,
     }))
 }
@@ -369,6 +383,7 @@ fn handle_replay(
     let seed = fields::u64_or(body, "seed", 0)?;
     let noise = noise_model(body)?;
     let failures = failure_model(body)?;
+    let recovery = recovery_config(body)?;
     // Replay executes the cooperative (CCSA) plan.
     let ccsa = algorithm("ccsa")?;
     let (plan, plan_hit) = trace.time(Phase::Solve, || {
@@ -400,7 +415,7 @@ fn handle_replay(
         ("realized_cost", num(run.total_cost().value())),
         ("served", uint(served)),
     ];
-    if let Some(config) = recovery_config(body)? {
+    if let Some(config) = recovery {
         let out = trace.time(Phase::Solve, || {
             recover(
                 &problem,
@@ -446,12 +461,18 @@ fn handle_lifetime(
     let _span = ccs_telemetry::global().span("serve.lifetime");
     let (_, problem, scenario_hit) = load_problem(cache, body, trace)?;
     let scheme = sharing(body)?;
-    let rounds = fields::u64_or(body, "rounds", 20)? as usize;
+    let rounds = fields::u64_or(body, "rounds", 20)?;
     if rounds == 0 {
         // `run_lifetime` asserts on this; surface it as a clean protocol
         // error rather than a caught panic (`internal`).
         return Err(ServeError::bad_request("rounds must be >= 1"));
     }
+    if rounds > MAX_LIFETIME_ROUNDS {
+        return Err(ServeError::bad_request(format!(
+            "rounds must be <= {MAX_LIFETIME_ROUNDS}"
+        )));
+    }
+    let rounds = rounds as usize;
     let seed = fields::u64_or(body, "seed", 0)?;
     let policy = match fields::str_or(body, "policy", "ccsa")? {
         "ccsa" => Policy::Ccsa,
@@ -459,11 +480,7 @@ fn handle_lifetime(
         "ncp" => Policy::Noncooperative,
         other => return Err(ServeError::bad_request(format!("unknown policy '{other}'"))),
     };
-    let config = LifetimeConfig {
-        rounds,
-        seed,
-        ..Default::default()
-    };
+    let config = LifetimeConfig { rounds, seed };
     let failures = failure_model(body)?;
     let recovery = recovery_config(body)?;
     let faulty = failures != FailureModel::none()
@@ -479,22 +496,9 @@ fn handle_lifetime(
         if let Some(noise) = &noise {
             let mut driver =
                 TestbedDriver::new(noise, &failures, scheme.as_ref(), policy, recovery, seed);
-            run_lifetime_with(
-                scenario,
-                &CostParams::default(),
-                scheme.as_ref(),
-                policy,
-                &config,
-                &mut driver,
-            )
+            run_lifetime_with(scenario, scheme.as_ref(), policy, &config, &mut driver)
         } else {
-            run_lifetime(
-                scenario,
-                &CostParams::default(),
-                scheme.as_ref(),
-                policy,
-                &config,
-            )
+            run_lifetime(scenario, scheme.as_ref(), policy, &config)
         }
     });
     Ok(Handled {

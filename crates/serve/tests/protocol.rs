@@ -428,6 +428,54 @@ fn lifetime_with_zero_rounds_is_a_bad_request() {
 }
 
 #[test]
+fn replay_and_lifetime_bound_their_loops() {
+    use ccs_serve::handlers::{MAX_LIFETIME_ROUNDS, MAX_RECOVER};
+    // A running solve cannot be stopped, so the loop counts are input
+    // bounds: one body must not be able to hold a worker for hours.
+    let light = scenario_json(9, 5);
+    let recover = MAX_RECOVER + 1;
+    let rounds = MAX_LIFETIME_ROUNDS + 1;
+    let lines = vec![
+        format!(
+            r#"{{"id":1,"cmd":"replay","scenario":{light},"breakdown":1,"recover":{recover}}}"#
+        ),
+        format!(
+            r#"{{"id":2,"cmd":"lifetime","scenario":{light},"breakdown":1,"recover":{recover}}}"#
+        ),
+        format!(r#"{{"id":3,"cmd":"lifetime","scenario":{light},"rounds":{rounds}}}"#),
+        // At the bound the loop runs every round it was given.
+        format!(
+            r#"{{"id":4,"cmd":"replay","scenario":{light},"breakdown":1,"recover":{MAX_RECOVER},"degrade":false}}"#
+        ),
+        r#"{"cmd":"shutdown"}"#.to_string(),
+    ];
+    let (responses, summary) = run_server(&lines, 1, 8);
+    for (id, needle) in [
+        (1, "recover must be <= 32"),
+        (2, "recover must be <= 32"),
+        (3, "rounds must be <= 1000"),
+    ] {
+        let response = response_with_id(&responses, id);
+        assert_eq!(error_kind(&response), "bad_request");
+        let Value::String(message) = response.field("error").field("message") else {
+            panic!("bad_request carries no message");
+        };
+        assert!(message.contains(needle), "{id}: {message}");
+    }
+    let at_bound = response_with_id(&responses, 4);
+    let Value::Number(extra) = at_bound
+        .field("result")
+        .field("recovery")
+        .field("extra_rounds")
+    else {
+        panic!("no recovery section: {at_bound:?}");
+    };
+    assert_eq!(extra.as_f64(), MAX_RECOVER as f64);
+    assert_eq!(summary.panics, 0);
+    assert_eq!(summary.bad_request, 3);
+}
+
+#[test]
 fn unix_socket_serves_and_drains() {
     use std::io::{BufRead, BufReader};
     use std::os::unix::net::UnixStream;

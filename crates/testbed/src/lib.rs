@@ -30,7 +30,6 @@ pub mod field;
 pub mod noise;
 pub mod recover;
 pub mod sim;
-pub mod trace;
 
 /// Convenient glob import of the most commonly used items.
 pub mod prelude {
@@ -38,5 +37,4 @@ pub mod prelude {
     pub use crate::noise::{FailureModel, NoiseModel};
     pub use crate::recover::{recover, FieldRun, TestbedDriver};
     pub use crate::sim::{execute, execute_with_failures, FieldOutcome};
-    pub use crate::trace::{Trace, TraceEvent, TraceKind};
 }

@@ -11,7 +11,7 @@
 //! up for the common case.
 
 use crate::noise::{FailureModel, NoiseModel};
-use crate::sim::{execute_with_failures, FieldOutcome};
+use crate::sim::execute_with_failures;
 use ccs_core::lifetime::{LifetimeDriver, Policy, RoundDelivery};
 use ccs_core::problem::CcsProblem;
 use ccs_core::recover::{
@@ -58,15 +58,13 @@ impl<'a> FieldRun<'a> {
 }
 
 impl RecoveryExecutor for FieldRun<'_> {
-    type Outcome = FieldOutcome;
-
     fn execute(
         &mut self,
         problem: &CcsProblem,
         schedule: &Schedule,
         mode: RoundMode,
         round: usize,
-    ) -> RoundExecution<FieldOutcome> {
+    ) -> RoundExecution {
         // Degraded dispatches are dedicated, pre-vetted hires: no stochastic
         // hard failures, otherwise the service guarantee could not hold.
         let failures = match mode {
@@ -82,10 +80,9 @@ impl RecoveryExecutor for FieldRun<'_> {
             self.base_seed + round as u64,
         );
         RoundExecution {
-            served: out.served.clone(),
-            device_costs: out.device_costs.clone(),
-            end_positions: out.final_positions.clone(),
-            raw: out,
+            served: out.served,
+            device_costs: out.device_costs,
+            end_positions: out.final_positions,
         }
     }
 }
@@ -129,7 +126,7 @@ pub fn recover(
     failures: &FailureModel,
     seed: u64,
     config: &RecoveryConfig,
-) -> RecoveryOutcome<FieldOutcome> {
+) -> RecoveryOutcome {
     let mut run = FieldRun::new(noise, failures, sharing, seed);
     recover_with(problem, schedule, policy, sharing, &mut run, config)
 }
@@ -206,10 +203,10 @@ impl LifetimeDriver for TestbedDriver<'_> {
                     config,
                 );
                 RoundDelivery {
-                    served: out.served.clone(),
                     total_cost: out.total_cost(),
                     // Re-dispatches are extra hires.
                     hires: out.rounds.iter().map(|r| r.schedule.groups().len()).sum(),
+                    served: out.served,
                 }
             }
             None => {
@@ -222,9 +219,9 @@ impl LifetimeDriver for TestbedDriver<'_> {
                     seed,
                 );
                 RoundDelivery {
-                    served: out.served.clone(),
                     total_cost: out.total_cost(),
                     hires: schedule.groups().len(),
+                    served: out.served,
                 }
             }
         }
@@ -291,7 +288,10 @@ mod tests {
         assert_eq!(out.served.len(), FIELD_DEVICES);
         assert!(out.recovery_rounds() >= 1);
         // Round 0 is the baseline replay, bit for bit.
-        assert_eq!(out.rounds[0].execution.raw, baseline);
+        let round0 = &out.rounds[0].execution;
+        assert_eq!(round0.served, baseline.served);
+        assert_eq!(round0.device_costs, baseline.device_costs);
+        assert_eq!(round0.end_positions, baseline.final_positions);
     }
 
     #[test]
@@ -350,10 +350,11 @@ mod tests {
         );
         assert_eq!(out.recovery_rounds(), 0, "no failures, no extra rounds");
         assert!(!out.degraded);
-        assert_eq!(
-            out.rounds[0].execution.raw, plain,
-            "reproduces execute exactly"
-        );
+        // Round 0 reproduces `execute` exactly.
+        let round0 = &out.rounds[0].execution;
+        assert_eq!(round0.served, plain.served);
+        assert_eq!(round0.device_costs, plain.device_costs);
+        assert_eq!(round0.end_positions, plain.final_positions);
         assert_eq!(out.device_costs, plain.device_costs);
         assert_eq!(out.served_fraction(), 1.0);
     }
@@ -371,17 +372,9 @@ mod tests {
             rounds: 8,
             ..Default::default()
         };
-        let params = CostParams::default();
 
         let mut faulty = TestbedDriver::new(&noise, &failures, &EqualShare, policy, None, 100);
-        let dropped = run_lifetime_with(
-            &scenario,
-            &params,
-            &EqualShare,
-            policy,
-            &config,
-            &mut faulty,
-        );
+        let dropped = run_lifetime_with(&scenario, &EqualShare, policy, &config, &mut faulty);
         assert!(
             dropped.unserved_requests > 0,
             "a 40%/20% failure model must drop requests over 8 rounds"
@@ -395,14 +388,7 @@ mod tests {
             Some(RecoveryConfig::default()),
             100,
         );
-        let healed = run_lifetime_with(
-            &scenario,
-            &params,
-            &EqualShare,
-            policy,
-            &config,
-            &mut recovering,
-        );
+        let healed = run_lifetime_with(&scenario, &EqualShare, policy, &config, &mut recovering);
         assert_eq!(
             healed.unserved_requests, 0,
             "recovery with degradation serves every request"

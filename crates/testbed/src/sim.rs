@@ -21,14 +21,13 @@
 //! [`NoiseModel::ideal`] (pinned by a test).
 
 use crate::noise::{FailureModel, NoiseModel};
-use crate::trace::{Trace, TraceKind};
 use ccs_core::problem::CcsProblem;
 use ccs_core::schedule::Schedule;
 use ccs_core::sharing::CostSharing;
 use ccs_wrsn::entities::ChargerId;
 use ccs_wrsn::event::{EventQueue, SimTime};
 use ccs_wrsn::geometry::Point;
-use ccs_wrsn::units::{Cost, Joules, Meters, Seconds};
+use ccs_wrsn::units::{Cost, Meters, Seconds};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::{BTreeMap, VecDeque};
@@ -43,15 +42,10 @@ pub struct FieldOutcome {
     pub device_costs: Vec<Cost>,
     /// Queueing delay per device (service start − arrival).
     pub device_wait: Vec<Seconds>,
-    /// Realized bill per schedule group (same order as `schedule.groups()`).
-    pub group_bills: Vec<Cost>,
     /// Time of the last event of the realized timeline — the last charge
     /// completion, or, when every charge was voided by failures, the last
     /// device arrival / breakdown (total failure still takes time).
     pub makespan: Seconds,
-    /// Total energy transmitted by all chargers (≥ total demand under
-    /// imperfect efficiency).
-    pub energy_transmitted: Joules,
     /// Whether each device actually received its energy (false for
     /// no-shows and members of groups whose charger broke down).
     pub served: Vec<bool>,
@@ -60,8 +54,6 @@ pub struct FieldOutcome {
     /// charger), the halfway point for no-shows. Recovery re-plans unserved
     /// devices from these positions.
     pub final_positions: Vec<Point>,
-    /// The full event timeline of the replay.
-    pub trace: Trace,
 }
 
 impl FieldOutcome {
@@ -128,15 +120,9 @@ enum Ev {
         group: usize,
         local: usize,
     },
-    /// A device breaks down halfway to its gathering point (trace only).
-    DeviceNoShow {
-        group: usize,
-        local: usize,
-    },
-    /// A charger breaks down mid-leg heading to `group` (trace only).
-    ChargerBrokeDown {
-        group: usize,
-    },
+    /// A device breaks down halfway to its gathering point, or a charger
+    /// mid-leg. Nothing follows from it, but its time bounds the makespan.
+    Breakdown,
 }
 
 struct GroupState {
@@ -284,7 +270,7 @@ pub fn execute_with_failures(
                 final_positions[d.index()] = dev.position().lerp(&g.gathering_point, 0.5);
                 expected[gi] -= 1;
                 let breakdown = SimTime::new((dist * 0.5 / speed).value());
-                queue.schedule(breakdown, Ev::DeviceNoShow { group: gi, local });
+                queue.schedule(breakdown, Ev::Breakdown);
                 continue;
             }
             moving_cost[d.index()] = dev.move_cost_rate() * dist;
@@ -299,10 +285,7 @@ pub fn execute_with_failures(
         let travel = (leg_distance[first] / speed).value();
         if !reached[first] {
             // Broke down on the very first leg: estimate mid-leg failure.
-            queue.schedule(
-                SimTime::new(travel * 0.5),
-                Ev::ChargerBrokeDown { group: first },
-            );
+            queue.schedule(SimTime::new(travel * 0.5), Ev::Breakdown);
             continue;
         }
         queue.schedule(SimTime::new(travel), Ev::ChargerArrived { group: first });
@@ -310,7 +293,6 @@ pub fn execute_with_failures(
 
     // --- Run. ---
     let mut wait = vec![Seconds::ZERO; n];
-    let mut energy_transmitted = Joules::ZERO;
     let mut makespan = SimTime::ZERO;
     // Next-group lookup for charger chaining.
     let next_group: BTreeMap<usize, usize> = itinerary
@@ -327,12 +309,11 @@ pub fn execute_with_failures(
                 queue.schedule(now + travel, Ev::ChargerArrived { group: next });
             } else {
                 // `group` was reached, so the break happened on this very
-                // leg: estimate a mid-leg failure time for the trace.
-                queue.schedule(now + travel * 0.5, Ev::ChargerBrokeDown { group: next });
+                // leg: estimate a mid-leg failure time for the makespan.
+                queue.schedule(now + travel * 0.5, Ev::Breakdown);
             }
         }
     };
-    let mut trace = Trace::new();
     let events_emitted = ccs_telemetry::counter!("testbed.events_emitted");
     while let Some((now, ev)) = queue.pop() {
         events_emitted.incr();
@@ -341,12 +322,6 @@ pub fn execute_with_failures(
         makespan = makespan.max(now);
         match ev {
             Ev::DeviceArrived { group, local } => {
-                trace.record(
-                    now.seconds(),
-                    TraceKind::DeviceArrived {
-                        device: groups[group].members[local],
-                    },
-                );
                 states[group].arrival_time[local] = Some(now);
                 states[group].ready.push_back(local);
                 try_start_service(
@@ -358,17 +333,9 @@ pub fn execute_with_failures(
                     now,
                     &dev_eff,
                     &mut wait,
-                    &mut trace,
                 );
             }
             Ev::ChargerArrived { group } => {
-                trace.record(
-                    now.seconds(),
-                    TraceKind::ChargerArrived {
-                        charger: groups[group].charger,
-                        group,
-                    },
-                );
                 states[group].charger_here = true;
                 if expected[group] == 0 {
                     // Everyone no-showed: move on immediately.
@@ -383,16 +350,11 @@ pub fn execute_with_failures(
                         now,
                         &dev_eff,
                         &mut wait,
-                        &mut trace,
                     );
                 }
             }
             Ev::ChargeDone { group, local } => {
-                let g = &groups[group];
-                let d = g.members[local];
-                trace.record(now.seconds(), TraceKind::ServiceCompleted { device: d });
-                energy_transmitted += problem.device(d).demand() / dev_eff[d.index()];
-                served[d.index()] = true;
+                served[groups[group].members[local].index()] = true;
                 states[group].busy = false;
                 states[group].served += 1;
                 if states[group].served == expected[group] {
@@ -408,33 +370,15 @@ pub fn execute_with_failures(
                         now,
                         &dev_eff,
                         &mut wait,
-                        &mut trace,
                     );
                 }
             }
-            Ev::DeviceNoShow { group, local } => {
-                trace.record(
-                    now.seconds(),
-                    TraceKind::DeviceNoShow {
-                        device: groups[group].members[local],
-                    },
-                );
-            }
-            Ev::ChargerBrokeDown { group } => {
-                trace.record(
-                    now.seconds(),
-                    TraceKind::ChargerBrokeDown {
-                        charger: groups[group].charger,
-                        group,
-                    },
-                );
-            }
+            Ev::Breakdown => {}
         }
     }
 
     // --- Realized billing and shares. ---
     let mut device_costs = vec![Cost::ZERO; n];
-    let mut group_bills = vec![Cost::ZERO; groups.len()];
     for (gi, g) in groups.iter().enumerate() {
         if !reached[gi] {
             // Charger never showed: the hire is refunded; members only pay
@@ -459,10 +403,8 @@ pub fn execute_with_failures(
                     }
                 })
                 .collect(),
-            congestion: c.occupancy_rate()
-                * problem.params().congestion_curve.eval(g.members.len()),
+            congestion: problem.congestion(g.charger, g.members.len()),
         };
-        group_bills[gi] = realized_bill.total();
         let shares = sharing.shares(
             problem,
             g.charger,
@@ -485,12 +427,9 @@ pub fn execute_with_failures(
     FieldOutcome {
         device_costs,
         device_wait: wait,
-        group_bills,
         makespan: Seconds::new(makespan.seconds()),
-        energy_transmitted,
         served,
         final_positions,
-        trace,
     }
 }
 
@@ -504,7 +443,6 @@ fn try_start_service(
     now: SimTime,
     dev_eff: &[f64],
     wait: &mut [Seconds],
-    trace: &mut Trace,
 ) {
     let st = &mut states[group];
     if !st.charger_here || st.busy || st.ready.is_empty() {
@@ -517,7 +455,6 @@ fn try_start_service(
     let dev = problem.device(d);
     let arrived = st.arrival_time[local].expect("ready implies arrived");
     wait[d.index()] = Seconds::new(now - arrived);
-    trace.record(now.seconds(), TraceKind::ServiceStarted { device: d });
 
     let c = problem.charger(g.charger);
     let link = Meters::new(LINK_DISTANCE_M).min(c.wpt().range * 0.9);
@@ -567,15 +504,6 @@ mod tests {
     }
 
     #[test]
-    fn ideal_noise_transmits_exactly_the_demand() {
-        let p = problem(2, 8, 3);
-        let s = noncooperation(&p, &EqualShare);
-        let out = execute(&p, &s, &EqualShare, &NoiseModel::ideal(), 0);
-        let demand = p.scenario().total_demand();
-        assert!((out.energy_transmitted - demand).abs() < Joules::new(1e-6));
-    }
-
-    #[test]
     fn field_noise_inflates_costs() {
         let p = problem(3, 10, 3);
         let s = ccsa(&p, &EqualShare, CcsaOptions::default());
@@ -587,7 +515,6 @@ mod tests {
             noisy.total_cost(),
             ideal.total_cost()
         );
-        assert!(noisy.energy_transmitted > ideal.energy_transmitted);
     }
 
     #[test]
@@ -640,8 +567,8 @@ mod tests {
         let s = noncooperation(&p, &EqualShare);
         let out = execute(&p, &s, &EqualShare, &NoiseModel::ideal(), 0);
         assert!(out.makespan > Seconds::ZERO);
-        assert_eq!(out.group_bills.len(), s.groups().len());
-        assert!(out.group_bills.iter().all(|b| *b > Cost::ZERO));
+        assert!(out.served.iter().all(|s| *s));
+        assert!(out.device_costs.iter().all(|c| *c > Cost::ZERO));
     }
 
     #[test]
@@ -700,22 +627,19 @@ mod failure_sim_tests {
         };
         let out = execute_with_failures(&p, &s, &EqualShare, &NoiseModel::ideal(), &failures, 0);
         assert_eq!(out.served_fraction(), 0.0);
-        assert_eq!(out.energy_transmitted, Joules::ZERO);
-        // Hires refunded: devices pay their trip only.
-        for (gi, _) in s.groups().iter().enumerate() {
-            assert_eq!(out.group_bills[gi], Cost::ZERO);
+        // Hires refunded: each device pays exactly its (detour-free) trip.
+        for g in s.groups() {
+            for &d in &g.members {
+                let dev = p.device(d);
+                assert_eq!(
+                    out.device_costs[d.index()],
+                    dev.move_cost_rate() * dev.position().distance(&g.gathering_point),
+                    "{d} pays its trip and nothing else"
+                );
+            }
         }
         assert!(out.total_cost() > Cost::ZERO, "trips were still made");
         assert!(out.total_cost() < s.total_cost(), "refund beats full bill");
-        // The failures are visible in the trace: one breakdown per charger
-        // (a charger breaks once, on its first leg under prob 1).
-        let breakdowns = out
-            .trace
-            .events()
-            .iter()
-            .filter(|e| matches!(e.kind, TraceKind::ChargerBrokeDown { .. }))
-            .count();
-        assert_eq!(breakdowns, s.chargers_used(), "one breakdown per charger");
         // Devices still travelled for real time: makespan tracks the last
         // event even though no charge ever completed.
         assert!(
@@ -735,21 +659,24 @@ mod failure_sim_tests {
         };
         let out = execute_with_failures(&p, &s, &EqualShare, &NoiseModel::ideal(), &failures, 0);
         assert_eq!(out.served_fraction(), 0.0);
-        assert_eq!(out.energy_transmitted, Joules::ZERO);
-        // Bills still include the base fee and travel (the hire happened),
-        // but no energy items.
-        for (gi, g) in s.groups().iter().enumerate() {
-            assert!(out.group_bills[gi] > Cost::ZERO);
-            assert!(out.group_bills[gi] < g.bill.total());
+        // The members still owe their bill: the hire happened, so it keeps
+        // the base fee, travel and congestion, but it has no energy item.
+        // On top of it each device pays half its trip.
+        for g in s.groups() {
+            let bill: Cost = g
+                .members
+                .iter()
+                .map(|&d| {
+                    let dev = p.device(d);
+                    let half_trip =
+                        dev.move_cost_rate() * (dev.position().distance(&g.gathering_point) * 0.5);
+                    out.device_costs[d.index()] - half_trip
+                })
+                .sum();
+            assert!(bill > Cost::ZERO);
+            assert!((bill - g.bill.group_level()).abs() < Cost::new(1e-9));
+            assert!(bill < g.bill.total());
         }
-        // Every no-show is visible in the trace.
-        let no_shows = out
-            .trace
-            .events()
-            .iter()
-            .filter(|e| matches!(e.kind, TraceKind::DeviceNoShow { .. }))
-            .count();
-        assert_eq!(no_shows, p.num_devices(), "one no-show event per device");
         assert!(out.makespan > Seconds::ZERO, "half-trips still take time");
     }
 
@@ -864,77 +791,13 @@ mod failure_sim_tests {
     }
 }
 
+/// The realized timeline: where each device ends the replay.
 #[cfg(test)]
 mod trace_integration_tests {
     use super::*;
-    use crate::trace::TraceKind;
     use ccs_core::algo::{ccsa, CcsaOptions};
     use ccs_core::sharing::EqualShare;
     use ccs_wrsn::scenario::ScenarioGenerator;
-
-    #[test]
-    fn trace_covers_every_served_device() {
-        let p = CcsProblem::new(
-            ScenarioGenerator::new(2)
-                .devices(8)
-                .chargers(3)
-                .field_side(60.0)
-                .generate(),
-        );
-        let s = ccsa(&p, &EqualShare, CcsaOptions::default());
-        let out = execute(&p, &s, &EqualShare, &NoiseModel::ideal(), 0);
-        for d in p.scenario().device_ids() {
-            let (arrived, started, completed) = out.trace.device_phases(d);
-            assert!(arrived.is_some(), "{d} must arrive");
-            assert!(started.is_some(), "{d} must start charging");
-            assert!(completed.is_some(), "{d} must finish");
-            assert!(
-                arrived <= started && started <= completed,
-                "{d} phases ordered"
-            );
-        }
-        // One charger arrival per group.
-        let charger_arrivals = out
-            .trace
-            .events()
-            .iter()
-            .filter(|e| matches!(e.kind, TraceKind::ChargerArrived { .. }))
-            .count();
-        assert_eq!(charger_arrivals, s.groups().len());
-        // The timeline renders for all devices.
-        let timeline = out.trace.render_timeline(8, 60);
-        assert_eq!(timeline.lines().count(), 9);
-    }
-
-    #[test]
-    fn no_shows_never_arrive_in_the_trace() {
-        let p = CcsProblem::new(
-            ScenarioGenerator::new(3)
-                .devices(5)
-                .chargers(2)
-                .field_side(50.0)
-                .generate(),
-        );
-        let s = ccsa(&p, &EqualShare, CcsaOptions::default());
-        let failures = FailureModel {
-            charger_breakdown_prob: 0.0,
-            device_no_show_prob: 1.0,
-        };
-        let out = execute_with_failures(&p, &s, &EqualShare, &NoiseModel::ideal(), &failures, 0);
-        for d in p.scenario().device_ids() {
-            let (arrived, started, _) = out.trace.device_phases(d);
-            assert!(arrived.is_none(), "{d} no-showed");
-            assert!(started.is_none());
-            // ... but the breakdown itself is on the record.
-            assert!(
-                out.trace
-                    .device_events(d)
-                    .iter()
-                    .any(|e| matches!(e.kind, TraceKind::DeviceNoShow { device } if device == d)),
-                "{d}'s no-show must be traced"
-            );
-        }
-    }
 
     #[test]
     fn final_positions_reflect_realized_travel() {

@@ -9,6 +9,7 @@
 //! cargo run --release --example multi_round_lifetime
 //! ```
 
+use ccs_repro::ccs_core::lifetime::{CONSUMPTION, REFILL_THRESHOLD, TARGET_SOC};
 use ccs_repro::prelude::*;
 
 fn main() {
@@ -22,10 +23,13 @@ fn main() {
         ..Default::default()
     };
     println!(
-        "24 devices, 6 chargers, {} rounds, refill below {:.0}% up to {:.0}%\n",
+        "24 devices, 6 chargers, {} rounds, {:.0}-{:.0} J drawn per round, \
+         refill below {:.0}% up to {:.0}%\n",
         config.rounds,
-        config.refill_threshold * 100.0,
-        config.target_soc * 100.0,
+        CONSUMPTION.lo,
+        CONSUMPTION.hi,
+        REFILL_THRESHOLD * 100.0,
+        TARGET_SOC * 100.0,
     );
 
     let policies = [Policy::Noncooperative, Policy::Ccsa, Policy::Ccsga];
@@ -35,13 +39,7 @@ fn main() {
     );
     let mut baseline = None;
     for policy in policies {
-        let report = run_lifetime(
-            &scenario,
-            &CostParams::default(),
-            &EqualShare,
-            policy,
-            &config,
-        );
+        let report = run_lifetime(&scenario, &EqualShare, policy, &config);
         println!(
             "{:<8} {:>12.2} {:>8} {:>14.2} {:>14.1} {:>12.1}",
             policy.name(),
@@ -62,13 +60,7 @@ fn main() {
     }
 
     // Show the per-round rhythm of the cooperative policy.
-    let report = run_lifetime(
-        &scenario,
-        &CostParams::default(),
-        &EqualShare,
-        Policy::Ccsa,
-        &config,
-    );
+    let report = run_lifetime(&scenario, &EqualShare, Policy::Ccsa, &config);
     let busy_rounds = report
         .per_round_cost
         .iter()

@@ -400,6 +400,30 @@ fn malformed_flags_fail_with_one_line_errors() {
             "rounds must be >= 1",
         ),
         (
+            vec![
+                "lifetime",
+                "--scenario",
+                scenario_str,
+                "--rounds",
+                "100000000",
+            ],
+            "rounds must be <= 1000",
+        ),
+        (
+            vec![
+                "replay",
+                "--scenario",
+                scenario_str,
+                "--breakdown",
+                "1",
+                "--recover",
+                "1000000000",
+                "--degrade",
+                "false",
+            ],
+            "recover must be <= 32",
+        ),
+        (
             vec!["lifetime", "--scenario", scenario_str, "--breakdown", "2"],
             "field 'breakdown' must be a probability in [0, 1], got 2",
         ),

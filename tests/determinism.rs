@@ -55,11 +55,8 @@ fn testbed_replay_is_deterministic_per_seed() {
     let plan = ccsa(&p, &EqualShare, CcsaOptions::default());
     let a = execute(&p, &plan, &EqualShare, &NoiseModel::field(), 5);
     let b = execute(&p, &plan, &EqualShare, &NoiseModel::field(), 5);
-    assert_eq!(a.device_costs, b.device_costs);
-    assert_eq!(a.device_wait, b.device_wait);
-    assert_eq!(a.group_bills, b.group_bills);
-    assert_eq!(a.makespan, b.makespan);
-    assert_eq!(a.energy_transmitted, b.energy_transmitted);
+    // Every field: costs, waits, makespan, served flags and end positions.
+    assert_eq!(a, b);
 }
 
 #[test]
