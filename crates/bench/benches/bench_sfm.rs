@@ -5,7 +5,7 @@
 use ccs_submodular::density::{min_density_mnp, min_density_separable};
 use ccs_submodular::minimize::{separable_min, SeparableFn};
 use ccs_submodular::mnp::minimize;
-use ccs_submodular::set_fn::{CardinalityCurve, CardinalityPenalized};
+use ccs_submodular::set_fn::CardinalityPenalized;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn bill(n: usize) -> SeparableFn {
@@ -13,7 +13,7 @@ fn bill(n: usize) -> SeparableFn {
     let weights: Vec<f64> = (0..n)
         .map(|i| ((i * 2654435761) % 97) as f64 / 10.0)
         .collect();
-    SeparableFn::new(weights, 25.0, CardinalityCurve::Sqrt, 3.0)
+    SeparableFn::new(weights, 25.0, 3.0)
 }
 
 fn bench_mnp(c: &mut Criterion) {

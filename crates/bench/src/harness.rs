@@ -61,7 +61,7 @@ use ccs_core::problem::CostParams;
 use ccs_serve::protocol::object;
 use ccs_submodular::minimize::SeparableFn;
 use ccs_submodular::mnp::minimize;
-use ccs_submodular::set_fn::{CardinalityCurve, CardinalityPenalized};
+use ccs_submodular::set_fn::CardinalityPenalized;
 use ccs_wrsn::arrival::{ArrivalGenerator, ArrivalProfile, ChargeRequest};
 use ccs_wrsn::scenario::{scale_preset, Scenario, ScenarioGenerator};
 use serde::Serialize;
@@ -457,7 +457,7 @@ fn sfm_run() -> Box<dyn Fn() -> Run> {
     let weights: Vec<f64> = (0..48usize)
         .map(|i| ((i * 2654435761) % 97) as f64 / 10.0)
         .collect();
-    let bill = SeparableFn::new(weights, 25.0, CardinalityCurve::Sqrt, 3.0);
+    let bill = SeparableFn::new(weights, 25.0, 3.0);
     let f = CardinalityPenalized::new(bill, 4.0);
     Box::new(move || {
         let sol = minimize(&f);

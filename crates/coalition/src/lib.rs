@@ -5,8 +5,9 @@
 //! coalition handles, the [`game::HedonicGame`] trait (cost-based hedonic
 //! preferences plus feasibility), an iterated-switch [`engine`] with three
 //! switch rules (selfish-with-history — the paper's rule — plus consent and
-//! utilitarian variants for ablations), and an independent Nash-stability
-//! checker in [`stability`].
+//! utilitarian variants for ablations), an independent Nash-stability
+//! checker in [`stability`], and [`memo`], the sharded map behind every
+//! pure-function memo of a solve.
 //!
 //! # Example
 //!
@@ -26,16 +27,14 @@
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
 
-pub mod cache;
 pub mod engine;
-pub mod fasthash;
 pub mod game;
+pub mod memo;
 pub mod partition;
 pub mod stability;
 
 /// Convenient glob import of the most commonly used items.
 pub mod prelude {
-    pub use crate::cache::CoalitionCache;
     pub use crate::engine::{run, ConvergenceReport, EngineOptions, SwitchRule};
     pub use crate::game::{FeeSharingGame, HedonicGame};
     pub use crate::partition::{CoalitionId, Partition};

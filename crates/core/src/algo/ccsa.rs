@@ -36,7 +36,7 @@ use crate::schedule::{GroupPlan, Schedule};
 use crate::sharing::CostSharing;
 use ccs_submodular::density::{min_density_mnp, min_density_separable};
 use ccs_submodular::minimize::SeparableFn;
-use ccs_submodular::set_fn::{CardinalityCurve, SetFunction};
+use ccs_submodular::set_fn::SetFunction;
 use ccs_wrsn::entities::{ChargerId, DeviceId};
 use ccs_wrsn::geometry::Point;
 use ccs_wrsn::units::Cost;
@@ -422,12 +422,7 @@ impl<'a> Sweep<'a> {
                 })
                 .collect();
             let budget = c.energy_budget().map(|b| b.value());
-            let f = SeparableFn::new(
-                weights,
-                fee.value(),
-                CardinalityCurve::Sqrt,
-                c.occupancy_rate().value(),
-            );
+            let f = SeparableFn::new(weights, fee.value(), c.occupancy_rate().value());
             match min_density(
                 &f,
                 &demands,

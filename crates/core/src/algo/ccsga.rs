@@ -10,19 +10,19 @@
 //! a schedule.
 //!
 //! Each coalition composition's charger, gathering point and member costs
-//! are memoized in a thread-safe [`CoalitionCache`] shared across rounds,
-//! so the game engine's many repeated evaluations stay cheap — including
-//! when the engine's best-response scan evaluates candidate moves in
-//! parallel (`ccs-par`). Cache effectiveness is visible in run reports as
+//! are memoized in a thread-safe [`Memo`] shared across rounds, so the game
+//! engine's many repeated evaluations stay cheap — including when the
+//! engine's best-response scan evaluates candidate moves in parallel
+//! (`ccs-par`). Cache effectiveness is visible in run reports as
 //! `cache.hits` / `cache.misses`.
 
 use crate::cost::{best_facility, evaluate_facility, try_best_facility_anchored};
 use crate::problem::CcsProblem;
 use crate::schedule::{GroupPlan, Schedule};
 use crate::sharing::CostSharing;
-use ccs_coalition::cache::CoalitionCache;
 use ccs_coalition::engine::{run, EngineOptions, SwitchRule};
 use ccs_coalition::game::HedonicGame;
+use ccs_coalition::memo::Memo;
 use ccs_coalition::partition::Partition;
 use ccs_wrsn::entities::{ChargerId, DeviceId};
 use ccs_wrsn::geometry::Point;
@@ -79,13 +79,13 @@ pub struct CcsgaOutcome {
 
 /// The hedonic game induced by a CCS instance and a sharing scheme.
 ///
-/// Caches each coalition composition's [`CachedCoalition`] in a
-/// thread-safe [`CoalitionCache`], so the engine's parallel candidate
-/// batches share the memo and re-pricing survives across rounds.
+/// Caches each coalition composition's [`CachedCoalition`] under its
+/// sorted member list in a thread-safe [`Memo`], so the engine's parallel
+/// candidate batches share the memo and re-pricing survives across rounds.
 struct CcsGame<'a> {
     problem: &'a CcsProblem,
     sharing: &'a dyn CostSharing,
-    cache: CoalitionCache<CachedCoalition>,
+    cache: Memo<Box<[usize]>, Arc<CachedCoalition>>,
 }
 
 /// What the game reads back about a priced composition: the winning
@@ -106,18 +106,31 @@ impl<'a> CcsGame<'a> {
         CcsGame {
             problem,
             sharing,
-            cache: CoalitionCache::new(),
+            cache: Memo::new(),
         }
     }
 
     /// Evaluates a coalition (a sorted member slice) through the memo, so
-    /// a warm composition costs one sharded hash lookup and nothing else.
-    /// `newcomer` names the member that was just added to an existing
-    /// composition, if any; see [`price`](Self::price) for how it anchors
-    /// a miss. The cached result is bitwise independent of the hint.
+    /// a warm composition costs one sharded hash lookup and nothing else;
+    /// each probe counts in `cache.hits` or `cache.misses`. A miss is
+    /// priced outside any lock. `newcomer` names the member that was just
+    /// added to an existing composition, if any; see
+    /// [`price`](Self::price) for how it anchors a miss. The cached result
+    /// is bitwise independent of the hint, so two threads that miss the
+    /// same composition store the same value.
     fn evaluate(&self, members: &[usize], newcomer: Option<usize>) -> Arc<CachedCoalition> {
-        self.cache
-            .get_or_insert_with(members, || self.price(members, newcomer))
+        debug_assert!(
+            members.windows(2).all(|w| w[0] < w[1]),
+            "key must be sorted"
+        );
+        if let Some(hit) = self.cache.get(members, Arc::clone) {
+            ccs_telemetry::counter!("cache.hits").incr();
+            return hit;
+        }
+        ccs_telemetry::counter!("cache.misses").incr();
+        let priced = Arc::new(self.price(members, newcomer));
+        self.cache.insert(members.into(), Arc::clone(&priced));
+        priced
     }
 
     /// Prices a composition from scratch (the cache-miss path). On a miss,
@@ -133,7 +146,7 @@ impl<'a> CcsGame<'a> {
             if base_key.is_empty() {
                 return None;
             }
-            Some(self.cache.get(&base_key)?.charger)
+            self.cache.get(&base_key[..], |base| base.charger)
         });
         let facility = match anchor {
             Some(c) => try_best_facility_anchored(self.problem, &members, c)

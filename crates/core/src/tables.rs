@@ -40,24 +40,11 @@
 use crate::gathering::{gathering_point, weiszfeld_point, GatheringStrategy};
 use crate::grid::UniformGrid;
 use crate::problem::CcsProblem;
-use ccs_coalition::fasthash::FastBuildHasher;
+use ccs_coalition::memo::Memo;
 use ccs_wrsn::entities::{Charger, ChargerId, DeviceId};
 use ccs_wrsn::geometry::Point;
 use ccs_wrsn::scenario::Scenario;
-use std::collections::HashMap;
 use std::fmt;
-use std::hash::BuildHasher;
-use std::sync::Mutex;
-
-/// Number of independently locked shards of the gathering-point memo.
-const GATHER_SHARDS: usize = 16;
-
-/// One shard of the gathering-point memo: a flat `[charger, member ids…]`
-/// key to the memoized solve. The flat key lets the hit path probe with a
-/// borrowed `&[u32]` built in thread-local scratch — no allocation at all;
-/// an owned boxed key is only materialized alongside a miss's Weiszfeld
-/// solve.
-type GatherShard = Mutex<HashMap<Box<[u32]>, Gathered, FastBuildHasher>>;
 
 /// What the gathering memo knows about one `(charger, members)` key.
 #[derive(Debug, Clone, Copy)]
@@ -68,10 +55,6 @@ enum Gathered {
     /// least this bound.
     Above(f64),
 }
-
-/// One shard of the neighbor-order memo: `(device, limit)` to the nearest
-/// device ids in ascending `(distance, id)` order.
-type NeighborShard = Mutex<HashMap<(u32, u32), Box<[u32]>, FastBuildHasher>>;
 
 /// Per-instance derived state of the CCS cost model: spatial indexes,
 /// fleet-wide minima, the congestion curve and the solve memos.
@@ -90,13 +73,14 @@ pub struct ProblemTables {
     min_energy_price: f64,
     /// `min_j η_j` as a raw value.
     min_occupancy: f64,
-    /// Gathering-point memo: `(charger, sorted member ids) -> point`.
-    gather: Vec<GatherShard>,
+    /// Gathering-point memo keyed by flat `[charger, sorted member ids…]`
+    /// slices. The hit path probes with a borrowed `&[u32]` built in
+    /// thread-local scratch; an owned key is only built alongside a miss's
+    /// solve.
+    gather: Memo<Box<[u32]>, Gathered>,
     /// Spatial neighbor-order memo: `(device, limit) -> nearest device ids
-    /// in ascending (distance, id) order`. Pure function of the instance,
-    /// like the gathering memo, so memoization cannot perturb determinism;
-    /// sharded by device id so parallel probes rarely contend.
-    neighbors: Vec<NeighborShard>,
+    /// in ascending (distance, id) order`.
+    neighbors: Memo<(u32, u32), Box<[u32]>>,
 }
 
 impl ProblemTables {
@@ -124,12 +108,8 @@ impl ProblemTables {
             min_base_fee: min_of(|c| c.base_fee().value()),
             min_energy_price: min_of(|c| c.energy_price().value()),
             min_occupancy: min_of(|c| c.occupancy_rate().value()),
-            gather: (0..GATHER_SHARDS)
-                .map(|_| Mutex::new(HashMap::default()))
-                .collect(),
-            neighbors: (0..GATHER_SHARDS)
-                .map(|_| Mutex::new(HashMap::default()))
-                .collect(),
+            gather: Memo::new(),
+            neighbors: Memo::new(),
         }
     }
 
@@ -200,18 +180,12 @@ impl ProblemTables {
             /// Scratch for the flat `[charger, member ids…]` probe key.
             static KEY: std::cell::RefCell<Vec<u32>> = const { std::cell::RefCell::new(Vec::new()) };
         }
-        let (shard_idx, hit) = KEY.with(|cell| {
+        let hit = KEY.with(|cell| {
             let mut key = cell.borrow_mut();
             key.clear();
             key.push(charger.value());
             key.extend(members.iter().map(|d| d.value()));
-            let shard_idx = FastBuildHasher::default().hash_one(&key[..]) as usize % GATHER_SHARDS;
-            let hit = self.gather[shard_idx]
-                .lock()
-                .expect("gathering memo poisoned")
-                .get(&key[..])
-                .copied();
-            (shard_idx, hit)
+            self.gather.get(&key[..], |&gathered| gathered)
         });
         let mut proven = f64::NEG_INFINITY;
         match hit {
@@ -243,9 +217,7 @@ impl ProblemTables {
         let key: Box<[u32]> = std::iter::once(charger.value())
             .chain(members.iter().map(|d| d.value()))
             .collect();
-        self.gather[shard_idx]
-            .lock()
-            .expect("gathering memo poisoned")
+        self.gather
             .insert(key, point.map_or(Gathered::Above(proven), Gathered::Point));
         point
     }
@@ -254,18 +226,11 @@ impl ProblemTables {
     /// `out`, returning whether there was a hit. See
     /// [`store_neighbor_order`](Self::store_neighbor_order).
     pub fn cached_neighbor_order(&self, device: u32, limit: u32, out: &mut Vec<usize>) -> bool {
-        let shard = &self.neighbors[device as usize % GATHER_SHARDS];
-        match shard
-            .lock()
-            .expect("neighbor memo poisoned")
-            .get(&(device, limit))
-        {
-            Some(order) => {
-                out.extend(order.iter().map(|&q| q as usize));
-                true
-            }
-            None => false,
-        }
+        self.neighbors
+            .get(&(device, limit), |order| {
+                out.extend(order.iter().map(|&q| q as usize))
+            })
+            .is_some()
     }
 
     /// Memoizes a neighbor order computed for `(device, limit)`. The order
@@ -274,19 +239,13 @@ impl ProblemTables {
     /// recomputation.
     pub fn store_neighbor_order(&self, device: u32, limit: u32, order: &[usize]) {
         let boxed: Box<[u32]> = order.iter().map(|&q| q as u32).collect();
-        self.neighbors[device as usize % GATHER_SHARDS]
-            .lock()
-            .expect("neighbor memo poisoned")
-            .insert((device, limit), boxed);
+        self.neighbors.insert((device, limit), boxed);
     }
 
     /// Number of memoized gathering solves, points and abandonment bounds
     /// alike (for tests and diagnostics).
     pub fn gather_cache_len(&self) -> usize {
-        self.gather
-            .iter()
-            .map(|s| s.lock().expect("gathering memo poisoned").len())
-            .sum()
+        self.gather.len()
     }
 }
 

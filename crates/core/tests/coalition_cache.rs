@@ -1,8 +1,8 @@
-//! Correctness of the shared coalition-cost cache: memoized values must be
+//! Correctness of the shared coalition-cost memo: memoized values must be
 //! indistinguishable from fresh direct evaluation, and cache effectiveness
 //! must be observable through telemetry in an end-to-end CCSGA run.
 
-use ccs_coalition::cache::CoalitionCache;
+use ccs_coalition::memo::Memo;
 use ccs_core::prelude::*;
 use ccs_wrsn::entities::DeviceId;
 use ccs_wrsn::scenario::ScenarioGenerator;
@@ -36,6 +36,21 @@ fn direct_member_costs(p: &CcsProblem, sharing: &dyn CostSharing, c: &[usize]) -
         .collect()
 }
 
+/// The get-or-compute pattern CCSGA's game uses: probe, compute on a miss,
+/// insert.
+fn memoized(
+    memo: &Memo<Box<[usize]>, Vec<f64>>,
+    c: &[usize],
+    compute: impl FnOnce() -> Vec<f64>,
+) -> Vec<f64> {
+    if let Some(hit) = memo.get(c, Vec::clone) {
+        return hit;
+    }
+    let value = compute();
+    memo.insert(c.into(), value.clone());
+    value
+}
+
 /// A deterministic pseudo-random walk over coalition compositions
 /// (splitmix64, so no RNG dependency in the test).
 fn mix(mut x: u64) -> u64 {
@@ -45,7 +60,7 @@ fn mix(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// A random sorted, duplicate-free coalition (the cache's key form).
+/// A random sorted, duplicate-free coalition (the memo's key form).
 fn random_coalition(n: usize, seed: u64) -> Vec<usize> {
     let size = 1 + (mix(seed) as usize) % 4.min(n);
     let mut c = Vec::new();
@@ -66,7 +81,7 @@ fn random_coalition(n: usize, seed: u64) -> Vec<usize> {
 fn cache_matches_direct_evaluation_after_interleaved_rounds() {
     let p = problem(11, 14, 4);
     let sharing = EqualShare;
-    let cache: CoalitionCache<Vec<f64>> = CoalitionCache::new();
+    let cache = Memo::new();
     let n = 14;
 
     // Interleave: each round touches a fresh coalition and revisits two
@@ -80,10 +95,10 @@ fn cache_matches_direct_evaluation_after_interleaved_rounds() {
             batch.push(seen[(mix(round + 1000) as usize) % seen.len()].clone());
         }
         for c in batch {
-            let cached = cache.get_or_insert_with(&c, || direct_member_costs(&p, &sharing, &c));
+            let cached = memoized(&cache, &c, || direct_member_costs(&p, &sharing, &c));
             let direct = direct_member_costs(&p, &sharing, &c);
             assert_eq!(
-                *cached, direct,
+                cached, direct,
                 "cached value diverged from direct evaluation for {c:?}"
             );
         }
@@ -95,15 +110,17 @@ fn cache_matches_direct_evaluation_after_interleaved_rounds() {
 
 /// Revisiting a composition must return the memoized value even if the
 /// world changed in between — that is the memoization contract the engine
-/// relies on (the problem is immutable during a run).
+/// relies on (the problem is immutable during a run): a probe that hits
+/// never computes, so the first stored value is the one every later probe
+/// reads.
 #[test]
 fn cache_is_first_insert_wins() {
-    let cache: CoalitionCache<Vec<f64>> = CoalitionCache::new();
+    let cache = Memo::new();
     let c = [1, 2, 3];
-    let first = cache.get_or_insert_with(&c, || vec![1.0]);
-    let second = cache.get_or_insert_with(&c, || vec![2.0]);
-    assert_eq!(*first, vec![1.0]);
-    assert_eq!(*second, vec![1.0], "second compute must never replace");
+    let first = memoized(&cache, &c, || vec![1.0]);
+    let second = memoized(&cache, &c, || vec![2.0]);
+    assert_eq!(first, vec![1.0]);
+    assert_eq!(second, vec![1.0], "second compute must never replace");
     assert_eq!(cache.len(), 1);
 }
 

@@ -153,9 +153,20 @@ pub fn read_request<R: BufRead>(
             "transfer-encoding is not supported; send content-length".to_string(),
         ));
     }
-    if let Some(raw) = request.header("content-length") {
-        let Ok(length) = raw.parse::<usize>() else {
-            return Ok(ReadOutcome::Bad(format!("invalid content-length {raw:?}")));
+    // RFC 9112 §6.3: a repeated or malformed `Content-Length` makes the
+    // framing unrecoverable. The grammar is `1*DIGIT`, which
+    // `usize::from_str` widens by a leading `+`.
+    let mut lengths = request
+        .headers
+        .iter()
+        .filter(|(n, _)| n == "content-length");
+    if let Some((_, raw)) = lengths.next() {
+        if lengths.next().is_some() {
+            return Ok(ReadOutcome::Bad("repeated content-length".to_string()));
+        }
+        let length = match raw.parse::<usize>() {
+            Ok(length) if raw.bytes().all(|b| b.is_ascii_digit()) => length,
+            _ => return Ok(ReadOutcome::Bad(format!("invalid content-length {raw:?}"))),
         };
         if length > max_body_bytes {
             return Ok(ReadOutcome::Bad(format!(
@@ -258,6 +269,8 @@ mod tests {
             "GET / SPDY/3\r\n\r\n",
             "GET / HTTP/1.1\r\nno-colon-here\r\n\r\n",
             "GET / HTTP/1.1\r\nContent-Length: wat\r\n\r\n",
+            "GET / HTTP/1.1\r\nContent-Length: +0\r\n\r\n",
+            "POST / HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 2\r\n\r\n{}",
             "POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n",
         ] {
             assert!(matches!(read(raw), ReadOutcome::Bad(_)), "raw {raw:?}");

@@ -310,6 +310,10 @@ fn malformed_requests_get_400_and_the_gateway_survives() {
         "GET /healthz HTTP/1.1\r\nbroken header line\r\n\r\n",
         "POST /v1/plan HTTP/1.1\r\nContent-Length: banana\r\n\r\n",
         "POST /v1/plan HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n",
+        // Conflicting lengths must not frame a smuggled second request.
+        "POST /v1/plan HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 40\r\n\r\n\
+         {}GET /healthz HTTP/1.1\r\n\r\n",
+        "POST /v1/plan HTTP/1.1\r\nContent-Length: +2\r\n\r\n{}",
     ] {
         let mut stream = gateway.connect();
         stream.write_all(raw.as_bytes()).expect("write");
@@ -317,6 +321,15 @@ fn malformed_requests_get_400_and_the_gateway_survives() {
         assert_eq!(status, 400, "raw {raw:?}: {body}");
         let value = parsed(&body);
         assert_eq!(value.field("ok"), &Value::Bool(false));
+        // A framing error closes the connection: nothing else is answered.
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("read timeout");
+        match stream.read(&mut [0u8; 64]) {
+            Ok(0) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+            other => panic!("raw {raw:?}: connection still open after a 400: {other:?}"),
+        }
     }
     // Content-Length mismatch: declared longer than sent.
     let mut stream = gateway.connect();
@@ -349,14 +362,14 @@ fn malformed_requests_get_400_and_the_gateway_survives() {
         Value::Number(n) => n.as_f64() as u64,
         other => panic!("requests.{key} missing: {other:?}"),
     };
-    assert_eq!(count("bad_request"), 8, "{requests:?}");
+    assert_eq!(count("bad_request"), 10, "{requests:?}");
     assert_eq!(
         count("errors"),
         count("bad_request") + count("expired") + count("failed") + count("panics")
     );
     drop(stream);
     let summary = gateway.stop();
-    assert_eq!(summary.errors, 8);
+    assert_eq!(summary.errors, 10);
 }
 
 /// Tenant isolation: tenant A's eviction pressure (many distinct

@@ -103,26 +103,47 @@ pub fn brute_force_min_density<F: SetFunction>(f: &F) -> (Subset, f64) {
     best.expect("a nonempty ground set has nonempty subsets")
 }
 
+/// `f(S) = offset + Σ_{i∈S} wᵢ + scale·g(|S|)`: modular plus concave of
+/// cardinality, the family the unit tests check the algorithms on.
+#[cfg(test)]
+pub(crate) fn modular_plus_concave(
+    offset: f64,
+    weights: Vec<f64>,
+    scale: f64,
+    g: fn(f64) -> f64,
+) -> crate::set_fn::FnSetFunction {
+    crate::set_fn::FnSetFunction::new(weights.len(), move |s| {
+        offset + s.iter().map(|i| weights[i]).sum::<f64>() + scale * g(s.len() as f64)
+    })
+}
+
+/// `f(S) = Σ_{i∈S} wᵢ`.
+#[cfg(test)]
+pub(crate) fn modular(weights: Vec<f64>) -> crate::set_fn::FnSetFunction {
+    modular_plus_concave(0.0, weights, 0.0, f64::sqrt)
+}
+
+/// The concave curves `g` the unit tests draw from: `√k`, `ln(1 + k)` and
+/// `min(k, 2)`.
+#[cfg(test)]
+pub(crate) const CURVES: [fn(f64) -> f64; 3] = [f64::sqrt, |k| (1.0 + k).ln(), |k| k.min(2.0)];
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::set_fn::{CardinalityCurve, ConcaveCardinality, FnSetFunction, Modular, SumFn};
+    use crate::set_fn::FnSetFunction;
 
     #[test]
     fn modular_is_submodular_and_monotone_with_nonneg_weights() {
-        let f = Modular::new(vec![1.0, 2.0, 0.0]);
+        let f = modular(vec![1.0, 2.0, 0.0]);
         assert!(is_submodular(&f, 1e-12));
         assert!(is_monotone_nondecreasing(&f, 1e-12));
     }
 
     #[test]
     fn concave_cardinality_is_submodular() {
-        for curve in [
-            CardinalityCurve::Sqrt,
-            CardinalityCurve::Log1p,
-            CardinalityCurve::Saturating(2),
-        ] {
-            let f = ConcaveCardinality::new(5, curve, 2.0);
+        for g in CURVES {
+            let f = modular_plus_concave(0.0, vec![0.0; 5], 2.0, g);
             assert!(is_submodular(&f, 1e-12));
             assert!(is_monotone_nondecreasing(&f, 1e-12));
         }
@@ -151,11 +172,8 @@ mod tests {
 
     #[test]
     fn sum_preserves_submodularity() {
-        let f = SumFn::new(vec![
-            Box::new(Modular::new(vec![1.0, -2.0, 2.0, 0.0])) as Box<dyn SetFunction>,
-            Box::new(ConcaveCardinality::new(4, CardinalityCurve::Sqrt, 3.0)),
-        ])
-        .unwrap();
+        // Modular plus concave of cardinality.
+        let f = modular_plus_concave(0.0, vec![1.0, -2.0, 2.0, 0.0], 3.0, f64::sqrt);
         assert!(is_submodular(&f, 1e-9));
         // Negative weight makes it non-monotone.
         assert!(!is_monotone_nondecreasing(&f, 1e-9));
@@ -163,7 +181,7 @@ mod tests {
 
     #[test]
     fn brute_force_min_finds_negative_pocket() {
-        let f = Modular::new(vec![2.0, -3.0, 1.0, -1.0]);
+        let f = modular(vec![2.0, -3.0, 1.0, -1.0]);
         let (s, v) = brute_force_min(&f);
         assert_eq!(s.to_vec(), vec![1, 3]);
         assert_eq!(v, -4.0);
@@ -171,7 +189,7 @@ mod tests {
 
     #[test]
     fn brute_force_min_of_nonnegative_is_empty_set() {
-        let f = Modular::new(vec![1.0, 2.0]);
+        let f = modular(vec![1.0, 2.0]);
         let (s, v) = brute_force_min(&f);
         assert!(s.is_empty());
         assert_eq!(v, 0.0);

@@ -154,13 +154,13 @@ pub fn min_density_separable(f: &SeparableFn) -> Result<DensityResult, DensityEr
 mod tests {
     use super::*;
     use crate::check::brute_force_min_density;
-    use crate::set_fn::{CardinalityCurve, FnSetFunction};
+    use crate::set_fn::FnSetFunction;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
     #[test]
     fn empty_ground_set_is_an_error() {
-        let f = SeparableFn::new(vec![], 0.0, CardinalityCurve::Linear, 0.0);
+        let f = SeparableFn::new(vec![], 0.0, 0.0);
         assert_eq!(
             min_density_separable(&f).unwrap_err(),
             DensityError::EmptyGroundSet
@@ -179,7 +179,7 @@ mod tests {
     #[test]
     fn fee_amortization_takes_whole_group() {
         // fee 10, unit weights: density (10 + k)/k strictly decreasing in k.
-        let f = SeparableFn::new(vec![1.0; 6], 10.0, CardinalityCurve::Linear, 0.0);
+        let f = SeparableFn::new(vec![1.0; 6], 10.0, 0.0);
         let r = min_density_separable(&f).unwrap();
         assert_eq!(r.minimizer.len(), 6);
         assert!((r.density - 16.0 / 6.0).abs() < 1e-9);
@@ -188,7 +188,7 @@ mod tests {
     #[test]
     fn expensive_member_is_left_out() {
         // fee 4, weights [1, 1, 100]: best group is {0, 1} with (4+2)/2 = 3.
-        let f = SeparableFn::new(vec![1.0, 1.0, 100.0], 4.0, CardinalityCurve::Linear, 0.0);
+        let f = SeparableFn::new(vec![1.0, 1.0, 100.0], 4.0, 0.0);
         let r = min_density_separable(&f).unwrap();
         assert_eq!(r.minimizer.to_vec(), vec![0, 1]);
         assert!((r.density - 3.0).abs() < 1e-9);
@@ -202,7 +202,7 @@ mod tests {
             let weights: Vec<f64> = (0..n).map(|_| rng.gen_range(0.1..5.0)).collect();
             let fee = rng.gen_range(0.0..8.0);
             let scale = rng.gen_range(0.0..2.0);
-            let f = SeparableFn::new(weights, fee, CardinalityCurve::Sqrt, scale);
+            let f = SeparableFn::new(weights, fee, scale);
             let r = min_density_separable(&f).unwrap();
             let (_, expected) = brute_force_min_density(&f);
             assert!(
@@ -222,7 +222,7 @@ mod tests {
             let n = rng.gen_range(1..=7);
             let weights: Vec<f64> = (0..n).map(|_| rng.gen_range(0.1..5.0)).collect();
             let fee = rng.gen_range(0.0..6.0);
-            let f = SeparableFn::new(weights, fee, CardinalityCurve::Log1p, 1.0);
+            let f = SeparableFn::new(weights, fee, 1.0);
             let fast = min_density_separable(&f).unwrap();
             let general = min_density_mnp(&f).unwrap();
             assert!(
@@ -237,7 +237,7 @@ mod tests {
     #[test]
     fn density_with_negative_weights() {
         // Negative-weight elements (subsidized members) should be scooped up.
-        let f = SeparableFn::new(vec![-2.0, 3.0], 1.0, CardinalityCurve::Linear, 0.0);
+        let f = SeparableFn::new(vec![-2.0, 3.0], 1.0, 0.0);
         let r = min_density_separable(&f).unwrap();
         let (_, expected) = brute_force_min_density(&f);
         assert!((r.density - expected).abs() < 1e-9);
@@ -246,7 +246,7 @@ mod tests {
 
     #[test]
     fn iterations_stay_bounded() {
-        let f = SeparableFn::new(vec![1.0; 20], 30.0, CardinalityCurve::Sqrt, 3.0);
+        let f = SeparableFn::new(vec![1.0; 20], 30.0, 3.0);
         let r = min_density_separable(&f).unwrap();
         assert!(r.iterations <= MAX_DINKELBACH_ITERATIONS);
         assert!(r.iterations >= 1);

@@ -4,12 +4,13 @@
 //! Cooperative Charging as Service reproduction:
 //!
 //! * [`subset`] — compact bitset subsets of a ground set;
-//! * [`set_fn`] — set-function trait and provably submodular combinators
-//!   (modular + concave-of-cardinality, sums, cardinality penalties);
+//! * [`set_fn`] — the set-function trait, closures as set functions, the
+//!   cardinality penalty of density search, and oracle counting;
 //! * [`lovasz`] — Edmonds' greedy base-polytope vertex oracle;
 //! * [`mnp`] — exact submodular function minimization via the
 //!   Fujishige–Wolfe minimum-norm-point algorithm;
-//! * [`minimize`] — the fast exact path for separable objectives;
+//! * [`minimize`] — the CCS group bill `fee + Σ wᵢ + scale·√|S|` and its
+//!   fast exact minimizer;
 //! * [`density`] — Dinkelbach minimum-density search
 //!   `min_{S≠∅} f(S)/|S|`;
 //! * [`check`] — exponential brute-force verifiers used as ground truth in
@@ -19,12 +20,11 @@
 //!
 //! ```
 //! use ccs_submodular::minimize::SeparableFn;
-//! use ccs_submodular::set_fn::CardinalityCurve;
 //! use ccs_submodular::density::min_density_separable;
 //!
 //! // A 10-unit hire fee amortized over unit-cost members: the cheapest
 //! // per-member group is everyone.
-//! let bill = SeparableFn::new(vec![1.0; 5], 10.0, CardinalityCurve::Linear, 0.0);
+//! let bill = SeparableFn::new(vec![1.0; 5], 10.0, 0.0);
 //! let best = min_density_separable(&bill)?;
 //! assert_eq!(best.minimizer.len(), 5);
 //! # Ok::<(), ccs_submodular::density::DensityError>(())
@@ -47,9 +47,6 @@ pub mod prelude {
     pub use crate::density::{min_density_mnp, min_density_separable, DensityResult};
     pub use crate::minimize::{separable_min, SeparableFn};
     pub use crate::mnp::{minimize, SfmResult};
-    pub use crate::set_fn::{
-        CardinalityCurve, CardinalityPenalized, ConcaveCardinality, FnSetFunction, Modular,
-        SetFunction, SumFn,
-    };
+    pub use crate::set_fn::{CardinalityPenalized, FnSetFunction, SetFunction};
     pub use crate::subset::Subset;
 }

@@ -83,28 +83,28 @@ pub fn greedy_vertex<F: SetFunction>(f: &F, w: &[f64]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::set_fn::{CardinalityCurve, ConcaveCardinality, Modular};
+    use crate::check::{modular, modular_plus_concave};
     use crate::subset::all_subsets;
 
     #[test]
     fn greedy_vertex_of_modular_is_weights() {
-        let f = Modular::new(vec![3.0, -1.0, 2.0]);
+        let f = modular(vec![3.0, -1.0, 2.0]);
         let v = greedy_vertex(&f, &[0.5, 0.1, 0.9]);
         assert_eq!(v, vec![3.0, -1.0, 2.0], "modular marginals are constant");
     }
 
     #[test]
     fn greedy_vertex_sums_to_f_of_universe() {
-        let f = ConcaveCardinality::new(5, CardinalityCurve::Sqrt, 2.0);
+        let f = modular_plus_concave(0.0, vec![0.0; 5], 2.0, f64::sqrt);
         let v = greedy_vertex(&f, &[0.3, -0.2, 0.9, 0.0, 0.5]);
         let total: f64 = v.iter().sum();
-        assert!((total - f.eval(&Subset::universe(5))).abs() < 1e-12);
+        assert!((total - f.eval(&Subset::from_indices(5, 0..5))).abs() < 1e-12);
     }
 
     #[test]
     fn greedy_vertex_respects_polytope_constraints() {
         // x(S) <= f(S) for every S, with equality at the universe.
-        let f = ConcaveCardinality::new(4, CardinalityCurve::Log1p, 1.5);
+        let f = modular_plus_concave(0.0, vec![0.0; 4], 1.5, |k| (1.0 + k).ln());
         let v = greedy_vertex(&f, &[0.7, 0.1, 0.4, 0.2]);
         for s in all_subsets(4) {
             let xs: f64 = s.iter().map(|i| v[i]).sum();
@@ -118,7 +118,7 @@ mod tests {
 
     #[test]
     fn greedy_vertex_normalizes_offset() {
-        let f = Modular::with_offset(vec![1.0, 2.0], 100.0);
+        let f = modular_plus_concave(100.0, vec![1.0, 2.0], 0.0, f64::sqrt);
         let v = greedy_vertex(&f, &[0.0, 0.0]);
         assert_eq!(v, vec![1.0, 2.0], "offset must not leak into marginals");
     }
@@ -126,7 +126,7 @@ mod tests {
     #[test]
     fn greedy_vertex_minimizes_linear_objective() {
         // Compare <w, greedy vertex> against vertices from random orders.
-        let f = ConcaveCardinality::new(4, CardinalityCurve::Sqrt, 1.0);
+        let f = modular_plus_concave(0.0, vec![0.0; 4], 1.0, f64::sqrt);
         let w = [0.9, -0.5, 0.3, 0.1];
         let v = greedy_vertex(&f, &w);
         let obj: f64 = w.iter().zip(&v).map(|(a, b)| a * b).sum();

@@ -1,24 +1,23 @@
 //! The specialized minimizer complementing the general min-norm-point
 //! algorithm.
 //!
-//! [`SeparableFn`] is the `fee·1[S≠∅] + Σ w_i + scale·g(|S|)` family the
+//! [`SeparableFn`] is the `fee·1[S≠∅] + Σ w_i + scale·√|S|` family the
 //! CCS group bill lives in, with an exact `O(n log n)` minimizer
 //! ([`separable_min`]): sort weights ascending, scan prefixes.
 
-use crate::set_fn::{CardinalityCurve, SetFunction};
+use crate::set_fn::SetFunction;
 use crate::subset::Subset;
 
 /// A separable submodular function
-/// `f(S) = fee·1[S ≠ ∅] + Σ_{i∈S} w_i + scale·g(|S|)`.
+/// `f(S) = fee·1[S ≠ ∅] + Σ_{i∈S} w_i + scale·√|S|`.
 ///
-/// This is exactly the shape of the CCS group bill for a fixed facility, so
-/// CCSA's inner minimization has a fast exact path that avoids the general
-/// polytope machinery.
+/// This is exactly the shape of the CCS group bill for a fixed facility
+/// (congestion `η_j·√k`, DESIGN §1), so CCSA's inner minimization has a
+/// fast exact path that avoids the general polytope machinery.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SeparableFn {
     weights: Vec<f64>,
     fee: f64,
-    curve: CardinalityCurve,
     scale: f64,
 }
 
@@ -28,7 +27,7 @@ impl SeparableFn {
     /// # Panics
     ///
     /// Panics if weights/fee/scale are non-finite, `fee < 0`, or `scale < 0`.
-    pub fn new(weights: Vec<f64>, fee: f64, curve: CardinalityCurve, scale: f64) -> Self {
+    pub fn new(weights: Vec<f64>, fee: f64, scale: f64) -> Self {
         assert!(
             weights.iter().all(|w| w.is_finite()),
             "weights must be finite"
@@ -41,7 +40,6 @@ impl SeparableFn {
         SeparableFn {
             weights,
             fee,
-            curve,
             scale,
         }
     }
@@ -54,16 +52,6 @@ impl SeparableFn {
     /// The fixed fee paid by any nonempty set.
     pub fn fee(&self) -> f64 {
         self.fee
-    }
-
-    /// The concave cardinality curve `g`.
-    pub fn curve(&self) -> &CardinalityCurve {
-        &self.curve
-    }
-
-    /// The scale applied to the cardinality curve.
-    pub fn scale(&self) -> f64 {
-        self.scale
     }
 }
 
@@ -79,7 +67,7 @@ impl SetFunction for SeparableFn {
         }
         self.fee
             + s.iter().map(|i| self.weights[i]).sum::<f64>()
-            + self.scale * self.curve.eval(s.len())
+            + self.scale * (s.len() as f64).sqrt()
     }
 
     fn marginal(&self, s: &Subset, i: usize) -> f64 {
@@ -88,7 +76,7 @@ impl SetFunction for SeparableFn {
         }
         let k = s.len();
         let fee_part = if k == 0 { self.fee } else { 0.0 };
-        fee_part + self.weights[i] + self.scale * (self.curve.eval(k + 1) - self.curve.eval(k))
+        fee_part + self.weights[i] + self.scale * (((k + 1) as f64).sqrt() - (k as f64).sqrt())
     }
 }
 
@@ -108,7 +96,7 @@ pub fn separable_min(f: &SeparableFn, lambda: f64) -> (Subset, f64) {
     for (idx, &i) in order.iter().enumerate() {
         let k = idx + 1;
         acc += f.weights[i];
-        let v = f.fee + acc + f.scale * f.curve.eval(k) - lambda * k as f64;
+        let v = f.fee + acc + f.scale * (k as f64).sqrt() - lambda * k as f64;
         if v < best_val - 1e-15 {
             best_val = v;
             best_k = k;
@@ -128,7 +116,7 @@ mod tests {
 
     #[test]
     fn separable_fn_is_submodular() {
-        let f = SeparableFn::new(vec![1.0, -2.0, 3.0, 0.5], 5.0, CardinalityCurve::Sqrt, 2.0);
+        let f = SeparableFn::new(vec![1.0, -2.0, 3.0, 0.5], 5.0, 2.0);
         assert!(is_submodular(&f, 1e-9));
         assert_eq!(f.eval(&Subset::empty(4)), 0.0, "empty set pays nothing");
         let s = Subset::from_indices(4, [0, 1]);
@@ -138,7 +126,7 @@ mod tests {
 
     #[test]
     fn separable_marginal_includes_fee_only_from_empty() {
-        let f = SeparableFn::new(vec![1.0, 1.0], 10.0, CardinalityCurve::Linear, 0.0);
+        let f = SeparableFn::new(vec![1.0, 1.0], 10.0, 0.0);
         let empty = Subset::empty(2);
         assert_eq!(f.marginal(&empty, 0), 11.0);
         let one = Subset::from_indices(2, [0]);
@@ -154,12 +142,7 @@ mod tests {
             let fee = rng.gen_range(0.0..6.0);
             let scale = rng.gen_range(0.0..3.0);
             let lambda = rng.gen_range(0.0..5.0);
-            let curve = if trial % 2 == 0 {
-                CardinalityCurve::Sqrt
-            } else {
-                CardinalityCurve::Log1p
-            };
-            let f = SeparableFn::new(weights, fee, curve, scale);
+            let f = SeparableFn::new(weights, fee, scale);
             let (set, val) = separable_min(&f, lambda);
             let penalized = CardinalityPenalized::new(f.clone(), lambda);
             let (_, expected) = brute_force_min(&penalized);
@@ -173,7 +156,7 @@ mod tests {
 
     #[test]
     fn separable_min_returns_empty_when_nothing_pays() {
-        let f = SeparableFn::new(vec![1.0, 2.0], 5.0, CardinalityCurve::Sqrt, 1.0);
+        let f = SeparableFn::new(vec![1.0, 2.0], 5.0, 1.0);
         let (set, val) = separable_min(&f, 0.0);
         assert!(set.is_empty());
         assert_eq!(val, 0.0);
@@ -181,7 +164,7 @@ mod tests {
 
     #[test]
     fn separable_min_takes_everything_under_large_lambda() {
-        let f = SeparableFn::new(vec![1.0, 2.0, 3.0], 5.0, CardinalityCurve::Sqrt, 1.0);
+        let f = SeparableFn::new(vec![1.0, 2.0, 3.0], 5.0, 1.0);
         let (set, _) = separable_min(&f, 100.0);
         assert_eq!(set.len(), 3);
     }

@@ -17,11 +17,12 @@
 //! # Examples
 //!
 //! ```
-//! use ccs_submodular::set_fn::Modular;
+//! use ccs_submodular::set_fn::FnSetFunction;
 //! use ccs_submodular::mnp::minimize;
 //!
 //! // min over S of sum of weights: take exactly the negative elements.
-//! let f = Modular::new(vec![2.0, -3.0, 1.0, -1.0]);
+//! let weights = [2.0, -3.0, 1.0, -1.0];
+//! let f = FnSetFunction::new(4, move |s| s.iter().map(|i| weights[i]).sum());
 //! let result = minimize(&f);
 //! assert_eq!(result.minimizer.to_vec(), vec![1, 3]);
 //! assert_eq!(result.value, -4.0);
@@ -323,10 +324,9 @@ pub fn minimize_warm<F: SetFunction>(f: &F, warm: Option<&Subset>) -> SfmResult 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::check::{brute_force_min, is_submodular};
-    use crate::set_fn::{
-        CardinalityCurve, CardinalityPenalized, ConcaveCardinality, FnSetFunction, Modular, SumFn,
-    };
+    use crate::check::{brute_force_min, is_submodular, modular, modular_plus_concave, CURVES};
+    use crate::minimize::SeparableFn;
+    use crate::set_fn::{CardinalityPenalized, FnSetFunction};
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
@@ -348,7 +348,7 @@ mod tests {
 
     #[test]
     fn empty_ground_set() {
-        let f = Modular::new(vec![]);
+        let f = modular(vec![]);
         let r = minimize(&f);
         assert_eq!(r.minimizer.ground_size(), 0);
         assert_eq!(r.value, 0.0);
@@ -356,7 +356,7 @@ mod tests {
 
     #[test]
     fn modular_minimization_selects_negatives() {
-        let f = Modular::new(vec![2.0, -3.0, 1.0, -1.0, 0.5]);
+        let f = modular(vec![2.0, -3.0, 1.0, -1.0, 0.5]);
         let r = minimize(&f);
         assert_eq!(r.minimizer.to_vec(), vec![1, 3]);
         assert_eq!(r.value, -4.0);
@@ -364,7 +364,7 @@ mod tests {
 
     #[test]
     fn nonnegative_function_minimized_by_empty_set() {
-        let f = ConcaveCardinality::new(6, CardinalityCurve::Sqrt, 3.0);
+        let f = modular_plus_concave(0.0, vec![0.0; 6], 3.0, f64::sqrt);
         let r = minimize(&f);
         assert!(r.minimizer.is_empty());
         assert_eq!(r.value, 0.0);
@@ -372,7 +372,7 @@ mod tests {
 
     #[test]
     fn offset_does_not_change_minimizer() {
-        let f = Modular::with_offset(vec![1.0, -2.0], 50.0);
+        let f = modular_plus_concave(50.0, vec![1.0, -2.0], 0.0, f64::sqrt);
         let r = minimize(&f);
         assert_eq!(r.minimizer.to_vec(), vec![1]);
         assert!((r.value - 48.0).abs() < 1e-9);
@@ -382,15 +382,7 @@ mod tests {
     fn penalized_bill_shape_matches_brute_force() {
         // The exact structure CCSA minimizes: fee + modular + congestion − λ|S|.
         for lambda in [0.5, 2.0, 5.0, 10.0] {
-            let bill = SumFn::new(vec![
-                Box::new(Modular::new(vec![3.0, 1.0, 4.0, 1.5, 2.5])) as Box<dyn SetFunction>,
-                Box::new(FnSetFunction::new(
-                    5,
-                    |s| if s.is_empty() { 0.0 } else { 6.0 },
-                )),
-                Box::new(ConcaveCardinality::new(5, CardinalityCurve::Sqrt, 2.0)),
-            ])
-            .unwrap();
+            let bill = SeparableFn::new(vec![3.0, 1.0, 4.0, 1.5, 2.5], 6.0, 2.0);
             let f = CardinalityPenalized::new(bill, lambda);
             assert!(is_submodular(&f, 1e-9));
             assert_matches_brute_force(&f);
@@ -404,16 +396,7 @@ mod tests {
             let n = rng.gen_range(1..=8);
             let weights: Vec<f64> = (0..n).map(|_| rng.gen_range(-5.0..5.0)).collect();
             let scale = rng.gen_range(0.0..3.0);
-            let curve = match trial % 3 {
-                0 => CardinalityCurve::Sqrt,
-                1 => CardinalityCurve::Log1p,
-                _ => CardinalityCurve::Saturating(2),
-            };
-            let f = SumFn::new(vec![
-                Box::new(Modular::new(weights)) as Box<dyn SetFunction>,
-                Box::new(ConcaveCardinality::new(n, curve, scale)),
-            ])
-            .unwrap();
+            let f = modular_plus_concave(0.0, weights, scale, CURVES[trial % 3]);
             assert!(is_submodular(&f, 1e-9), "trial {trial} not submodular");
             assert_matches_brute_force(&f);
         }
@@ -458,18 +441,14 @@ mod tests {
         for _ in 0..20 {
             let n = rng.gen_range(1..=8);
             let weights: Vec<f64> = (0..n).map(|_| rng.gen_range(-5.0..5.0)).collect();
-            let f = SumFn::new(vec![
-                Box::new(Modular::new(weights)) as Box<dyn SetFunction>,
-                Box::new(ConcaveCardinality::new(n, CardinalityCurve::Sqrt, 1.5)),
-            ])
-            .unwrap();
+            let f = modular_plus_concave(0.0, weights, 1.5, f64::sqrt);
             let cold = minimize(&f);
             // Warm-start from the answer itself, from the empty set, and
             // from the full set: all must land on the same minimum.
             for warm in [
                 cold.minimizer.clone(),
                 Subset::empty(n),
-                Subset::universe(n),
+                Subset::from_indices(n, 0..n),
             ] {
                 let warmed = minimize_warm(&f, Some(&warm));
                 assert!(
@@ -486,11 +465,7 @@ mod tests {
     fn larger_instance_runs_within_iteration_budget() {
         let n = 60;
         let weights: Vec<f64> = (0..n).map(|i| ((i * 37) % 11) as f64 - 5.0).collect();
-        let f = SumFn::new(vec![
-            Box::new(Modular::new(weights)) as Box<dyn SetFunction>,
-            Box::new(ConcaveCardinality::new(n, CardinalityCurve::Sqrt, 4.0)),
-        ])
-        .unwrap();
+        let f = modular_plus_concave(0.0, weights, 4.0, f64::sqrt);
         let r = minimize(&f);
         assert!(r.major_iterations <= 10 * n + 100);
         // Verify against the fast exact answer for this separable form:

@@ -1,30 +1,32 @@
-//! Set functions and the combinators used to assemble submodular objectives.
+//! Set functions: the [`SetFunction`] trait and the wrappers the
+//! minimizers run on.
 //!
-//! Everything is built from two provably submodular ingredients:
+//! * [`FnSetFunction`] — any closure, for tests and ad-hoc objectives;
+//! * [`CardinalityPenalized`] — `f(S) − λ·|S|`, the inner objective of
+//!   Dinkelbach density search;
+//! * [`CountingFn`] and [`MemoFn`] — count (and memoize) oracle probes on
+//!   `sfm.oracle_evals`.
 //!
-//! * [`Modular`] — `f(S) = offset + Σ_{i∈S} w_i` (modular, hence submodular);
-//! * [`ConcaveCardinality`] — `f(S) = scale · g(|S|)` for concave
-//!   nondecreasing `g` with `g(0) = 0` (classically submodular).
-//!
-//! Nonnegative-weighted sums of submodular functions are submodular, so
-//! [`SumFn`] closes the family. The CCS group-bill objective is exactly
-//! `Modular + ConcaveCardinality` (see `ccs-core`).
+//! The CCS group bill itself is a
+//! [`SeparableFn`](crate::minimize::SeparableFn).
 //!
 //! # Examples
 //!
 //! ```
-//! use ccs_submodular::set_fn::{Modular, ConcaveCardinality, CardinalityCurve, SetFunction, SumFn};
+//! use ccs_submodular::set_fn::{CardinalityPenalized, FnSetFunction, SetFunction};
 //! use ccs_submodular::subset::Subset;
 //!
-//! let energy = Modular::new(vec![3.0, 1.0, 2.0]);
-//! let congestion = ConcaveCardinality::new(3, CardinalityCurve::Sqrt, 2.0);
-//! let bill = SumFn::new(vec![
-//!     Box::new(energy) as Box<dyn SetFunction>,
-//!     Box::new(congestion),
-//! ]).unwrap();
+//! // Modular energy plus a concave congestion term 2·√|S|.
+//! let weights = [3.0, 1.0, 2.0];
+//! let bill = FnSetFunction::new(3, move |s| {
+//!     s.iter().map(|i| weights[i]).sum::<f64>() + 2.0 * (s.len() as f64).sqrt()
+//! });
 //! let s = Subset::from_indices(3, [0, 2]);
 //! let expected = (3.0 + 2.0) + 2.0 * 2.0f64.sqrt();
 //! assert!((bill.eval(&s) - expected).abs() < 1e-12);
+//! // A penalty of 1 per member lowers a two-member set by 2.
+//! let penalized = CardinalityPenalized::new(bill, 1.0);
+//! assert!((penalized.eval(&s) - (expected - 2.0)).abs() < 1e-12);
 //! ```
 
 use crate::subset::Subset;
@@ -81,255 +83,6 @@ impl<F: SetFunction + ?Sized> SetFunction for &F {
     }
 }
 
-impl<F: SetFunction + ?Sized> SetFunction for Box<F> {
-    fn ground_size(&self) -> usize {
-        (**self).ground_size()
-    }
-    fn eval(&self, s: &Subset) -> f64 {
-        (**self).eval(s)
-    }
-    fn marginal(&self, s: &Subset, i: usize) -> f64 {
-        (**self).marginal(s, i)
-    }
-}
-
-/// A modular function `f(S) = offset + Σ_{i∈S} w_i`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Modular {
-    weights: Vec<f64>,
-    offset: f64,
-}
-
-impl Modular {
-    /// A modular function with zero offset.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any weight is non-finite.
-    pub fn new(weights: Vec<f64>) -> Self {
-        Modular::with_offset(weights, 0.0)
-    }
-
-    /// A modular function with an additive constant (`f(∅) = offset`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any weight or the offset is non-finite.
-    pub fn with_offset(weights: Vec<f64>, offset: f64) -> Self {
-        assert!(
-            weights.iter().all(|w| w.is_finite()) && offset.is_finite(),
-            "modular weights and offset must be finite"
-        );
-        Modular { weights, offset }
-    }
-
-    /// The element weights.
-    pub fn weights(&self) -> &[f64] {
-        &self.weights
-    }
-}
-
-impl SetFunction for Modular {
-    fn ground_size(&self) -> usize {
-        self.weights.len()
-    }
-
-    fn eval(&self, s: &Subset) -> f64 {
-        assert_eq!(s.ground_size(), self.weights.len(), "ground size mismatch");
-        self.offset + s.iter().map(|i| self.weights[i]).sum::<f64>()
-    }
-
-    fn marginal(&self, s: &Subset, i: usize) -> f64 {
-        if s.contains(i) {
-            0.0
-        } else {
-            self.weights[i]
-        }
-    }
-}
-
-/// Concave, nondecreasing curves `g: {0, 1, ..} -> R` with `g(0) = 0`.
-///
-/// Used for the service-time congestion term of the group bill and for the
-/// cardinality penalty `−λ|S|` inside density search (via `Linear` with a
-/// negative scale on [`ConcaveCardinality`] — note a *linear* curve is both
-/// concave and convex, so any scale sign preserves submodularity there).
-#[derive(Debug, Clone, PartialEq)]
-pub enum CardinalityCurve {
-    /// `g(k) = sqrt(k)`.
-    Sqrt,
-    /// `g(k) = ln(1 + k)`.
-    Log1p,
-    /// `g(k) = k` (modular; safe with negative scales).
-    Linear,
-    /// `g(k) = k^p` for `p` in `(0, 1]`.
-    Power(f64),
-    /// `g(k) = min(k, cap)` — saturating service capacity.
-    Saturating(usize),
-    /// Explicit table `g(1), g(2), ..` (`g(0) = 0` implicit). Evaluation
-    /// beyond the table extends linearly with the last increment.
-    Table(Vec<f64>),
-}
-
-impl CardinalityCurve {
-    /// Evaluates the curve at integer `k`.
-    pub fn eval(&self, k: usize) -> f64 {
-        match self {
-            CardinalityCurve::Sqrt => (k as f64).sqrt(),
-            CardinalityCurve::Log1p => (1.0 + k as f64).ln(),
-            CardinalityCurve::Linear => k as f64,
-            CardinalityCurve::Power(p) => (k as f64).powf(*p),
-            CardinalityCurve::Saturating(cap) => k.min(*cap) as f64,
-            CardinalityCurve::Table(t) => {
-                if k == 0 {
-                    0.0
-                } else if k <= t.len() {
-                    t[k - 1]
-                } else {
-                    // Extend linearly with the final increment.
-                    let last = t[t.len() - 1];
-                    let inc = if t.len() >= 2 {
-                        last - t[t.len() - 2]
-                    } else {
-                        last
-                    };
-                    last + inc * (k - t.len()) as f64
-                }
-            }
-        }
-    }
-
-    /// Checks concavity and monotonicity up to `max_k` (used in debug
-    /// assertions and tests).
-    pub fn is_concave_nondecreasing(&self, max_k: usize) -> bool {
-        let mut prev_inc = f64::INFINITY;
-        for k in 0..max_k {
-            let inc = self.eval(k + 1) - self.eval(k);
-            if inc < -1e-12 || inc > prev_inc + 1e-12 {
-                return false;
-            }
-            prev_inc = inc;
-        }
-        true
-    }
-}
-
-/// `f(S) = scale · g(|S|)` for a [`CardinalityCurve`] `g`.
-///
-/// Submodular whenever `scale >= 0` (or the curve is `Linear`, in which
-/// case any sign is modular).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ConcaveCardinality {
-    ground_size: usize,
-    curve: CardinalityCurve,
-    scale: f64,
-}
-
-impl ConcaveCardinality {
-    /// Creates the function.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scale` is non-finite, or if `scale < 0` with a non-linear
-    /// curve (that would be supermodular and silently break minimizers).
-    pub fn new(ground_size: usize, curve: CardinalityCurve, scale: f64) -> Self {
-        assert!(scale.is_finite(), "scale must be finite");
-        assert!(
-            scale >= 0.0 || matches!(curve, CardinalityCurve::Linear),
-            "negative scale on a non-linear curve is supermodular"
-        );
-        debug_assert!(
-            curve.is_concave_nondecreasing(ground_size.max(2)),
-            "curve must be concave nondecreasing"
-        );
-        ConcaveCardinality {
-            ground_size,
-            curve,
-            scale,
-        }
-    }
-}
-
-impl SetFunction for ConcaveCardinality {
-    fn ground_size(&self) -> usize {
-        self.ground_size
-    }
-
-    fn eval(&self, s: &Subset) -> f64 {
-        assert_eq!(s.ground_size(), self.ground_size, "ground size mismatch");
-        self.scale * self.curve.eval(s.len())
-    }
-
-    fn marginal(&self, s: &Subset, i: usize) -> f64 {
-        if s.contains(i) {
-            0.0
-        } else {
-            let k = s.len();
-            self.scale * (self.curve.eval(k + 1) - self.curve.eval(k))
-        }
-    }
-}
-
-/// Sum of set functions over a common ground set.
-#[derive(Debug)]
-pub struct SumFn<F> {
-    terms: Vec<F>,
-    ground_size: usize,
-}
-
-/// Error from [`SumFn::new`]: terms were empty or ground sets disagreed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SumFnError {
-    /// What went wrong, in words.
-    pub reason: String,
-}
-
-impl fmt::Display for SumFnError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid sum of set functions: {}", self.reason)
-    }
-}
-
-impl std::error::Error for SumFnError {}
-
-impl<F: SetFunction> SumFn<F> {
-    /// Sums the terms.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SumFnError`] if `terms` is empty or ground sizes differ.
-    pub fn new(terms: Vec<F>) -> Result<Self, SumFnError> {
-        let first = terms.first().ok_or_else(|| SumFnError {
-            reason: "no terms".into(),
-        })?;
-        let ground_size = first.ground_size();
-        if let Some(bad) = terms.iter().find(|t| t.ground_size() != ground_size) {
-            return Err(SumFnError {
-                reason: format!(
-                    "ground size mismatch: {} vs {}",
-                    bad.ground_size(),
-                    ground_size
-                ),
-            });
-        }
-        Ok(SumFn { terms, ground_size })
-    }
-}
-
-impl<F: SetFunction> SetFunction for SumFn<F> {
-    fn ground_size(&self) -> usize {
-        self.ground_size
-    }
-
-    fn eval(&self, s: &Subset) -> f64 {
-        self.terms.iter().map(|t| t.eval(s)).sum()
-    }
-
-    fn marginal(&self, s: &Subset, i: usize) -> f64 {
-        self.terms.iter().map(|t| t.marginal(s, i)).sum()
-    }
-}
-
 /// `f(S) − λ·|S|` — the penalized objective of Dinkelbach density search.
 ///
 /// Submodular whenever `f` is (the subtracted term is modular).
@@ -348,16 +101,6 @@ impl<F: SetFunction> CardinalityPenalized<F> {
     pub fn new(inner: F, lambda: f64) -> Self {
         assert!(lambda.is_finite(), "lambda must be finite");
         CardinalityPenalized { inner, lambda }
-    }
-
-    /// The wrapped function.
-    pub fn inner(&self) -> &F {
-        &self.inner
-    }
-
-    /// The penalty coefficient.
-    pub fn lambda(&self) -> f64 {
-        self.lambda
     }
 }
 
@@ -399,11 +142,6 @@ impl<F: SetFunction> CountingFn<F> {
     /// `sfm.oracle_evals` by one.
     pub fn new(inner: F) -> Self {
         CountingFn { inner }
-    }
-
-    /// The wrapped function.
-    pub fn inner(&self) -> &F {
-        &self.inner
     }
 }
 
@@ -531,88 +269,18 @@ mod tests {
     use super::*;
     use crate::subset::all_subsets;
 
-    #[test]
-    fn modular_eval_and_marginal() {
-        let f = Modular::with_offset(vec![1.0, -2.0, 3.0], 10.0);
-        assert_eq!(f.at_empty(), 10.0);
-        let s = Subset::from_indices(3, [0, 2]);
-        assert_eq!(f.eval(&s), 14.0);
-        assert_eq!(f.marginal(&s, 1), -2.0);
-        assert_eq!(f.marginal(&s, 0), 0.0, "already-present element");
-    }
-
-    #[test]
-    fn concave_cardinality_matches_curve() {
-        let f = ConcaveCardinality::new(5, CardinalityCurve::Sqrt, 3.0);
-        let s = Subset::from_indices(5, [1, 2, 3, 4]);
-        assert!((f.eval(&s) - 3.0 * 2.0).abs() < 1e-12);
-        let empty = Subset::empty(5);
-        assert_eq!(f.eval(&empty), 0.0);
-        assert!((f.marginal(&empty, 0) - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn curves_are_concave_nondecreasing() {
-        for curve in [
-            CardinalityCurve::Sqrt,
-            CardinalityCurve::Log1p,
-            CardinalityCurve::Linear,
-            CardinalityCurve::Power(0.7),
-            CardinalityCurve::Saturating(3),
-            CardinalityCurve::Table(vec![2.0, 3.0, 3.5]),
-        ] {
-            assert!(
-                curve.is_concave_nondecreasing(20),
-                "curve {curve:?} should be concave nondecreasing"
-            );
-        }
-        assert!(!CardinalityCurve::Power(2.0).is_concave_nondecreasing(5));
-        assert!(!CardinalityCurve::Table(vec![1.0, 3.0]).is_concave_nondecreasing(5));
-        assert!(!CardinalityCurve::Table(vec![2.0, 1.0]).is_concave_nondecreasing(5));
-    }
-
-    #[test]
-    fn table_curve_extends_linearly() {
-        let t = CardinalityCurve::Table(vec![2.0, 3.0]);
-        assert_eq!(t.eval(0), 0.0);
-        assert_eq!(t.eval(1), 2.0);
-        assert_eq!(t.eval(2), 3.0);
-        assert_eq!(t.eval(4), 5.0, "extends with last increment 1.0");
-        let single = CardinalityCurve::Table(vec![2.0]);
-        assert_eq!(single.eval(3), 6.0);
-    }
-
-    #[test]
-    fn sum_fn_adds_terms() {
-        let m = Modular::new(vec![1.0, 2.0]);
-        let c = ConcaveCardinality::new(2, CardinalityCurve::Linear, 0.5);
-        let f = SumFn::new(vec![
-            Box::new(m) as Box<dyn SetFunction>,
-            Box::new(c) as Box<dyn SetFunction>,
-        ])
-        .unwrap();
-        let s = Subset::universe(2);
-        assert!((f.eval(&s) - (3.0 + 1.0)).abs() < 1e-12);
-        assert_eq!(f.ground_size(), 2);
-    }
-
-    #[test]
-    fn sum_fn_rejects_mismatch_and_empty() {
-        let err = SumFn::<Modular>::new(vec![]).unwrap_err();
-        assert!(err.to_string().contains("no terms"));
-        let err =
-            SumFn::new(vec![Modular::new(vec![1.0]), Modular::new(vec![1.0, 2.0])]).unwrap_err();
-        assert!(err.to_string().contains("mismatch"));
+    /// `f(S) = Σ_{i∈S} w_i`.
+    fn modular(weights: Vec<f64>) -> FnSetFunction {
+        FnSetFunction::new(weights.len(), move |s| s.iter().map(|i| weights[i]).sum())
     }
 
     #[test]
     fn penalized_subtracts_lambda_per_element() {
-        let f = Modular::new(vec![5.0, 5.0, 5.0]);
-        let p = CardinalityPenalized::new(f, 2.0);
+        let p = CardinalityPenalized::new(modular(vec![5.0, 5.0, 5.0]), 2.0);
         let s = Subset::from_indices(3, [0, 1]);
         assert_eq!(p.eval(&s), 10.0 - 4.0);
         assert_eq!(p.marginal(&s, 2), 3.0);
-        assert_eq!(p.lambda(), 2.0);
+        assert_eq!(p.marginal(&s, 0), 0.0, "already-present element");
     }
 
     #[test]
@@ -626,16 +294,14 @@ mod tests {
 
     #[test]
     fn counting_fn_is_transparent() {
-        let f = Modular::new(vec![1.0, -2.0, 3.0]);
+        let f = modular(vec![1.0, -2.0, 3.0]);
         let counted = CountingFn::new(f.clone());
         for s in all_subsets(3) {
             assert_eq!(counted.eval(&s), f.eval(&s));
             assert_eq!(counted.marginal(&s, 0), f.marginal(&s, 0));
         }
         assert_eq!(counted.ground_size(), 3);
-        assert_eq!(counted.inner().weights(), f.weights());
     }
-
     #[test]
     fn memo_fn_evaluates_each_distinct_subset_once() {
         use std::sync::atomic::{AtomicUsize, Ordering};

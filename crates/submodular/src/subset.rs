@@ -14,8 +14,8 @@
 //! assert_eq!(s.len(), 2);
 //! assert!(s.contains(3));
 //! assert_eq!(s.iter().collect::<Vec<_>>(), vec![3, 7]);
-//! let c = s.complement();
-//! assert_eq!(c.len(), 8);
+//! let t = s.with(5);
+//! assert_eq!((s.len(), t.len()), (2, 3));
 //! ```
 
 use std::fmt;
@@ -36,15 +36,6 @@ impl Subset {
             blocks: vec![0; n.div_ceil(BITS)],
             ground_size: n,
         }
-    }
-
-    /// The full ground set of size `n`.
-    pub fn universe(n: usize) -> Self {
-        let mut s = Subset::empty(n);
-        for i in 0..n {
-            s.insert(i);
-        }
-        s
     }
 
     /// A subset from an iterator of element indices.
@@ -140,77 +131,6 @@ impl Subset {
         s
     }
 
-    /// A copy with element `i` removed.
-    pub fn without(&self, i: usize) -> Self {
-        let mut s = self.clone();
-        s.remove(i);
-        s
-    }
-
-    /// The complement within the ground set.
-    pub fn complement(&self) -> Self {
-        let mut s = Subset::empty(self.ground_size);
-        for i in 0..self.ground_size {
-            if !self.contains(i) {
-                s.insert(i);
-            }
-        }
-        s
-    }
-
-    /// Set union.
-    ///
-    /// # Panics
-    ///
-    /// Panics if ground sizes differ.
-    pub fn union(&self, other: &Subset) -> Self {
-        self.zip_blocks(other, |a, b| a | b)
-    }
-
-    /// Set intersection.
-    ///
-    /// # Panics
-    ///
-    /// Panics if ground sizes differ.
-    pub fn intersection(&self, other: &Subset) -> Self {
-        self.zip_blocks(other, |a, b| a & b)
-    }
-
-    /// Set difference `self \ other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if ground sizes differ.
-    pub fn difference(&self, other: &Subset) -> Self {
-        self.zip_blocks(other, |a, b| a & !b)
-    }
-
-    /// Whether `self` is a subset of `other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if ground sizes differ.
-    pub fn is_subset_of(&self, other: &Subset) -> bool {
-        assert_eq!(self.ground_size, other.ground_size, "ground size mismatch");
-        self.blocks
-            .iter()
-            .zip(&other.blocks)
-            .all(|(a, b)| a & !b == 0)
-    }
-
-    fn zip_blocks(&self, other: &Subset, op: impl Fn(u64, u64) -> u64) -> Self {
-        assert_eq!(self.ground_size, other.ground_size, "ground size mismatch");
-        Subset {
-            blocks: self
-                .blocks
-                .iter()
-                .zip(&other.blocks)
-                .map(|(&a, &b)| op(a, b))
-                .collect(),
-            ground_size: self.ground_size,
-        }
-    }
-
     /// Iterator over the elements in ascending order.
     pub fn iter(&self) -> Iter<'_> {
         Iter {
@@ -296,11 +216,13 @@ mod tests {
         assert!(e.is_empty());
         assert_eq!(e.len(), 0);
         assert_eq!(e.ground_size(), 70);
-        let u = Subset::universe(70);
+        let mut u = Subset::from_indices(70, 0..70);
         assert_eq!(u.len(), 70);
         assert!(u.contains(0) && u.contains(69));
-        assert_eq!(u.complement(), e);
-        assert_eq!(e.complement(), u);
+        for i in 0..70 {
+            u.remove(i);
+        }
+        assert_eq!(u, e);
     }
 
     #[test]
@@ -327,26 +249,7 @@ mod tests {
         let s = Subset::from_indices(10, [1, 2]);
         let t = s.with(5);
         assert!(!s.contains(5) && t.contains(5));
-        let r = t.without(1);
-        assert!(t.contains(1) && !r.contains(1));
-    }
-
-    #[test]
-    fn set_algebra() {
-        let a = Subset::from_indices(10, [0, 1, 2]);
-        let b = Subset::from_indices(10, [2, 3]);
-        assert_eq!(a.union(&b).to_vec(), vec![0, 1, 2, 3]);
-        assert_eq!(a.intersection(&b).to_vec(), vec![2]);
-        assert_eq!(a.difference(&b).to_vec(), vec![0, 1]);
-        assert!(Subset::from_indices(10, [1]).is_subset_of(&a));
-        assert!(!a.is_subset_of(&b));
-        assert!(a.is_subset_of(&a));
-    }
-
-    #[test]
-    #[should_panic(expected = "ground size mismatch")]
-    fn algebra_rejects_mismatched_ground() {
-        let _ = Subset::empty(5).union(&Subset::empty(6));
+        assert_eq!(t.with(5), t, "inserting a member changes nothing");
     }
 
     #[test]

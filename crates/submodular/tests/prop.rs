@@ -6,21 +6,52 @@ use ccs_submodular::density::min_density_separable;
 use ccs_submodular::lovasz::greedy_vertex;
 use ccs_submodular::minimize::{separable_min, SeparableFn};
 use ccs_submodular::mnp::minimize;
-use ccs_submodular::set_fn::{
-    CardinalityCurve, CardinalityPenalized, ConcaveCardinality, FnSetFunction, Modular,
-    SetFunction, SumFn,
-};
+use ccs_submodular::set_fn::{CardinalityPenalized, FnSetFunction, SetFunction};
 use ccs_submodular::subset::{all_subsets, Subset};
 use proptest::prelude::*;
 
-fn arb_curve() -> impl Strategy<Value = CardinalityCurve> {
+/// A concave nondecreasing cardinality curve `g` with `g(0) = 0`.
+#[derive(Debug, Clone, Copy)]
+enum Curve {
+    /// `√k`.
+    Sqrt,
+    /// `ln(1 + k)`.
+    Log1p,
+    /// `k`.
+    Linear,
+    /// `k^p` for `p` in `(0, 1)`.
+    Power(f64),
+    /// `min(k, c)`.
+    Saturating(f64),
+}
+
+impl Curve {
+    fn eval(self, k: f64) -> f64 {
+        match self {
+            Curve::Sqrt => k.sqrt(),
+            Curve::Log1p => (1.0 + k).ln(),
+            Curve::Linear => k,
+            Curve::Power(p) => k.powf(p),
+            Curve::Saturating(c) => k.min(c),
+        }
+    }
+}
+
+fn arb_curve() -> impl Strategy<Value = Curve> {
     prop_oneof![
-        Just(CardinalityCurve::Sqrt),
-        Just(CardinalityCurve::Log1p),
-        Just(CardinalityCurve::Linear),
-        (0.1f64..1.0).prop_map(CardinalityCurve::Power),
-        (1usize..5).prop_map(CardinalityCurve::Saturating),
+        Just(Curve::Sqrt),
+        Just(Curve::Log1p),
+        Just(Curve::Linear),
+        (0.1f64..1.0).prop_map(Curve::Power),
+        (1usize..5).prop_map(|c| Curve::Saturating(c as f64)),
     ]
+}
+
+/// `f(S) = Σ_{i∈S} wᵢ + scale·g(|S|)`: modular plus concave of cardinality.
+fn modular_plus_concave(weights: Vec<f64>, scale: f64, curve: Curve) -> FnSetFunction {
+    FnSetFunction::new(weights.len(), move |s| {
+        s.iter().map(|i| weights[i]).sum::<f64>() + scale * curve.eval(s.len() as f64)
+    })
 }
 
 proptest! {
@@ -32,11 +63,7 @@ proptest! {
         scale in 0.0f64..4.0,
         curve in arb_curve(),
     ) {
-        let n = weights.len();
-        let f = SumFn::new(vec![
-            Box::new(Modular::new(weights)) as Box<dyn SetFunction>,
-            Box::new(ConcaveCardinality::new(n, curve, scale)),
-        ]).unwrap();
+        let f = modular_plus_concave(weights, scale, curve);
         prop_assert!(is_submodular(&f, 1e-9));
     }
 
@@ -46,11 +73,7 @@ proptest! {
         scale in 0.0f64..3.0,
         curve in arb_curve(),
     ) {
-        let n = weights.len();
-        let f = SumFn::new(vec![
-            Box::new(Modular::new(weights)) as Box<dyn SetFunction>,
-            Box::new(ConcaveCardinality::new(n, curve, scale)),
-        ]).unwrap();
+        let f = modular_plus_concave(weights, scale, curve);
         let got = minimize(&f);
         let (_, expected) = brute_force_min(&f);
         prop_assert!((got.value - expected).abs() < 1e-7,
@@ -65,9 +88,8 @@ proptest! {
         fee in 0.0f64..8.0,
         scale in 0.0f64..3.0,
         lambda in 0.0f64..6.0,
-        curve in arb_curve(),
     ) {
-        let f = SeparableFn::new(weights, fee, curve, scale);
+        let f = SeparableFn::new(weights, fee, scale);
         let (set, val) = separable_min(&f, lambda);
         let penalized = CardinalityPenalized::new(f.clone(), lambda);
         let (_, expected) = brute_force_min(&penalized);
@@ -80,9 +102,8 @@ proptest! {
         weights in proptest::collection::vec(0.0f64..5.0, 1..8),
         fee in 0.0f64..8.0,
         scale in 0.0f64..2.0,
-        curve in arb_curve(),
     ) {
-        let f = SeparableFn::new(weights, fee, curve, scale);
+        let f = SeparableFn::new(weights, fee, scale);
         let got = min_density_separable(&f).unwrap();
         let (_, expected) = brute_force_min_density(&f);
         prop_assert!((got.density - expected).abs() < 1e-7);
@@ -93,13 +114,11 @@ proptest! {
     fn greedy_vertex_lies_in_the_base_polytope(
         weights in proptest::collection::vec(-3.0f64..3.0, 1..6),
         scale in 0.0f64..2.0,
+        curve in arb_curve(),
         direction in proptest::collection::vec(-1.0f64..1.0, 6),
     ) {
         let n = weights.len();
-        let f = SumFn::new(vec![
-            Box::new(Modular::new(weights)) as Box<dyn SetFunction>,
-            Box::new(ConcaveCardinality::new(n, CardinalityCurve::Sqrt, scale)),
-        ]).unwrap();
+        let f = modular_plus_concave(weights, scale, curve);
         let v = greedy_vertex(&f, &direction[..n]);
         // x(S) <= f(S) for all S, with equality at the ground set.
         for s in all_subsets(n) {
@@ -107,28 +126,7 @@ proptest! {
             prop_assert!(xs <= f.eval(&s) + 1e-9);
         }
         let total: f64 = v.iter().sum();
-        prop_assert!((total - f.eval(&Subset::universe(n))).abs() < 1e-9);
-    }
-
-    #[test]
-    fn subset_algebra_laws(a_mask in 0u64..1024, b_mask in 0u64..1024) {
-        let n = 10;
-        let a = Subset::from_mask(n, a_mask);
-        let b = Subset::from_mask(n, b_mask);
-        // |A| + |B| = |A ∪ B| + |A ∩ B|.
-        prop_assert_eq!(
-            a.len() + b.len(),
-            a.union(&b).len() + a.intersection(&b).len()
-        );
-        // De Morgan.
-        prop_assert_eq!(
-            a.union(&b).complement(),
-            a.complement().intersection(&b.complement())
-        );
-        // Difference decomposition.
-        prop_assert_eq!(a.difference(&b).union(&a.intersection(&b)), a.clone());
-        prop_assert!(a.intersection(&b).is_subset_of(&a));
-        prop_assert!(a.is_subset_of(&a.union(&b)));
+        prop_assert!((total - f.eval(&Subset::from_indices(n, 0..n))).abs() < 1e-9);
     }
 
     #[test]

@@ -168,12 +168,6 @@ impl Battery {
     pub fn is_empty(&self) -> bool {
         self.level == Joules::ZERO
     }
-
-    /// Returns `true` if the battery is full.
-    #[inline]
-    pub fn is_full(&self) -> bool {
-        self.level == self.capacity
-    }
 }
 
 /// A device's energy purchase request for one scheduling round.
@@ -261,7 +255,6 @@ mod tests {
             Err(BatteryError::InvalidCapacity(_))
         ));
         let b = Battery::full(Joules::new(10.0)).unwrap();
-        assert!(b.is_full());
         assert_eq!(b.state_of_charge(), 1.0);
     }
 
@@ -271,7 +264,6 @@ mod tests {
         assert_eq!(b.charge(Joules::new(1.0)), Joules::ZERO);
         assert_eq!(b.level(), Joules::new(9.0));
         assert_eq!(b.charge(Joules::new(5.0)), Joules::new(4.0));
-        assert!(b.is_full());
         assert_eq!(b.headroom(), Joules::ZERO);
     }
 

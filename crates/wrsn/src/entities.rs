@@ -140,12 +140,6 @@ impl Device {
         &self.battery
     }
 
-    /// Mutable battery state (used by the testbed executor).
-    #[inline]
-    pub fn battery_mut(&mut self) -> &mut Battery {
-        &mut self.battery
-    }
-
     /// Energy the device wants to purchase this round.
     #[inline]
     pub fn demand(&self) -> Joules {
@@ -162,12 +156,6 @@ impl Device {
     #[inline]
     pub fn speed(&self) -> MetersPerSecond {
         self.speed
-    }
-
-    /// Moves the device to a new position (testbed executor).
-    #[inline]
-    pub fn set_position(&mut self, p: Point) {
-        self.position = p;
     }
 
     /// Checks the invariants [`DeviceBuilder`] and [`Battery::new`] enforce:
@@ -562,15 +550,5 @@ mod tests {
         assert_ne!(dead_coil, json);
         let back: Charger = serde_json::from_str(&dead_coil).unwrap();
         assert_eq!(back.validate(), Err("wpt alpha must be > 0".to_string()));
-    }
-
-    #[test]
-    fn battery_mut_allows_testbed_updates() {
-        let mut d = Device::builder(DeviceId::new(0), Point::ORIGIN).build();
-        let before = d.battery().level();
-        let _ = d.battery_mut().charge(Joules::new(100.0));
-        assert_eq!(d.battery().level(), before + Joules::new(100.0));
-        d.set_position(Point::new(1.0, 2.0));
-        assert_eq!(d.position(), Point::new(1.0, 2.0));
     }
 }

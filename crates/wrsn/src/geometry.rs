@@ -186,12 +186,6 @@ impl Rect {
         )
     }
 
-    /// The diagonal length — an upper bound on any in-field distance.
-    #[inline]
-    pub fn diameter(&self) -> Meters {
-        self.min.distance(&self.max)
-    }
-
     /// Uniform grid of `k x k` candidate points covering the rectangle
     /// (including the boundary), row-major.
     ///
@@ -571,7 +565,6 @@ mod tests {
         assert_eq!(r.clamp(Point::new(-3.0, 12.0)), Point::new(0.0, 10.0));
         assert_eq!(r.center(), Point::new(5.0, 5.0));
         assert_close(r.area(), 100.0, 1e-12);
-        assert_close(r.diameter().value(), (200.0f64).sqrt(), 1e-12);
     }
 
     #[test]

@@ -86,7 +86,7 @@ fn different_seeds_change_the_world_not_the_invariants() {
 #[test]
 fn submodular_minimizer_is_deterministic() {
     let weights: Vec<f64> = (0..30).map(|i| ((i * 13) % 7) as f64 - 3.0).collect();
-    let f = SeparableFn::new(weights, 8.0, CardinalityCurve::Sqrt, 2.0);
+    let f = SeparableFn::new(weights, 8.0, 2.0);
     let pen = CardinalityPenalized::new(f.clone(), 1.5);
     let a = minimize(&pen);
     let b = minimize(&pen);

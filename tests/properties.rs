@@ -48,7 +48,7 @@ proptest! {
         lambda in 0.0f64..6.0,
     ) {
         let n = weights.len();
-        let bill = SeparableFn::new(weights, fee, CardinalityCurve::Sqrt, scale);
+        let bill = SeparableFn::new(weights, fee, scale);
         let f = CardinalityPenalized::new(bill, lambda);
         let got = minimize(&f);
         let (_, expected) = brute_force_min(&f);
@@ -62,7 +62,7 @@ proptest! {
         fee in 0.0f64..10.0,
         scale in 0.0f64..3.0,
     ) {
-        let bill = SeparableFn::new(weights, fee, CardinalityCurve::Log1p, scale);
+        let bill = SeparableFn::new(weights, fee, scale);
         let got = min_density_separable(&bill).unwrap();
         let (_, expected) = brute_force_min_density(&bill);
         prop_assert!((got.density - expected).abs() < 1e-7);
