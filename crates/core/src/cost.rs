@@ -413,7 +413,10 @@ fn consider_charger(
 /// argmin nor a tie — the result (including the id tie-break) is bitwise
 /// the exhaustive scan's. Visit order never affects the result — the
 /// `(group_cost, charger id)` comparison in [`consider_charger`] is a total
-/// order — so starting from an incumbent only tightens pruning.
+/// order — so starting from an incumbent only tightens pruning. When no
+/// charger other than `skip` can deliver the group's demand (an online
+/// residual with one idle charger, re-priced at its anchor), the incumbent
+/// comes back before the `O(k²)` pair bound is computed.
 fn facility_scan_full(
     problem: &CcsProblem,
     members: &[DeviceId],
@@ -421,9 +424,14 @@ fn facility_scan_full(
     mut best: Option<FacilityChoice>,
     mut best_cost: f64,
 ) -> Option<FacilityChoice> {
+    let demand = problem.group_demand(members);
+    let eligible = |c: ChargerId| Some(c) != skip && problem.charger(c).can_deliver(demand);
+    if !problem.scenario().charger_ids().any(eligible) {
+        // The O(k²) pair bound is only worth computing for a charger to scan.
+        return best;
+    }
     let dd_lb = pairwise_spatial_bound(problem, members);
     let k = members.len();
-    let demand = problem.group_demand(members);
     let total_demand: f64 = members
         .iter()
         .map(|&d| problem.device(d).demand().value())
@@ -434,10 +442,9 @@ fn facility_scan_full(
         .scenario()
         .charger_ids()
         .filter(|&c| {
-            Some(c) != skip
+            eligible(c)
                 && cheap_charger_bound(problem, c, k, total_demand, dd_lb, ref_pos, kappa_ref)
                     <= best_cost
-                && problem.charger(c).can_deliver(demand)
         })
         .map(|c| (facility_lower_bound(problem, c, members, dd_lb), c))
         .collect();

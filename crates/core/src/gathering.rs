@@ -14,8 +14,10 @@
 //! straight from the member and charger entities. When the optimum sits on
 //! a member or on the charger, Kuhn's test in that loop returns the
 //! anchor's exact position without iterating; that is how a singleton
-//! gathers at its device or at its charger, whichever is heavier. The
-//! cheaper strategies exist only for the `abl_gathering` ablation.
+//! gathers at its device or at its charger, whichever is heavier. A pair
+//! of devices with their charger (three weighted anchors) whose optimum is
+//! inside their triangle gets it in closed form, also without iterating.
+//! The cheaper strategies exist only for the `abl_gathering` ablation.
 
 use crate::problem::CcsProblem;
 use ccs_wrsn::entities::{ChargerId, DeviceId};
@@ -105,8 +107,10 @@ pub fn gathering_point(
 /// The [`GatheringStrategy::Weiszfeld`] point for `(charger, members)`, or
 /// `None` when `abandon` accepted a lower bound on the spatial objective's
 /// minimum (see [`weiszfeld`] for the bound and its float margin), paired
-/// with whether Kuhn's test settled the point at an anchor without
-/// iterating.
+/// with whether the solve settled without iterating: at an anchor by
+/// Kuhn's test, or at a three-anchor optimum in closed form. A settled
+/// point costs `O(k)` to find again, so the gathering memo does not keep
+/// it.
 ///
 /// The anchors are the members' positions weighted by their movement
 /// rates, then the charger's position weighted by its travel rate, read
@@ -116,7 +120,8 @@ pub fn gathering_point(
 /// is used.
 /// Each solve counts once in `gathering.solves`, its iterations in
 /// `gathering.iterations`, and an anchor optimum decided by Kuhn's test
-/// (no iterations), a cap or an abandonment in `gathering.anchor`,
+/// (no iterations), a closed-form three-anchor optimum (no iterations), a
+/// cap or an abandonment in `gathering.anchor`, `gathering.closed_form`,
 /// `gathering.capped` or `gathering.abandoned`.
 ///
 /// # Panics
@@ -161,6 +166,10 @@ pub(crate) fn weiszfeld_point(
     match run.stop {
         WeiszfeldStop::Anchor => {
             ccs_telemetry::counter!("gathering.anchor").incr();
+            (Some(field.clamp(run.point)), true)
+        }
+        WeiszfeldStop::ClosedForm => {
+            ccs_telemetry::counter!("gathering.closed_form").incr();
             (Some(field.clamp(run.point)), true)
         }
         WeiszfeldStop::Converged => (Some(field.clamp(run.point)), false),

@@ -30,8 +30,9 @@
 //!   abandons a losing solve, the memo keeps the lower bound that proved
 //!   it, so a repeated solve of the same problem re-abandons without
 //!   solving. Only solves that iterated or were abandoned are kept: an
-//!   optimum that Kuhn's test settles at an anchor is decided again, in
-//!   `O(k)` and without iterating, on a later probe;
+//!   optimum that Kuhn's test settles at an anchor, or a three-anchor
+//!   optimum found in closed form, is decided again, in `O(k)` and without
+//!   iterating, on a later probe;
 //! * a memo of CCSGA's neighbour orders, keyed by `(device, limit)`.
 //!
 //! The tables are **read-only shared state** (both memos are pure function
@@ -164,11 +165,12 @@ impl ProblemTables {
     /// iteration; `None` means `abandon` accepted one. An abandoned solve
     /// is memoized as the best bound it proved: a later probe of the key
     /// first offers `abandon` that bound, and solves again only when it
-    /// is refused. A solve that Kuhn's test settles at an anchor is not
-    /// memoized: it ran no iteration, and a later probe decides it again
-    /// in `O(k)`. A probe answered from the memo counts in
-    /// `tables.gather_hits`, one that solves in `tables.gather_misses`.
-    /// The cheaper strategies never consult `abandon`.
+    /// is refused. A solve that settles without iterating (at an anchor by
+    /// Kuhn's test, or at a three-anchor optimum in closed form) is not
+    /// memoized: a later probe decides it again in `O(k)`. A probe answered
+    /// from the memo counts in `tables.gather_hits`, one that solves in
+    /// `tables.gather_misses`. The cheaper strategies never consult
+    /// `abandon`.
     pub fn cached_gathering_point(
         &self,
         problem: &CcsProblem,
@@ -201,7 +203,7 @@ impl ProblemTables {
             None => {}
         }
         ccs_telemetry::counter!("tables.gather_misses").incr();
-        let (point, at_anchor) = match problem.params().gathering {
+        let (point, settled) = match problem.params().gathering {
             GatheringStrategy::Weiszfeld => weiszfeld_point(problem, charger, members, |bound| {
                 proven = proven.max(bound);
                 abandon(bound)
@@ -211,7 +213,7 @@ impl ProblemTables {
                 false,
             ),
         };
-        if at_anchor {
+        if settled {
             return point;
         }
         let key: Box<[u32]> = std::iter::once(charger.value())

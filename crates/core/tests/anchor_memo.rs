@@ -23,7 +23,9 @@ fn anchored_scan_prices_its_anchor_once_and_repeats_from_the_memo() {
     let first = telemetry.report().counters;
     // The same scan again: completed points and the bounds that abandoned
     // solves proved answer their probes, so nothing iterates twice. Only
-    // the solves Kuhn's test settled at an anchor run again, in O(k).
+    // the solves that settled without iterating (at an anchor by Kuhn's
+    // test, or at a three-anchor optimum in closed form) run again, in
+    // O(k).
     let again = try_best_facility_anchored(&fresh, &members, winner);
     let second = telemetry.report().counters;
     telemetry.disable();
@@ -45,13 +47,14 @@ fn anchored_scan_prices_its_anchor_once_and_repeats_from_the_memo() {
         count(&second, "gathering.abandoned"),
         count(&first, "gathering.abandoned")
     );
+    let settled = count(&first, "gathering.anchor") + count(&first, "gathering.closed_form");
     assert_eq!(
         count(&second, "gathering.solves") - count(&first, "gathering.solves"),
-        count(&first, "gathering.anchor")
+        settled
     );
     // Every key that iterated or was abandoned hits the memo.
     assert_eq!(
         count(&second, "tables.gather_hits"),
-        count(&first, "tables.gather_misses") - count(&first, "gathering.anchor")
+        count(&first, "tables.gather_misses") - settled
     );
 }

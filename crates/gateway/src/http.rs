@@ -133,7 +133,9 @@ pub fn read_request<R: BufRead>(
                 let Some((name, value)) = line.split_once(':') else {
                     return Ok(ReadOutcome::Bad(format!("malformed header: {line:?}")));
                 };
-                if name.is_empty() || name.contains(' ') {
+                // RFC 9112 §5.1: whitespace before the colon, or a line
+                // folded onto the previous one, is a 400.
+                if name.is_empty() || !name.bytes().all(is_tchar) {
                     return Ok(ReadOutcome::Bad(format!("malformed header name: {name:?}")));
                 }
                 headers.push((name.to_ascii_lowercase(), value.trim().to_string()));
@@ -186,6 +188,11 @@ pub fn read_request<R: BufRead>(
         request.body = body;
     }
     Ok(ReadOutcome::Request(request))
+}
+
+/// Whether `b` may appear in a header name, an RFC 9110 §5.6.2 `token`.
+fn is_tchar(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b"!#$%&'*+-.^_`|~".contains(&b)
 }
 
 fn reason(status: u16) -> &'static str {

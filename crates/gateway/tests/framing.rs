@@ -171,6 +171,35 @@ fn stream(pieces: &[(u8, u8, usize)]) -> Vec<u8> {
     bytes
 }
 
+/// Header names are RFC 9110 tokens: a tab before the colon would frame
+/// a bodiless request and smuggle its body bytes into the next one, and a
+/// tab-led continuation line would become a header named `\tfolded`.
+#[test]
+fn header_names_that_are_not_tokens_are_bad() {
+    for raw in [
+        "POST /v1/plan HTTP/1.1\r\nContent-Length\t: 5\r\n\r\nhelloGET /healthz HTTP/1.1\r\n\r\n",
+        "GET /healthz HTTP/1.1\r\nX-Tenant: a\r\n\tfolded: b\r\n\r\n",
+        "GET /healthz HTTP/1.1\r\nX-Ten(ant): a\r\n\r\n",
+        "GET /healthz HTTP/1.1\r\nX-Ten\u{e9}: a\r\n\r\n",
+    ] {
+        let mut reader = Chunked::new(raw.as_bytes().to_vec(), vec![7]);
+        let outcome = read_request(&mut reader, MAX_BODY).expect("in-memory reads cannot fail");
+        assert!(
+            matches!(outcome, ReadOutcome::Bad(_)),
+            "{raw:?} was accepted"
+        );
+    }
+    // Every tchar is accepted in a name.
+    let raw = "GET /healthz HTTP/1.1\r\n!#$%&'*+-.^_`|~09azAZ: a\r\n\r\n";
+    let mut reader = Chunked::new(raw.as_bytes().to_vec(), vec![7]);
+    match read_request(&mut reader, MAX_BODY).expect("in-memory reads cannot fail") {
+        ReadOutcome::Request(req) => {
+            assert_eq!(req.header("!#$%&'*+-.^_`|~09azaz"), Some("a"));
+        }
+        _ => panic!("a token name was refused"),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 

@@ -314,6 +314,10 @@ fn malformed_requests_get_400_and_the_gateway_survives() {
         "POST /v1/plan HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 40\r\n\r\n\
          {}GET /healthz HTTP/1.1\r\n\r\n",
         "POST /v1/plan HTTP/1.1\r\nContent-Length: +2\r\n\r\n{}",
+        // Header names that are not tokens: a tab before the colon must
+        // not frame a bodiless request, a tab-led line is no header.
+        "POST /v1/plan HTTP/1.1\r\nContent-Length\t: 5\r\n\r\nhelloGET /healthz HTTP/1.1\r\n\r\n",
+        "GET /healthz HTTP/1.1\r\nX-Tenant: a\r\n\tfolded: b\r\n\r\n",
     ] {
         let mut stream = gateway.connect();
         stream.write_all(raw.as_bytes()).expect("write");
@@ -362,14 +366,14 @@ fn malformed_requests_get_400_and_the_gateway_survives() {
         Value::Number(n) => n.as_f64() as u64,
         other => panic!("requests.{key} missing: {other:?}"),
     };
-    assert_eq!(count("bad_request"), 10, "{requests:?}");
+    assert_eq!(count("bad_request"), 12, "{requests:?}");
     assert_eq!(
         count("errors"),
         count("bad_request") + count("expired") + count("failed") + count("panics")
     );
     drop(stream);
     let summary = gateway.stop();
-    assert_eq!(summary.errors, 10);
+    assert_eq!(summary.errors, 12);
 }
 
 /// Tenant isolation: tenant A's eviction pressure (many distinct

@@ -5,9 +5,12 @@
 //! distances from a set of anchors. [`weighted_geometric_median`] solves it
 //! with Weiszfeld's algorithm, with the standard fix for iterates that land
 //! exactly on an anchor. [`weiszfeld`] is the loop itself. It first tests
-//! Kuhn's optimality condition at two anchors, so a minimizer that sits on
-//! one of them comes back exact without iterating, and a caller can abandon
-//! a solve once a lower bound on the minimum settles its question.
+//! Kuhn's optimality condition at two anchors (at all three when exactly
+//! three carry weight), so a minimizer that sits on one of them comes back
+//! exact without iterating; a three-anchor minimizer inside the triangle
+//! comes back in closed form, also without iterating; and a caller can
+//! abandon an iterating solve once a lower bound on the minimum settles its
+//! question.
 //!
 //! # Examples
 //!
@@ -251,8 +254,12 @@ impl fmt::Display for GeometricMedianError {
 impl std::error::Error for GeometricMedianError {}
 
 /// Weiszfeld iteration stops when the iterate moves less than this
-/// distance (meters).
+/// distance (meters; see [`weiszfeld`] for anchors spread below a meter).
 const WEISZFELD_TOLERANCE: f64 = 1e-7;
+
+/// An iterate this close to an anchor (meters, like the tolerance) sits on
+/// it, and takes the Vardi–Zhang step.
+const WEISZFELD_ON_ANCHOR: f64 = 1e-12;
 
 /// Hard cap on Weiszfeld iterations.
 const WEISZFELD_MAX_ITERATIONS: usize = 200;
@@ -283,7 +290,9 @@ pub fn weighted_distance_sum(p: &Point, anchors: &[Point], weights: &[f64]) -> f
 ///
 /// Anchors with zero weight are ignored. A minimizer that Kuhn's test finds
 /// at the heaviest anchor or at the anchor nearest the weighted centroid is
-/// returned exactly, after `0` iterations. If the iterate lands exactly on an
+/// returned exactly, after `0` iterations; so is one at any of exactly three
+/// weighted anchors, and their interior minimizer comes back in closed form
+/// after `0` iterations as well. If the iterate lands exactly on an
 /// anchor, the standard Vardi–Zhang correction is applied; if that anchor is
 /// optimal the algorithm stops there.
 ///
@@ -322,6 +331,10 @@ pub enum WeiszfeldStop {
     /// Kuhn's condition held at an anchor before the first iteration: the
     /// point is that anchor's exact position and `iterations` is `0`.
     Anchor,
+    /// Exactly three anchors carry weight and Kuhn's condition held at
+    /// none of them: the point is their weighted Fermat–Torricelli point,
+    /// computed in closed form, and `iterations` is `0`.
+    ClosedForm,
     /// The iterate moved less than the tolerance, or sits on an anchor
     /// that is itself the minimizer.
     Converged,
@@ -378,6 +391,68 @@ where
     norm(gx, gy) <= w_at
 }
 
+/// The weighted Fermat–Torricelli point of three positive-weight anchors
+/// at none of which Kuhn's condition holds, so the minimizer `P` lies
+/// inside their triangle; `None` when the triangle is degenerate or a
+/// barycentric coordinate is not finite and positive.
+///
+/// At `P` the weighted unit vectors toward the anchors cancel, so the angle
+/// `φ_i = ∠a_j P a_k` has `cos φ_i = (w_i² − w_j² − w_k²)/(2·w_j·w_k)`, and
+/// `P`'s barycentric coordinates are proportional to
+/// `1/(cot A_i − cot φ_i)`, `A_i` being the triangle's angle at `a_i`.
+/// `cot A_i` is a dot product over `|cross|` (twice the triangle's area);
+/// `sin φ_i = 2·T/(w_j·w_k)`, where `T` is the area of the triangle with
+/// sides `w_0, w_1, w_2` by Heron's formula, so every
+/// `cot φ_i = (w_i² − w_j² − w_k²)/(4·T)` shares one square root and no
+/// trigonometric call. Before any product is formed the anchors are
+/// translated to `a_0` and divided by the longest side, and the weights
+/// divided by the largest, so no intermediate overflows or underflows at
+/// any magnitude whose differences are finite.
+fn fermat_torricelli(anchors: [(Point, f64); 3]) -> Option<Point> {
+    let [(a0, w0), (a1, w1), (a2, w2)] = anchors;
+    let (ux, uy) = (a1.x - a0.x, a1.y - a0.y);
+    let (vx, vy) = (a2.x - a0.x, a2.y - a0.y);
+    let longest = norm(ux, uy)
+        .max(norm(vx, vy))
+        .max(norm(a2.x - a1.x, a2.y - a1.y));
+    if !(longest > 0.0 && longest.is_finite()) {
+        return None;
+    }
+    // Edge vectors a0→a1, a0→a2 and a1→a2, the longest of unit length.
+    let (ux, uy, vx, vy) = (ux / longest, uy / longest, vx / longest, vy / longest);
+    let (sx, sy) = (vx - ux, vy - uy);
+    let cross = (ux * vy - uy * vx).abs();
+    if cross < f64::MIN_POSITIVE {
+        return None;
+    }
+    let cot_a = [
+        (ux * vx + uy * vy) / cross,
+        -(ux * sx + uy * sy) / cross,
+        (vx * sx + vy * sy) / cross,
+    ];
+    let heaviest = w0.max(w1).max(w2);
+    let w = [w0 / heaviest, w1 / heaviest, w2 / heaviest];
+    let sq = [w[0] * w[0], w[1] * w[1], w[2] * w[2]];
+    // 4·T by Heron: 16·T² = (w0+w1+w2)(w1+w2−w0)(w0+w2−w1)(w0+w1−w2).
+    let four_t = ((w[0] + w[1] + w[2])
+        * ((w[1] + w[2]) - w[0])
+        * ((w[0] + w[2]) - w[1])
+        * ((w[0] + w[1]) - w[2]))
+        .sqrt();
+    let lambda = |i: usize, j: usize, k: usize| 1.0 / (cot_a[i] - (sq[i] - sq[j] - sq[k]) / four_t);
+    let (l0, l1, l2) = (lambda(0, 1, 2), lambda(1, 0, 2), lambda(2, 0, 1));
+    let sum = l0 + l1 + l2;
+    let positive = |l: f64| l > 0.0 && l.is_finite();
+    if !(positive(l0) && positive(l1) && positive(l2) && sum.is_finite()) {
+        return None;
+    }
+    let (t1, t2) = (l1 / sum, l2 / sum);
+    Some(Point::new(
+        a0.x + (t1 * ux + t2 * vx) * longest,
+        a0.y + (t1 * uy + t2 * vy) * longest,
+    ))
+}
+
 /// Weiszfeld's iteration for `f(p) = Σ w_i·‖p − a_i‖` over the `(a_i, w_i)`
 /// pairs `anchors` yields — the one loop behind
 /// [`weighted_geometric_median`] and every gathering-point solve.
@@ -390,13 +465,27 @@ where
 /// anchor's exact position with [`WeiszfeldStop::Anchor`] after `0`
 /// iterations, in `O(K)` for `K` anchors, so a lone anchor, or one device
 /// with its charger whenever their rates differ, needs no iteration at all.
+/// When exactly three anchors carry weight (two devices and their charger)
+/// it tests the remaining ones too; if Kuhn's condition holds at none, the
+/// minimizer is inside their triangle and the solve returns it in closed
+/// form (the weighted Fermat–Torricelli point, Launhardt's three-point
+/// problem) with [`WeiszfeldStop::ClosedForm`] after `0` iterations. It
+/// falls through to the loop only when the triangle is degenerate or a
+/// barycentric coordinate is not finite and positive. Neither early stop
+/// consults `abandon`.
+///
 /// Otherwise it starts at the weighted centroid, skips zero weights, applies
-/// the Vardi–Zhang step when the iterate sits on an anchor, and stops once a
-/// step is shorter than `1e-7` m or after 200 iterations. Every distance and
-/// norm is `sqrt(dx² + dy²)`; `hypot` runs only where that squared sum
-/// overflows or underflows. The caller guarantees finite nonnegative weights
-/// with a positive sum (see [`weighted_geometric_median`] for the checked
-/// entry point).
+/// the Vardi–Zhang step when the iterate sits on an anchor (within `1e-12`
+/// m of it), and stops once a step is shorter than `1e-7` m or after 200
+/// iterations. When the farthest weighted anchor is less than a meter from
+/// the start, both lengths become fractions of that distance, `1e-15` and
+/// `1e-10`, the fractions the meter values are of a kilometre: a tiny
+/// instance iterates to the relative precision of a field-sized one
+/// instead of stopping at once. Every distance and norm is
+/// `sqrt(dx² + dy²)`; `hypot` runs only where that squared sum overflows or
+/// underflows. The caller guarantees finite nonnegative weights with a
+/// positive sum (see [`weighted_geometric_median`] for the checked entry
+/// point).
 ///
 /// # Abandoning a solve
 ///
@@ -426,10 +515,12 @@ pub fn weiszfeld<I>(anchors: I, mut abandon: impl FnMut(f64) -> bool) -> Weiszfe
 where
     I: Iterator<Item = (Point, f64)> + Clone,
 {
-    // One pass for the weighted centroid, the classic starting iterate, and
-    // the heaviest anchor.
+    // One pass for the weighted centroid, the classic starting iterate, the
+    // heaviest anchor and the first three weighted anchors.
     let (mut wsum, mut sum_x, mut sum_y) = (0.0, 0.0, 0.0);
     let (mut heaviest, mut heaviest_w) = (Point::ORIGIN, 0.0);
+    let mut weighted = [(Point::ORIGIN, 0.0); 3];
+    let mut count = 0;
     for (a, w) in anchors.clone() {
         wsum += w;
         sum_x += a.x * w;
@@ -437,33 +528,61 @@ where
         if w > heaviest_w {
             (heaviest, heaviest_w) = (a, w);
         }
+        if w > 0.0 {
+            if let Some(slot) = weighted.get_mut(count) {
+                *slot = (a, w);
+            }
+            count += 1;
+        }
     }
     let mut current = Point::new(sum_x / wsum, sum_y / wsum);
 
-    let optimal_anchor = if kuhn_holds(anchors.clone(), heaviest) {
-        Some(heaviest)
-    } else {
-        // The weighted anchor nearest the start (the first, on ties).
-        let (mut nearest, mut nearest_d) = (heaviest, f64::INFINITY);
-        for (a, w) in anchors.clone() {
-            if w == 0.0 {
-                continue;
-            }
-            let d = norm(a.x - current.x, a.y - current.y);
-            if d < nearest_d {
-                (nearest, nearest_d) = (a, d);
+    let settled = |point, stop| WeiszfeldRun {
+        point,
+        iterations: 0,
+        stop,
+    };
+    if kuhn_holds(anchors.clone(), heaviest) {
+        return settled(heaviest, WeiszfeldStop::Anchor);
+    }
+    // The weighted anchor nearest the start (the first, on ties), and the
+    // farthest one's distance.
+    let (mut nearest, mut nearest_d) = (heaviest, f64::INFINITY);
+    let mut farthest_d = 0.0f64;
+    for (a, w) in anchors.clone() {
+        if w == 0.0 {
+            continue;
+        }
+        let d = norm(a.x - current.x, a.y - current.y);
+        if d < nearest_d {
+            (nearest, nearest_d) = (a, d);
+        }
+        farthest_d = farthest_d.max(d);
+    }
+    if nearest != heaviest && kuhn_holds(anchors.clone(), nearest) {
+        return settled(nearest, WeiszfeldStop::Anchor);
+    }
+    if count == 3 {
+        // Three weighted anchors: test the rest, then solve in closed form.
+        for (a, _) in weighted {
+            if a != heaviest && a != nearest && kuhn_holds(weighted.into_iter(), a) {
+                return settled(a, WeiszfeldStop::Anchor);
             }
         }
-        (nearest != heaviest && kuhn_holds(anchors.clone(), nearest)).then_some(nearest)
-    };
-    if let Some(point) = optimal_anchor {
-        return WeiszfeldRun {
-            point,
-            iterations: 0,
-            stop: WeiszfeldStop::Anchor,
-        };
+        if let Some(point) = fermat_torricelli(weighted) {
+            return settled(point, WeiszfeldStop::ClosedForm);
+        }
     }
 
+    // The two lengths are meters for anchors spread a meter or more. Below
+    // that they are taken relative to the spread, at the precision the
+    // meter values give a kilometre-wide group.
+    let (on_anchor, tolerance) = if farthest_d >= 1.0 {
+        (WEISZFELD_ON_ANCHOR, WEISZFELD_TOLERANCE)
+    } else {
+        let km = farthest_d * 1e-3;
+        (WEISZFELD_ON_ANCHOR * km, WEISZFELD_TOLERANCE * km)
+    };
     let mut iterations = 0;
     let mut stop = WeiszfeldStop::Capped;
     while iterations < WEISZFELD_MAX_ITERATIONS {
@@ -480,7 +599,7 @@ where
                 return;
             }
             let d = norm(current.x - a.x, current.y - a.y);
-            if d < 1e-12 {
+            if d < on_anchor {
                 at_anchor = Some(w);
                 return;
             }
@@ -517,7 +636,7 @@ where
 
         let step = norm(current.x - next.x, current.y - next.y);
         current = next;
-        if step < WEISZFELD_TOLERANCE {
+        if step < tolerance {
             stop = WeiszfeldStop::Converged;
             break;
         }

@@ -32,6 +32,128 @@ fn arb_continuous_anchors() -> impl Strategy<Value = (Vec<Point>, Vec<f64>)> {
         .prop_map(|pairs| pairs.into_iter().unzip())
 }
 
+/// Up to seven continuous anchors with positive weights.
+fn arb_anchor_set() -> impl Strategy<Value = (Vec<Point>, Vec<f64>)> {
+    (
+        proptest::collection::vec(arb_point(), 1..8),
+        proptest::collection::vec(0.01f64..5.0, 8),
+    )
+        .prop_map(|(pts, mut weights)| {
+            weights.truncate(pts.len());
+            (pts, weights)
+        })
+}
+
+/// Three positive weights.
+fn arb_three_weights() -> impl Strategy<Value = (f64, f64, f64)> {
+    (0.01f64..5.0, 0.01f64..5.0, 0.01f64..5.0)
+}
+
+/// Three weighted anchors, the shape two devices and their charger give a
+/// gathering solve, in the families that stress the closed form: any
+/// triangle; near-collinear anchors (`|cross|` about `1e-12` of the
+/// squared longest side); two coincident anchors; a zero-weight fourth
+/// anchor; weights that break the triangle inequality, where the heaviest
+/// anchor is the optimum; and anchors scaled by `2^k`, `|k| ≤ 900`, with
+/// weights scaled by `2^j`, `|j| ≤ 60`.
+fn arb_three_anchors() -> impl Strategy<Value = (Vec<Point>, Vec<f64>)> {
+    let triangle = || (arb_point(), arb_point(), arb_point());
+    prop_oneof![
+        (triangle(), arb_three_weights())
+            .prop_map(|((a, b, c), (u, v, w))| (vec![a, b, c], vec![u, v, w])),
+        (
+            (arb_point(), arb_point()),
+            -0.5f64..1.5,
+            -1.0f64..1.0,
+            arb_three_weights(),
+        )
+            .prop_map(|((a, b), t, s, (u, v, w))| {
+                // Off the line through a and b by s·1e-12·|b − a|, so
+                // |cross| = |s|·1e-12·|b − a|².
+                let (dx, dy) = (b.x - a.x, b.y - a.y);
+                let off = s * 1e-12;
+                let c = Point::new(a.x + t * dx - off * dy, a.y + t * dy + off * dx);
+                (vec![a, b, c], vec![u, v, w])
+            }),
+        ((arb_point(), arb_point()), arb_three_weights())
+            .prop_map(|((a, b), (u, v, w))| (vec![a, b, a], vec![u, v, w])),
+        (triangle(), arb_point(), arb_three_weights())
+            .prop_map(|((a, b, c), d, (u, v, w))| (vec![a, b, c, d], vec![u, v, w, 0.0])),
+        (
+            triangle(),
+            arb_three_weights(),
+            prop_oneof![Just(0.0), 0.0f64..1.0],
+            0usize..3,
+        )
+            .prop_map(|((a, b, c), (u, v, _), excess, heavy)| {
+                let mut weights = vec![u, v, (u + v) * (1.0 + excess)];
+                weights.rotate_right(heavy);
+                (vec![a, b, c], weights)
+            }),
+        (triangle(), arb_three_weights(), -900i32..=900, -60i32..=60).prop_map(
+            |((a, b, c), (u, v, w), k, j)| {
+                let (s, t) = (2f64.powi(k), 2f64.powi(j));
+                let scaled = |p: Point| Point::new(p.x * s, p.y * s);
+                (
+                    vec![scaled(a), scaled(b), scaled(c)],
+                    vec![u * t, v * t, w * t],
+                )
+            }
+        ),
+    ]
+}
+
+/// Exactly three positive weights, at three distinct positions.
+fn three_distinct_anchors(anchors: &[Point], weights: &[f64]) -> bool {
+    let weighted: Vec<Point> = anchors
+        .iter()
+        .zip(weights)
+        .filter(|(_, &w)| w > 0.0)
+        .map(|(&a, _)| a)
+        .collect();
+    weighted.len() == 3
+        && weighted[0] != weighted[1]
+        && weighted[0] != weighted[2]
+        && weighted[1] != weighted[2]
+}
+
+/// The kernel's solve without a cutoff never ends above the best anchor's
+/// objective or the reference loop's, each up to relative `1e-12`, and a
+/// solve of three distinct weighted anchors never iterates: it stops at an
+/// anchor or in closed form.
+fn check_against_anchors_and_loop(anchors: &[Point], weights: &[f64]) -> Result<(), String> {
+    let median = weighted_geometric_median(anchors, weights).map_err(|e| e.to_string())?;
+    if !median.point.is_finite() {
+        return Err(format!("non-finite point {:?}", median.point));
+    }
+    let best_anchor = anchors
+        .iter()
+        .map(|p| weighted_distance_sum(p, anchors, weights))
+        .fold(f64::INFINITY, f64::min);
+    let (point, _) = reference_weiszfeld(anchors, weights).expect("valid weights");
+    let old = weighted_distance_sum(&point, anchors, weights);
+    for (bound, name) in [(best_anchor, "best anchor"), (old, "reference loop")] {
+        if median.objective > bound * (1.0 + 1e-12) {
+            return Err(format!(
+                "objective {} above the {name}'s {bound} for {anchors:?} / {weights:?}",
+                median.objective
+            ));
+        }
+    }
+    if three_distinct_anchors(anchors, weights) {
+        let run = weiszfeld(anchors.iter().copied().zip(weights.iter().copied()), |_| {
+            false
+        });
+        if !matches!(run.stop, WeiszfeldStop::Anchor | WeiszfeldStop::ClosedForm) {
+            return Err(format!(
+                "three anchors stopped {:?} after {} iterations: {anchors:?} / {weights:?}",
+                run.stop, run.iterations
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// The heaviest positive-weight anchor (the first, on ties) when Kuhn's
 /// condition holds there with a relative margin of `1e-9`: the norm of the
 /// other anchors' weighted unit vectors toward it is at most `1 − 1e-9`
@@ -157,46 +279,40 @@ proptest! {
         }
     }
 
+    /// The optimal objective never exceeds the best anchor's, nor the
+    /// reference loop's. Kuhn's test returns an optimum at the heaviest
+    /// anchor or at the one nearest the centroid exactly, and with exactly
+    /// three weighted anchors at any of them, or inside their triangle in
+    /// closed form. With four or more, an optimum at another anchor or just
+    /// off one is still approached slowly and can end above the best
+    /// anchor: 345 of 40,000 random inputs did, every one with four to seven
+    /// anchors (DESIGN.md §2), none of the sampled cases here.
     #[test]
     fn weiszfeld_never_beats_but_matches_anchors(
-        pts in proptest::collection::vec(arb_point(), 1..8),
-        raw_weights in proptest::collection::vec(0.01f64..5.0, 8),
+        (pts, weights) in prop_oneof![arb_anchor_set(), arb_three_anchors()],
     ) {
-        let weights = &raw_weights[..pts.len()];
-        let m = weighted_geometric_median(&pts, weights).unwrap();
-        prop_assert!(m.point.is_finite());
-        // Optimal objective can never exceed the best anchor's objective.
-        let best_anchor = pts
-            .iter()
-            .map(|p| weighted_distance_sum(p, &pts, weights))
-            .fold(f64::INFINITY, f64::min);
-        // Kuhn's test returns an optimum at the heaviest anchor or at the
-        // one nearest the centroid exactly. An optimum at another anchor or
-        // just off one is still approached slowly and can end above this
-        // bound: 367 of 40,000 random inputs did (DESIGN.md §2), none of
-        // the sampled cases here.
-        prop_assert!(m.objective <= best_anchor * (1.0 + 1e-12));
+        check_against_anchors_and_loop(&pts, &weights)?;
     }
 
     /// Run without a cutoff, the shared kernel's objective is never above
     /// the loop it replaced (up to relative `1e-12`) through zero weights,
-    /// coincident anchors, starts on an anchor and single anchors, and it
-    /// returns the heaviest anchor's exact bits, after no iteration,
-    /// wherever Kuhn's condition holds there with a margin; all-zero weights
-    /// stay rejected.
+    /// coincident anchors, starts on an anchor, single anchors and the
+    /// three-anchor shapes of the closed form, and it returns the heaviest
+    /// anchor's exact bits, after no iteration, wherever Kuhn's condition
+    /// holds there with a margin; all-zero weights stay rejected.
     #[test]
     fn weiszfeld_kernel_never_loses_to_the_reference_loop(
-        (anchors, weights) in prop_oneof![arb_weighted_anchors(), arb_continuous_anchors()],
+        (anchors, weights) in prop_oneof![
+            arb_weighted_anchors(),
+            arb_continuous_anchors(),
+            arb_three_anchors(),
+        ],
     ) {
         let reference = reference_weiszfeld(&anchors, &weights);
         match weighted_geometric_median(&anchors, &weights) {
             Ok(median) => {
-                let (point, _) = reference.expect("the reference accepts these weights");
-                let old = weighted_distance_sum(&point, &anchors, &weights);
-                prop_assert!(
-                    median.objective <= old * (1.0 + 1e-12),
-                    "kernel {} above reference {old}", median.objective
-                );
+                prop_assert!(reference.is_some(), "the reference accepts these weights");
+                check_against_anchors_and_loop(&anchors, &weights)?;
                 let run = weiszfeld(anchors.iter().copied().zip(weights.iter().copied()), |_| false);
                 prop_assert_eq!(run.point, median.point);
                 prop_assert_eq!(run.iterations, median.iterations);
@@ -215,12 +331,12 @@ proptest! {
     /// Scaling every anchor by `2^k` (exact in binary) scales the solve:
     /// the point stays finite and its objective stays within relative
     /// `1e-9` of `2^k` times the unscaled one, also where squared distances
-    /// overflow and the kernel measures them with `hypot`.
+    /// overflow or underflow and the kernel measures them with `hypot`.
     #[test]
     fn weiszfeld_scales_to_extreme_magnitudes(
         pts in proptest::collection::vec(arb_point(), 1..8),
         raw_weights in proptest::collection::vec(0.01f64..5.0, 8),
-        k in 0i32..=900,
+        k in -900i32..=900,
     ) {
         let weights = &raw_weights[..pts.len()];
         let scale = 2f64.powi(k);
@@ -312,5 +428,20 @@ proptest! {
             let v = r.sample(&mut rng);
             prop_assert!(v >= lo && v <= lo + width);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40_000))]
+
+    /// The three-anchor families of the closed form, 40,000 cases: no
+    /// solve ends above the best anchor's objective or the reference
+    /// loop's by more than relative `1e-12`, and three distinct weighted
+    /// anchors never iterate. Ignored by default; CI runs it in release
+    /// with `--ignored`.
+    #[test]
+    #[ignore]
+    fn three_anchor_kernel_stress((anchors, weights) in arb_three_anchors()) {
+        check_against_anchors_and_loop(&anchors, &weights)?;
     }
 }
