@@ -27,32 +27,43 @@ fn instance(n: usize, seed: u64) -> CcsProblem {
     )
 }
 
-/// Fig. 9 family: running time vs number of devices.
+/// The median of an odd number of timings.
+fn median(mut ms: Vec<f64>) -> f64 {
+    ms.sort_by(f64::total_cmp);
+    ms[ms.len() / 2]
+}
+
+/// Fig. 9 family: running time vs number of devices. The seeds run one
+/// after another, so no solve competes with another for the cores its own
+/// `ccs-par` pool uses (default size). A cell's time is the median of its
+/// 3 solves, and its cost their mean.
 pub fn fig9(out: &Path) -> io::Result<()> {
-    println!("== fig9: running time vs n (3 seeds each) ==");
+    println!("== fig9: running time vs n (median of 3 seeds, one solve at a time) ==");
     println!(
         "{:>6} {:>12} {:>12} {:>10} {:>12} {:>12}",
         "n", "ccsa ms", "ccsga ms", "speedup", "ccsa $", "ccsga $"
     );
     let mut rows = Vec::new();
     for &n in SIZES {
-        let runs = parallel_map(vec![0u64, 1, 2], |seed| {
-            let problem = instance(n, seed);
-            let t0 = Instant::now();
-            let a = ccsa(&problem, &EqualShare, CcsaOptions::default());
-            let ccsa_ms = t0.elapsed().as_secs_f64() * 1e3;
-            let t1 = Instant::now();
-            let g = ccsga(&problem, &EqualShare, CcsgaOptions::default());
-            let ccsga_ms = t1.elapsed().as_secs_f64() * 1e3;
-            (
-                ccsa_ms,
-                ccsga_ms,
-                a.total_cost().value(),
-                g.schedule.total_cost().value(),
-            )
-        });
-        let (ccsa_ms, _) = mean_std(&runs.iter().map(|r| r.0).collect::<Vec<_>>());
-        let (ccsga_ms, _) = mean_std(&runs.iter().map(|r| r.1).collect::<Vec<_>>());
+        let runs: Vec<_> = (0..3u64)
+            .map(|seed| {
+                let problem = instance(n, seed);
+                let t0 = Instant::now();
+                let a = ccsa(&problem, &EqualShare, CcsaOptions::default());
+                let ccsa_ms = t0.elapsed().as_secs_f64() * 1e3;
+                let t1 = Instant::now();
+                let g = ccsga(&problem, &EqualShare, CcsgaOptions::default());
+                let ccsga_ms = t1.elapsed().as_secs_f64() * 1e3;
+                (
+                    ccsa_ms,
+                    ccsga_ms,
+                    a.total_cost().value(),
+                    g.schedule.total_cost().value(),
+                )
+            })
+            .collect();
+        let ccsa_ms = median(runs.iter().map(|r| r.0).collect());
+        let ccsga_ms = median(runs.iter().map(|r| r.1).collect());
         let (ccsa_cost, _) = mean_std(&runs.iter().map(|r| r.2).collect::<Vec<_>>());
         let (ccsga_cost, _) = mean_std(&runs.iter().map(|r| r.3).collect::<Vec<_>>());
         let speedup = ccsa_ms / ccsga_ms.max(1e-9);

@@ -27,30 +27,39 @@
 //! candidate coalitions, and (c) its own history, a probe that returned
 //! "no move" stays "no move" until one of those inputs changes. The engine
 //! therefore tracks **dirty** players and skips quiescent ones entirely
-//! (`coalition.probes_skipped`), in one of two modes:
+//! (`coalition.probes_skipped`). Every player starts dirty, so round 1
+//! probes everyone. The mode is fixed once per run:
 //!
-//! * **Exact mode** (no shortlist): every switch appends its source and
-//!   destination slots to a global change log. A quiescent player replays
-//!   the log suffix since its last probe and re-evaluates **only the
-//!   changed coalitions** (`coalition.probes_partial`): every unchanged
-//!   candidate — including the singleton fallback — kept its old gain and
-//!   margin, so its gain still does not exceed the margin, and the strict
-//!   acceptance means a changed candidate can never tie with an unchanged
-//!   one, so the partial probe selects exactly the move the full scan
-//!   would.
-//! * **Shortlist mode** (`shortlist_cap > 0` with a spatial neighbor
-//!   order): a static reverse-adjacency index answers "who shortlists
-//!   player `m`?". A switch marks the members of the source/destination
-//!   coalitions, the mover, and everyone whose shortlist contains any of
-//!   them; unmarked players are skipped outright. Any event that could
-//!   change a player's candidate set, current cost, or history marks it,
-//!   so a skipped probe is always provably a no-op.
+//! * **Exact mode** (`shortlist_cap == 0`, or a game that does not order
+//!   every player): a probe's join candidates are every other coalition.
+//!   Every switch appends its source and destination slots to a change
+//!   log. A quiescent player replays the log suffix since its last probe
+//!   and re-evaluates **only the changed coalitions**
+//!   (`coalition.probes_partial`): every unchanged candidate — including
+//!   the singleton fallback — kept its old gain and margin, so its gain
+//!   still does not exceed the margin, and the strict acceptance means a
+//!   changed candidate can never tie with an unchanged one, so the partial
+//!   probe selects exactly the move the full scan would.
+//! * **Shortlist mode** (`shortlist_cap > 0` and a game whose
+//!   [`HedonicGame::neighbor_order`] answers for every player): each
+//!   player's neighbor list is fetched from the game once, when the run
+//!   starts, and a probe's join candidates are the coalitions of those
+//!   neighbors, nearest first, up to the cap. A reverse index of the lists
+//!   answers "who shortlists player `m`?". A switch marks the members of
+//!   the source and destination coalitions (the mover among them) and
+//!   everyone whose list contains one of them; unmarked players are
+//!   skipped outright. Any event that could change a player's candidate
+//!   set, current cost, or history marks it, so a skipped probe is always
+//!   provably a no-op.
 //!
-//! Rounds still process players in ascending index order and every probe
-//! evaluates candidates in the same order as the full scan, so the
+//! Rounds process players in ascending index order and every probe breaks
+//! ties the same way whatever order its candidates came in, so the
 //! partition trajectory — and the final [`ConvergenceReport`] — is
-//! **bit-identical** to `worklist: false` at any thread count (pinned by
-//! the `worklist` proptests).
+//! **bit-identical** at any thread count to the naive dynamics that probe
+//! every player in every round and ask the game for a fresh neighbor list
+//! at each probe. `reference_run` in `tests/worklist.rs`, written apart
+//! from this module, runs those dynamics, and the tests there pin the
+//! equivalence.
 
 use crate::game::HedonicGame;
 use crate::partition::{CoalitionId, Partition};
@@ -84,20 +93,15 @@ pub struct EngineOptions {
     /// Maximum join candidates per player scan, built from the game's
     /// spatial neighbor order ([`HedonicGame::neighbor_order`]). `0` (the
     /// default) scans every coalition, which is exact; a positive cap turns
-    /// on the large-`n` shortlist approximation. Ignored when the game does
-    /// not provide a neighbor order.
+    /// on the large-`n` shortlist approximation. The shortlist needs a game
+    /// that orders every player: if `neighbor_order` returns `false` for
+    /// any player, the run scans every coalition exactly.
     pub shortlist_cap: usize,
     /// Whether to run the final `O(n · coalitions)` Nash-stability audit.
     /// `true` (the default) reports an honest [`ConvergenceReport::nash_stable`];
     /// `false` skips the audit and reports `nash_stable: false`, which is
     /// the right trade at scales where the audit costs more than the run.
     pub check_stability: bool,
-    /// Whether to run the activity-driven worklist (see the module docs).
-    /// `true` (the default) skips provably quiescent players; `false`
-    /// forces the reference full scan every round. The trajectory is
-    /// bit-identical either way — this knob exists for the equivalence
-    /// tests and as an escape hatch.
-    pub worklist: bool,
 }
 
 impl Default for EngineOptions {
@@ -107,7 +111,6 @@ impl Default for EngineOptions {
             max_rounds: 0,
             shortlist_cap: 0,
             check_stability: true,
-            worklist: true,
         }
     }
 }
@@ -143,6 +146,7 @@ enum Move {
 /// hot-loop pass. Candidate member lists live in one flat `slab` arena
 /// (each a sorted sub-slice), and the gain batch is written into a
 /// retained buffer via `ccs_par::par_eval_min_into`.
+#[derive(Default)]
 struct Scratch {
     /// Flat arena of candidate member lists, each sorted ascending.
     slab: Vec<usize>,
@@ -159,24 +163,9 @@ struct Scratch {
     /// Stamp-based slot dedup (`slot_seen[s] == stamp` ⇔ seen this pass).
     slot_seen: Vec<u32>,
     stamp: u32,
-    /// Neighbor-order buffer for the shortlist path.
-    order: Vec<usize>,
 }
 
 impl Scratch {
-    fn new(n: usize) -> Self {
-        Scratch {
-            slab: Vec::new(),
-            cands: Vec::new(),
-            gains: Vec::new(),
-            residual: Vec::new(),
-            pending: Vec::new(),
-            slot_seen: vec![0; n],
-            stamp: 0,
-            order: Vec::new(),
-        }
-    }
-
     /// Starts a fresh slot-dedup pass over `nslots` slots and returns the
     /// stamp marking "seen in this pass".
     fn begin_slot_pass(&mut self, nslots: usize) -> u32 {
@@ -192,140 +181,124 @@ impl Scratch {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum WorklistMode {
-    /// Full scan every round (worklist disabled or unsupported game).
-    Off,
-    /// Change-log worklist with partial probes (exact full-scan candidates).
-    Exact,
-    /// Reverse-neighbor dirty marking (shortlist candidates).
-    Shortlist,
+/// Shortlist mode's neighbor lists, fetched from the game once per run.
+struct Shortlist {
+    /// Join candidates per probe at most.
+    cap: usize,
+    /// CSR forward lists: `fwd[fwd_start[p]..fwd_start[p + 1]]` is `p`'s
+    /// neighbor order.
+    fwd_start: Vec<u32>,
+    fwd: Vec<u32>,
+    /// CSR reverse adjacency: `rev[rev_start[m]..rev_start[m + 1]]` lists
+    /// every player whose forward list contains `m`.
+    rev_start: Vec<u32>,
+    rev: Vec<u32>,
+}
+
+impl Shortlist {
+    /// Asks the game for every player's neighbor order and inverts the
+    /// lists, or returns `None` as soon as one player has none: the
+    /// shortlist is all or nothing.
+    fn build<G: HedonicGame>(game: &G, n: usize, cap: usize) -> Option<Self> {
+        // Ask for more neighbors than the cap: nearby players often share a
+        // coalition, and history can block some candidates outright.
+        let limit = cap.saturating_mul(4).max(16);
+        let mut fwd: Vec<u32> = Vec::new();
+        let mut fwd_start: Vec<u32> = Vec::with_capacity(n + 1);
+        fwd_start.push(0);
+        let mut order: Vec<usize> = Vec::new();
+        for p in 0..n {
+            order.clear();
+            if !game.neighbor_order(p, limit, &mut order) {
+                return None;
+            }
+            fwd.extend(order.iter().map(|&q| q as u32));
+            fwd_start.push(fwd.len() as u32);
+        }
+
+        // Invert the forward lists: count each player's watchers, then
+        // place them.
+        let mut rev_start = vec![0u32; n + 1];
+        for &q in &fwd {
+            rev_start[q as usize + 1] += 1;
+        }
+        for i in 0..n {
+            rev_start[i + 1] += rev_start[i];
+        }
+        let mut fill = rev_start.clone();
+        let mut rev = vec![0u32; fwd.len()];
+        for p in 0..n {
+            for &q in &fwd[fwd_start[p] as usize..fwd_start[p + 1] as usize] {
+                rev[fill[q as usize] as usize] = p as u32;
+                fill[q as usize] += 1;
+            }
+        }
+        Some(Shortlist {
+            cap,
+            fwd_start,
+            fwd,
+            rev_start,
+            rev,
+        })
+    }
+
+    /// `player`'s neighbors, nearest first.
+    fn neighbors(&self, player: usize) -> &[u32] {
+        &self.fwd[self.fwd_start[player] as usize..self.fwd_start[player + 1] as usize]
+    }
+
+    /// Every player whose neighbor list contains `player`.
+    fn watchers(&self, player: usize) -> &[u32] {
+        &self.rev[self.rev_start[player] as usize..self.rev_start[player + 1] as usize]
+    }
 }
 
 /// Dirty-player bookkeeping for one run (see the module docs).
 struct Worklist {
-    mode: WorklistMode,
-    /// Players needing a full probe; initialized all-true so round 1 is
-    /// exactly the reference full scan.
+    /// Players needing a full probe; initialized all-true so round 1
+    /// probes every player.
     dirty: Vec<bool>,
     /// Exact mode: slot indices touched by every switch, in order.
     changed_log: Vec<u32>,
     /// Exact mode: each player's consumed prefix of `changed_log`.
     log_pos: Vec<usize>,
-    /// Shortlist mode: CSR forward neighbor lists (also reused by probes so
-    /// the game's `neighbor_order` runs once per player, not once per probe).
-    fwd_start: Vec<u32>,
-    fwd: Vec<u32>,
-    /// Shortlist mode: CSR reverse adjacency — the range
-    /// `rev[rev_start[m]..rev_start[m + 1]]` lists every player whose
-    /// forward list contains `m`.
-    rev_start: Vec<u32>,
-    rev: Vec<u32>,
+    /// Shortlist mode's lists; `None` in exact mode.
+    shortlist: Option<Shortlist>,
 }
 
 impl Worklist {
-    fn inactive(mode: WorklistMode, n: usize) -> Self {
-        Worklist {
-            mode,
-            dirty: vec![true; n],
-            changed_log: Vec::new(),
-            log_pos: vec![0; n],
-            fwd_start: Vec::new(),
-            fwd: Vec::new(),
-            rev_start: Vec::new(),
-            rev: Vec::new(),
+    /// Records a switch out of `from` into `to`: exact mode logs both
+    /// slots, and both modes mark their members dirty (the mover is a
+    /// member of `to`), shortlist mode also every player watching one of
+    /// them.
+    fn record_switch(&mut self, partition: &Partition, from: CoalitionId, to: CoalitionId) {
+        if self.shortlist.is_none() {
+            self.changed_log
+                .extend([from.index() as u32, to.index() as u32]);
         }
-    }
-
-    fn fwd_of(&self, player: usize) -> &[u32] {
-        &self.fwd[self.fwd_start[player] as usize..self.fwd_start[player + 1] as usize]
-    }
-
-    /// Marks a coalition's members dirty, plus (in shortlist mode) every
-    /// player whose shortlist watches one of them.
-    fn mark_slot(&mut self, partition: &Partition, id: CoalitionId) {
-        for &m in partition.members(id) {
-            self.dirty[m] = true;
-            if self.mode == WorklistMode::Shortlist {
-                let (lo, hi) = (self.rev_start[m] as usize, self.rev_start[m + 1] as usize);
-                for i in lo..hi {
-                    self.dirty[self.rev[i] as usize] = true;
+        for id in [from, to] {
+            for &m in partition.members(id) {
+                self.dirty[m] = true;
+                if let Some(shortlist) = &self.shortlist {
+                    for &w in shortlist.watchers(m) {
+                        self.dirty[w as usize] = true;
+                    }
                 }
             }
         }
     }
 }
 
-/// Picks the worklist mode for this game and builds the supporting indexes.
-///
-/// With a shortlist cap, the game's neighbor availability is probed for
-/// every player up front (the forward lists double as the probe-time
-/// shortlists); mixed availability would make the dirty marking unsound,
-/// so it also falls back to `Off`.
-fn build_worklist<G: HedonicGame>(game: &G, n: usize, options: &EngineOptions) -> Worklist {
-    if !options.worklist {
-        return Worklist::inactive(WorklistMode::Off, n);
-    }
-    if options.shortlist_cap == 0 {
-        return Worklist::inactive(WorklistMode::Exact, n);
-    }
-    let limit = options.shortlist_cap.saturating_mul(4).max(16);
-    let mut fwd: Vec<u32> = Vec::new();
-    let mut fwd_start: Vec<u32> = Vec::with_capacity(n + 1);
-    fwd_start.push(0);
-    let mut available = 0usize;
-    let mut order: Vec<usize> = Vec::new();
-    for p in 0..n {
-        order.clear();
-        if game.neighbor_order(p, limit, &mut order) {
-            available += 1;
-            fwd.extend(order.iter().map(|&q| q as u32));
-        }
-        fwd_start.push(fwd.len() as u32);
-    }
-    if available == 0 {
-        // No spatial structure: probes fall back to the exact full scan,
-        // which the change-log worklist tracks precisely.
-        return Worklist::inactive(WorklistMode::Exact, n);
-    }
-    if available != n {
-        return Worklist::inactive(WorklistMode::Off, n);
-    }
-
-    // Invert the forward lists into CSR reverse adjacency.
-    let mut counts = vec![0u32; n + 1];
-    for &q in &fwd {
-        counts[q as usize + 1] += 1;
-    }
-    for i in 1..counts.len() {
-        counts[i] += counts[i - 1];
-    }
-    let rev_start = counts.clone();
-    let mut fill = counts;
-    let mut rev = vec![0u32; fwd.len()];
-    for p in 0..n {
-        let (lo, hi) = (fwd_start[p] as usize, fwd_start[p + 1] as usize);
-        for &q in &fwd[lo..hi] {
-            rev[fill[q as usize] as usize] = p as u32;
-            fill[q as usize] += 1;
-        }
-    }
-
-    let mut wl = Worklist::inactive(WorklistMode::Shortlist, n);
-    wl.fwd_start = fwd_start;
-    wl.fwd = fwd;
-    wl.rev_start = rev_start;
-    wl.rev = rev;
-    wl
-}
-
-/// Which candidate set a probe evaluates.
-enum Probe<'a> {
-    /// All candidates: the full scan or the spatial shortlist. When the
-    /// worklist owns prebuilt forward lists they are passed here so the
-    /// game's `neighbor_order` is not recomputed per probe.
-    Full { worklist: Option<&'a Worklist> },
-    /// Exact-mode partial probe over `Scratch::pending` only.
+/// Where a probe's join candidates come from.
+#[derive(Clone, Copy)]
+enum Candidates<'a> {
+    /// Every other coalition: the exact scan.
+    Every,
+    /// The coalitions of the player's neighbors, nearest first, until `cap`
+    /// joins pass the history check (shortlist mode).
+    Near { order: &'a [u32], cap: usize },
+    /// Only the slots in `Scratch::pending`, and no singleton: exact mode's
+    /// partial probe.
     Changed,
 }
 
@@ -366,8 +339,16 @@ pub fn run<G: HedonicGame>(
         }
     }
 
-    let mut wl = build_worklist(game, n, &options);
-    let mut scratch = Scratch::new(n);
+    let mut wl = Worklist {
+        dirty: vec![true; n],
+        changed_log: Vec::new(),
+        log_pos: vec![0; n],
+        shortlist: match options.shortlist_cap {
+            0 => None,
+            cap => Shortlist::build(game, n, cap),
+        },
+    };
+    let mut scratch = Scratch::default();
     let skipped = ccs_telemetry::counter!("coalition.probes_skipped");
     let partials = ccs_telemetry::counter!("coalition.probes_partial");
 
@@ -380,109 +361,53 @@ pub fn run<G: HedonicGame>(
         let mut any_switch = false;
 
         for player in 0..n {
-            let best = match wl.mode {
-                WorklistMode::Off => best_move(
-                    game,
-                    &partition,
-                    player,
-                    &history,
-                    &options,
-                    &mut scratch,
-                    Probe::Full { worklist: None },
-                ),
-                WorklistMode::Shortlist => {
-                    if wl.dirty[player] {
-                        wl.dirty[player] = false;
-                        best_move(
-                            game,
-                            &partition,
-                            player,
-                            &history,
-                            &options,
-                            &mut scratch,
-                            Probe::Full {
-                                worklist: Some(&wl),
-                            },
-                        )
-                    } else {
-                        skipped.incr();
-                        None
-                    }
+            let candidates = if wl.dirty[player] {
+                wl.dirty[player] = false;
+                wl.log_pos[player] = wl.changed_log.len();
+                match &wl.shortlist {
+                    Some(s) => Candidates::Near {
+                        order: s.neighbors(player),
+                        cap: s.cap,
+                    },
+                    None => Candidates::Every,
                 }
-                WorklistMode::Exact => {
-                    if wl.dirty[player] {
-                        wl.dirty[player] = false;
-                        wl.log_pos[player] = wl.changed_log.len();
-                        best_move(
-                            game,
-                            &partition,
-                            player,
-                            &history,
-                            &options,
-                            &mut scratch,
-                            Probe::Full { worklist: None },
-                        )
-                    } else {
-                        collect_pending(&mut scratch, &wl, player, &partition);
-                        wl.log_pos[player] = wl.changed_log.len();
-                        if scratch.pending.is_empty() {
-                            skipped.incr();
-                            None
-                        } else {
-                            partials.incr();
-                            best_move(
-                                game,
-                                &partition,
-                                player,
-                                &history,
-                                &options,
-                                &mut scratch,
-                                Probe::Changed,
-                            )
-                        }
-                    }
+            } else {
+                collect_pending(&mut scratch, &wl, player, &partition);
+                wl.log_pos[player] = wl.changed_log.len();
+                if scratch.pending.is_empty() {
+                    skipped.incr();
+                    continue;
                 }
+                partials.incr();
+                Candidates::Changed
+            };
+            let Some(mv) = best_move(
+                game,
+                &partition,
+                player,
+                &history,
+                &options,
+                &mut scratch,
+                candidates,
+            ) else {
+                continue;
             };
 
-            if let Some((mv, _gain)) = best {
-                let from_id = partition.coalition_of(player);
-                let target = match mv {
-                    Move::Join(id) => {
-                        partition.move_to_coalition(player, id);
-                        id
-                    }
-                    Move::Singleton => partition.move_to_singleton(player).1,
-                };
-                if options.rule == SwitchRule::SelfishWithHistory {
-                    history[player].insert(partition.members(target).to_vec());
+            let from_id = partition.coalition_of(player);
+            let target = match mv {
+                Move::Join(id) => {
+                    partition.move_to_coalition(player, id);
+                    id
                 }
-                switches += 1;
-                any_switch = true;
-                debug_assert!(partition.is_consistent());
-
-                match wl.mode {
-                    WorklistMode::Off => {}
-                    WorklistMode::Exact => {
-                        wl.changed_log.push(from_id.index() as u32);
-                        wl.changed_log.push(target.index() as u32);
-                        wl.mark_slot(&partition, from_id);
-                        wl.mark_slot(&partition, target);
-                        wl.dirty[player] = true;
-                    }
-                    WorklistMode::Shortlist => {
-                        wl.mark_slot(&partition, from_id);
-                        wl.mark_slot(&partition, target);
-                        wl.dirty[player] = true;
-                        let (lo, hi) = (
-                            wl.rev_start[player] as usize,
-                            wl.rev_start[player + 1] as usize,
-                        );
-                        for i in lo..hi {
-                            wl.dirty[wl.rev[i] as usize] = true;
-                        }
-                    }
-                }
+                Move::Singleton => partition.move_to_singleton(player).1,
+            };
+            if options.rule == SwitchRule::SelfishWithHistory {
+                history[player].insert(partition.members(target).to_vec());
             }
+            switches += 1;
+            any_switch = true;
+            debug_assert!(partition.is_consistent());
+            wl.record_switch(&partition, from_id, target);
         }
 
         if !any_switch {
@@ -506,7 +431,8 @@ pub fn run<G: HedonicGame>(
 
 /// Collects into `scratch.pending` the deduplicated, ascending slot indices
 /// that changed since `player`'s last probe (its unread `changed_log`
-/// suffix), excluding its own slot and tombstones.
+/// suffix, always empty in shortlist mode), excluding its own slot and
+/// tombstones.
 fn collect_pending(scratch: &mut Scratch, wl: &Worklist, player: usize, partition: &Partition) {
     let stamp = scratch.begin_slot_pass(partition.num_slots());
     scratch.pending.clear();
@@ -545,17 +471,17 @@ pub(crate) fn push_joined(slab: &mut Vec<usize>, members: &[usize], player: usiz
 
 /// The best admissible improving move for `player`, or `None`.
 ///
-/// Candidates are materialized in the serial scan order into the flat
-/// scratch arena, their gains are evaluated as one `ccs-par` batch (each
-/// gain is a pure function of the candidate, so the batch is
-/// deterministic), and a serial reduce picks the largest gain, breaking
-/// ties toward the lower target slot with `Singleton` last — making the
-/// chosen move, and therefore the whole partition trajectory, bit-identical
-/// at any thread count. That order is the exact scan's visiting order, so
-/// the shortlist, which visits coalitions nearest-first, breaks a tie the
-/// way the exact scan does.
+/// Candidates are materialized in `candidates`' order into the flat scratch
+/// arena, their gains are evaluated as one `ccs-par` batch (each gain is a
+/// pure function of the candidate, so the batch is deterministic), and a
+/// serial reduce picks the largest gain, breaking ties toward the lower
+/// target slot with `Singleton` last — making the chosen move, and
+/// therefore the whole partition trajectory, bit-identical at any thread
+/// count. The tie-break does not depend on the candidates' order, so the
+/// shortlist, which visits coalitions nearest-first, breaks a tie the way
+/// the exact scan does.
 ///
-/// A [`Probe::Changed`] probe evaluates only the coalitions in
+/// A [`Candidates::Changed`] probe evaluates only the coalitions in
 /// `scratch.pending` and omits the singleton candidate: every omitted
 /// candidate kept its gain from the player's last probe (not above its
 /// margin), so it cannot be the best move (see the module docs).
@@ -566,8 +492,8 @@ fn best_move<G: HedonicGame>(
     history: &[HashSet<Vec<usize>>],
     options: &EngineOptions,
     scratch: &mut Scratch,
-    probe: Probe<'_>,
-) -> Option<(Move, f64)> {
+    candidates: Candidates<'_>,
+) -> Option<Move> {
     let prefs = ccs_telemetry::counter!("coalition.preference_evals");
     let attempts = ccs_telemetry::counter!("coalition.switch_ops_attempted");
     let from_id = partition.coalition_of(player);
@@ -604,109 +530,51 @@ fn best_move<G: HedonicGame>(
         (0.0, 0.0)
     };
 
-    // Candidate joins; history-blocked compositions are pruned here (pure
-    // and cheap) so they cost no game evaluations. With a shortlist cap and
-    // a game that exposes a spatial neighbor order, candidates come from
-    // the coalitions of the nearest players (deduplicated, nearest-first,
-    // capped) instead of a full scan over every coalition — an O(cap)
-    // approximation of the O(coalitions) exact step. The neighbor order is
-    // deterministic, so the trajectory stays thread-count independent.
+    // Candidate joins, each coalition once and never the player's own;
+    // history-blocked compositions are pruned here (pure and cheap) so they
+    // cost no game evaluations. The shortlist's order is deterministic, so
+    // the trajectory stays thread-count independent.
     scratch.slab.clear();
     scratch.cands.clear();
-    let changed_only = matches!(probe, Probe::Changed);
-    if changed_only {
-        // Partial probe: pending is already deduplicated, ascending, and
-        // excludes the player's own slot and tombstones — the same
-        // candidate order the full scan would visit these slots in.
-        for i in 0..scratch.pending.len() {
-            let id = partition.slot(scratch.pending[i]);
-            let members = partition.members(id);
-            debug_assert!(!members.is_empty());
-            let start = push_joined(&mut scratch.slab, members, player);
-            if options.rule == SwitchRule::SelfishWithHistory
-                && history[player].contains(&scratch.slab[start..])
-            {
-                scratch.slab.truncate(start);
-                continue;
-            }
-            scratch
-                .cands
-                .push((Move::Join(id), start, scratch.slab.len()));
+    let (len, cap) = match candidates {
+        Candidates::Every => (partition.num_slots(), usize::MAX),
+        Candidates::Near { order, cap } => (order.len(), cap),
+        Candidates::Changed => (scratch.pending.len(), usize::MAX),
+    };
+    let stamp = scratch.begin_slot_pass(partition.num_slots());
+    for i in 0..len {
+        let id = match candidates {
+            Candidates::Every => partition.slot(i),
+            Candidates::Near { order, .. } => partition.coalition_of(order[i] as usize),
+            Candidates::Changed => partition.slot(scratch.pending[i]),
+        };
+        let members = partition.members(id);
+        if id == from_id || members.is_empty() || scratch.slot_seen[id.index()] == stamp {
+            continue;
         }
-    } else {
-        let mut shortlisted = false;
-        if options.shortlist_cap > 0 {
-            let cap = options.shortlist_cap;
-            scratch.order.clear();
-            let have_order = match probe {
-                Probe::Full { worklist: Some(wl) } => {
-                    scratch
-                        .order
-                        .extend(wl.fwd_of(player).iter().map(|&q| q as usize));
-                    true
-                }
-                _ => {
-                    // Ask for more neighbors than the cap: nearby players
-                    // often share a coalition, and history can block some
-                    // candidates outright.
-                    game.neighbor_order(player, cap.saturating_mul(4).max(16), &mut scratch.order)
-                }
-            };
-            if have_order {
-                shortlisted = true;
-                let stamp = scratch.begin_slot_pass(partition.num_slots());
-                for i in 0..scratch.order.len() {
-                    let q = scratch.order[i];
-                    if q == player {
-                        continue;
-                    }
-                    let id = partition.coalition_of(q);
-                    if id == from_id || scratch.slot_seen[id.index()] == stamp {
-                        continue;
-                    }
-                    scratch.slot_seen[id.index()] = stamp;
-                    let start = push_joined(&mut scratch.slab, partition.members(id), player);
-                    if options.rule == SwitchRule::SelfishWithHistory
-                        && history[player].contains(&scratch.slab[start..])
-                    {
-                        scratch.slab.truncate(start);
-                        continue;
-                    }
-                    scratch
-                        .cands
-                        .push((Move::Join(id), start, scratch.slab.len()));
-                    if scratch.cands.len() >= cap {
-                        break;
-                    }
-                }
-            }
+        scratch.slot_seen[id.index()] = stamp;
+        let start = push_joined(&mut scratch.slab, members, player);
+        if options.rule == SwitchRule::SelfishWithHistory
+            && history[player].contains(&scratch.slab[start..])
+        {
+            scratch.slab.truncate(start);
+            continue;
         }
-        if !shortlisted {
-            for (id, members) in partition.coalitions() {
-                if id == from_id {
-                    continue;
-                }
-                let start = push_joined(&mut scratch.slab, members, player);
-                if options.rule == SwitchRule::SelfishWithHistory
-                    && history[player].contains(&scratch.slab[start..])
-                {
-                    scratch.slab.truncate(start);
-                    continue;
-                }
-                scratch
-                    .cands
-                    .push((Move::Join(id), start, scratch.slab.len()));
-            }
+        scratch
+            .cands
+            .push((Move::Join(id), start, scratch.slab.len()));
+        if scratch.cands.len() >= cap {
+            break;
         }
-        // Candidate: split off into a singleton (only meaningful from a
-        // larger coalition). Going solo is the individual-rationality
-        // fallback: it is never blocked by history (see the module docs) and
-        // needs nobody's consent.
-        if from_members.len() > 1 {
-            let start = scratch.slab.len();
-            scratch.slab.push(player);
-            scratch.cands.push((Move::Singleton, start, start + 1));
-        }
+    }
+    // Candidate: split off into a singleton (only meaningful from a larger
+    // coalition). Going solo is the individual-rationality fallback: it is
+    // never blocked by history (see the module docs) and needs nobody's
+    // consent.
+    if !matches!(candidates, Candidates::Changed) && from_members.len() > 1 {
+        let start = scratch.slab.len();
+        scratch.slab.push(player);
+        scratch.cands.push((Move::Singleton, start, start + 1));
     }
 
     // Parallel gain evaluation; `None` marks an inadmissible candidate
@@ -791,7 +659,7 @@ fn best_move<G: HedonicGame>(
             }
         }
     }
-    best
+    best.map(|(mv, _)| mv)
 }
 
 #[cfg(test)]
@@ -1149,43 +1017,5 @@ mod tests {
             },
         );
         assert_eq!(report.rounds, 1);
-    }
-
-    /// Worklist on vs. off must produce bit-identical reports — the
-    /// exhaustive version lives in `tests/worklist.rs`; this is the quick
-    /// in-crate check across rules and both candidate paths.
-    #[test]
-    fn worklist_matches_full_scan_across_rules_and_paths() {
-        for rule in [
-            SwitchRule::SelfishWithHistory,
-            SwitchRule::SelfishWithConsent,
-            SwitchRule::Utilitarian,
-        ] {
-            for fee in [0.0, 2.0, 4.0, 6.0, 20.0] {
-                for cap in [0usize, 1, 3, 8] {
-                    let opts = |worklist| EngineOptions {
-                        rule,
-                        shortlist_cap: cap,
-                        worklist,
-                        ..EngineOptions::default()
-                    };
-                    let with = run(
-                        &Spatial(line_game(fee, 3)),
-                        Partition::singletons(5),
-                        opts(true),
-                    );
-                    let without = run(
-                        &Spatial(line_game(fee, 3)),
-                        Partition::singletons(5),
-                        opts(false),
-                    );
-                    let ctx = format!("rule {rule:?} fee {fee} cap {cap}");
-                    assert_eq!(with.partition, without.partition, "{ctx}");
-                    assert_eq!(with.rounds, without.rounds, "{ctx}");
-                    assert_eq!(with.switches, without.switches, "{ctx}");
-                    assert_eq!(with.converged, without.converged, "{ctx}");
-                }
-            }
-        }
     }
 }

@@ -43,9 +43,11 @@ pub trait HedonicGame: Sync {
     /// `out` in deterministic nearest-first order from `player` and return
     /// `true`. The default returns `false` ("no spatial structure"), which
     /// makes the engine scan every coalition exactly. Only consulted when
-    /// `EngineOptions::shortlist_cap > 0`; implementations must produce the
-    /// same order on every call with the same arguments — the engine's
-    /// determinism guarantee inherits it.
+    /// `EngineOptions::shortlist_cap > 0`, once per player when a run
+    /// starts, and all or none: the engine uses the shortlist only if this
+    /// returns `true` for every player, and otherwise scans exactly.
+    /// Implementations must produce the same order on every call with the
+    /// same arguments — the engine's determinism guarantee inherits it.
     fn neighbor_order(&self, player: usize, limit: usize, out: &mut Vec<usize>) -> bool {
         let _ = (player, limit, out);
         false

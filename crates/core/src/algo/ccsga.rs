@@ -258,6 +258,16 @@ pub fn ccsga(
     options: CcsgaOptions,
 ) -> CcsgaOutcome {
     let _span = ccs_telemetry::span!("ccsga");
+    if problem.num_devices() == 0 {
+        // No players, no game: the empty schedule is a fixed point.
+        return CcsgaOutcome {
+            schedule: Schedule::new(Vec::new(), "ccsga", sharing.name()),
+            rounds: 0,
+            switches: 0,
+            converged: true,
+            nash_stable: options.check_stability,
+        };
+    }
     let game = CcsGame::new(problem, sharing);
     // The dynamics start from the "before cooperation" state: every device
     // alone.
@@ -269,7 +279,6 @@ pub fn ccsga(
             max_rounds: options.max_rounds,
             shortlist_cap: options.neighbor_cap,
             check_stability: options.check_stability,
-            ..EngineOptions::default()
         },
     );
 
@@ -539,6 +548,31 @@ mod tests {
             serde_json::to_string(&exact.schedule).unwrap()
         );
         assert_eq!(capped.switches, exact.switches);
+    }
+
+    /// A deserialized scenario may list no devices (the builders refuse
+    /// one). CCSGA then plans nothing, as the other algorithms do.
+    #[test]
+    fn a_fleet_without_devices_gets_the_empty_schedule() {
+        use serde::{value::Value, Deserialize, Serialize};
+        let mut value = ScenarioGenerator::new(1)
+            .devices(3)
+            .chargers(2)
+            .generate()
+            .to_value();
+        let Value::Object(top) = &mut value else {
+            panic!("a scenario is a JSON object")
+        };
+        top.insert("devices".to_string(), Value::Array(Vec::new()));
+        let p = CcsProblem::new(ccs_wrsn::scenario::Scenario::from_value(&value).unwrap());
+        let out = ccsga(&p, &EqualShare, CcsgaOptions::default());
+        out.schedule.validate(&p).unwrap();
+        assert!(out.schedule.groups().is_empty());
+        assert_eq!(out.schedule.total_cost(), Cost::ZERO);
+        assert_eq!(
+            (out.switches, out.rounds, out.converged, out.nash_stable),
+            (0, 0, true, true)
+        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 # Counts the non-test lines of the workspace's Rust sources: every `.rs`
 # file under `crates/*/src` and `src/`, each up to (not including) its first
 # `#[cfg(test)]` line. Prints one count per crate, the total of the five
-# crates that ROADMAP item 9 tracks (core, coalition, submodular, serve,
+# crates whose size the ROADMAP tracks (core, coalition, submodular, serve,
 # gateway) and the overall total.
 #
 # Usage: scripts/nontest-lines.sh   (from any directory)
@@ -28,5 +28,5 @@ for dir in crates/*/src src; do
         core | coalition | submodular | serve | gateway) tracked=$((tracked + n)) ;;
     esac
 done
-printf '%-12s %6d\n' "item 9" "$tracked"
+printf '%-12s %6d\n' "five crates" "$tracked"
 printf '%-12s %6d\n' "total" "$total"

@@ -290,11 +290,45 @@ fn zero_device_scenarios_plan_and_stream_nothing() {
     std::fs::write(&scenario, serde_json::to_string(&json).unwrap()).unwrap();
 
     // An empty sum is +0.0, so the total prints without a sign.
-    let out = ccs(&["plan", "--scenario", sc]);
+    for algo in ["ccsa", "ccsga", "ncp", "opt"] {
+        let out = ccs(&["plan", "--scenario", sc, "--algo", algo]);
+        assert!(out.status.success(), "{algo}: {out:?}");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stdout),
+            format!("{algo} schedule (equal sharing), 0 groups, total cost 0.00\n\n")
+        );
+    }
+
+    // The daemon answers the same CCSGA plan `ok`, with no dynamics run.
+    let mut daemon = Command::new(env!("CARGO_BIN_EXE_ccs"))
+        .args(["serve", "--workers", "1", "--stats-every", "0"])
+        .stdin(std::process::Stdio::piped())
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("daemon spawns");
+    std::io::Write::write_all(
+        &mut daemon.stdin.take().expect("stdin"),
+        format!(
+            "{{\"id\":1,\"cmd\":\"plan\",\"scenario_path\":\"{sc}\",\"algo\":\"ccsga\"}}\n\
+             {{\"cmd\":\"shutdown\"}}\n"
+        )
+        .as_bytes(),
+    )
+    .expect("requests written");
+    let out = daemon.wait_with_output().expect("daemon exits");
     assert!(out.status.success(), "{out:?}");
-    assert_eq!(
-        String::from_utf8_lossy(&out.stdout),
-        "ccsa schedule (equal sharing), 0 groups, total cost 0.00\n\n"
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let plan = stdout
+        .lines()
+        .find(|l| l.contains("\"id\":1"))
+        .expect("plan response present");
+    assert!(
+        plan.contains("\"ok\":true")
+            && plan.contains("\"groups\":0")
+            && plan.contains("\"switches\":0")
+            && plan.contains("\"nash_stable\":true"),
+        "{plan}"
     );
 
     // A fleet of no devices requests nothing.
